@@ -603,14 +603,14 @@ func BenchmarkEngineQueue(b *testing.B) {
 		base := eng.CurrentTime()
 		for j := 0; j < events; j++ {
 			// A spread of timestamps with heavy same-time collision exercises
-			// both the 4-ary sift and the same-timestamp batch pop.
+			// the 4-ary sift and the (time, secondary, seq) tie-break.
 			sim.ScheduleFunc(eng, base+sim.VTime(j%7)*sim.USec, benchNop)
 		}
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	cycle() // warm the free list, heap, and cohort buffer
+	cycle() // warm the free list and the heap
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

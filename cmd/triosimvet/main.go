@@ -53,7 +53,7 @@ func main() {
 			"run the replay-digest determinism check instead of static analysis")
 		replayModel = flag.String("replay-model", "resnet18",
 			"model zoo workload for -replay")
-		replayRuns = flag.Int("replay-runs", 2, "simulation repetitions for -replay")
+		replayRuns   = flag.Int("replay-runs", 2, "simulation repetitions for -replay")
 		replayFaults = flag.Bool("replay-faults", false,
 			"with -replay: also check fault-injection determinism (no-op schedule identity + seeded-schedule replay)")
 		replayFaultSeed = flag.Int64("replay-fault-seed", 7,

@@ -186,22 +186,22 @@ func (t *TopologySpec) Build() (*network.Topology, error) {
 
 // RunSpec declares one simulation run.
 type RunSpec struct {
-	Model       string        `json:"model,omitempty"`
-	TraceFile   string        `json:"trace_file,omitempty"`
-	Platform    string        `json:"platform"`
-	Parallelism string        `json:"parallelism"`
-	TraceBatch  int           `json:"trace_batch,omitempty"`
-	TraceGPU    string        `json:"trace_gpu,omitempty"`
-	GlobalBatch int           `json:"global_batch,omitempty"`
-	NumGPUs     int           `json:"num_gpus,omitempty"`
-	Chunks      int           `json:"chunks,omitempty"`
-	Iterations  int           `json:"iterations,omitempty"`
-	DPGroups    int           `json:"dp_groups,omitempty"`
-	BucketMB    float64       `json:"bucket_mb,omitempty"`
-	Collective  string        `json:"collective,omitempty"`
-	TPRanks     int           `json:"tp_ranks,omitempty"`
-	PPStages    int           `json:"pp_stages,omitempty"`
-	FuseCompute bool          `json:"fuse_compute,omitempty"`
+	Model       string  `json:"model,omitempty"`
+	TraceFile   string  `json:"trace_file,omitempty"`
+	Platform    string  `json:"platform"`
+	Parallelism string  `json:"parallelism"`
+	TraceBatch  int     `json:"trace_batch,omitempty"`
+	TraceGPU    string  `json:"trace_gpu,omitempty"`
+	GlobalBatch int     `json:"global_batch,omitempty"`
+	NumGPUs     int     `json:"num_gpus,omitempty"`
+	Chunks      int     `json:"chunks,omitempty"`
+	Iterations  int     `json:"iterations,omitempty"`
+	DPGroups    int     `json:"dp_groups,omitempty"`
+	BucketMB    float64 `json:"bucket_mb,omitempty"`
+	Collective  string  `json:"collective,omitempty"`
+	TPRanks     int     `json:"tp_ranks,omitempty"`
+	PPStages    int     `json:"pp_stages,omitempty"`
+	FuseCompute bool    `json:"fuse_compute,omitempty"`
 	// NetApproxTol enables the flow network's approximate-equilibrium mode
 	// (0 = exact). See docs/TOPOLOGY.md.
 	NetApproxTol float64       `json:"net_approx_tol,omitempty"`

@@ -133,7 +133,7 @@ func TestWindowsDropsNoOpsAndSorts(t *testing.T) {
 func TestDegradedSecondsUnionsAndClamps(t *testing.T) {
 	ws := []Window{
 		{Start: 0, End: 2 * sim.Sec},
-		{Start: sim.Sec, End: 3 * sim.Sec},  // overlaps the first
+		{Start: sim.Sec, End: 3 * sim.Sec},      // overlaps the first
 		{Start: 5 * sim.Sec, End: 20 * sim.Sec}, // clamped at 10
 	}
 	got := DegradedSeconds(ws, 10*sim.Sec)

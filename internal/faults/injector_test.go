@@ -143,10 +143,10 @@ func TestFactorWindowIsHalfOpen(t *testing.T) {
 		want float64
 	}{
 		{0, 1},
-		{sim.Sec, 2},              // inclusive start
-		{1500 * sim.MSec, 2},      // inside
-		{2 * sim.Sec, 1},          // exclusive end
-		{3 * sim.Sec, 1},          // after
+		{sim.Sec, 2},         // inclusive start
+		{1500 * sim.MSec, 2}, // inside
+		{2 * sim.Sec, 1},     // exclusive end
+		{3 * sim.Sec, 1},     // after
 	}
 	for _, tc := range cases {
 		if got := inj.Factor(1, tc.at); got != tc.want {

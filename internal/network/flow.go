@@ -85,6 +85,38 @@ type flow struct {
 	lastAdv sim.VTime
 }
 
+// delivery is a pooled record behind one scheduled delivery event: a flow's
+// finish (f set: complete f unless its gen has moved on) or the receiver's
+// notification one route-latency later (onDone set). Pooling it instead of
+// scheduling a fresh closure keeps the exact solver's reschedule-every-flow
+// path allocation-free. sim.ScheduleCall runs it through the same pooled
+// funcEvent and sim.HandlerFunc handler as sim.ScheduleFunc, so the replay
+// digest's event names do not move. The record returns to
+// FlowNetwork.freeDeliveries as soon as its event fires, stale or live: each
+// record backs exactly one scheduled event.
+//
+//triosim:pooled
+type delivery struct {
+	n      *FlowNetwork
+	f      *flow
+	gen    int
+	onDone func(now sim.VTime)
+}
+
+// Call is the delivery event's body (sim.Caller). It copies the record's
+// fields and releases it before acting, so the completion may reacquire it.
+func (d *delivery) Call(now sim.VTime) error {
+	n, f, gen, onDone := d.n, d.f, d.gen, d.onDone
+	d.f, d.onDone = nil, nil
+	n.freeDeliveries = append(n.freeDeliveries, d)
+	if onDone != nil {
+		onDone(now)
+		return nil
+	}
+	n.completeFlow(f, gen, now)
+	return nil
+}
+
 // linkState is the per-directed-link allocator state. flows is maintained
 // incrementally across Send/complete instead of being rebuilt on every
 // max-min solve; cap, active, heapKey and seenGen are scratch fields valid
@@ -207,6 +239,11 @@ type FlowNetwork struct {
 	// freeFlows recycles completed flow objects (see flow.gen for why the
 	// generation survives recycling).
 	freeFlows []*flow
+	// freeDeliveries recycles fired delivery records (see delivery).
+	freeDeliveries []*delivery
+	// reallocFn is onReallocate, bound once at construction for the
+	// coalesced re-solve event scheduleReallocate schedules.
+	reallocFn func(now sim.VTime) error
 
 	// Stats.
 	TotalBytes     float64
@@ -245,12 +282,14 @@ type solveEntry struct {
 
 // NewFlowNetwork builds a flow network over topo driven by eng.
 func NewFlowNetwork(eng sim.Engine, topo *Topology) *FlowNetwork {
-	return &FlowNetwork{
+	n := &FlowNetwork{
 		eng:   eng,
 		topo:  topo,
 		flows: map[int]*flow{},
 		links: make([]*linkState, 2*len(topo.Links)),
 	}
+	n.reallocFn = n.onReallocate
+	return n
 }
 
 var _ Network = (*FlowNetwork)(nil)
@@ -270,10 +309,7 @@ func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 	n.TotalTransfers++
 	n.TotalBytes += bytes
 	if src == dst || bytes <= 0 {
-		sim.ScheduleFunc(n.eng, now, func(t sim.VTime) error {
-			onDone(t)
-			return nil
-		})
+		n.scheduleNotify(now, onDone)
 		return
 	}
 
@@ -323,6 +359,31 @@ func (n *FlowNetwork) releaseFlow(f *flow) {
 	f.onDone = nil
 	f.route = nil
 	n.freeFlows = append(n.freeFlows, f)
+}
+
+// acquireDelivery pops the free list or allocates a record.
+func (n *FlowNetwork) acquireDelivery() *delivery {
+	if k := len(n.freeDeliveries); k > 0 {
+		d := n.freeDeliveries[k-1]
+		n.freeDeliveries[k-1] = nil
+		n.freeDeliveries = n.freeDeliveries[:k-1]
+		return d
+	}
+	return &delivery{n: n}
+}
+
+// scheduleFinish schedules f's finish event at t for its current generation.
+func (n *FlowNetwork) scheduleFinish(f *flow, t sim.VTime) {
+	d := n.acquireDelivery()
+	d.f, d.gen = f, f.gen
+	sim.ScheduleCall(n.eng, t, d)
+}
+
+// scheduleNotify schedules the receiver's onDone callback at t.
+func (n *FlowNetwork) scheduleNotify(t sim.VTime, onDone func(now sim.VTime)) {
+	d := n.acquireDelivery()
+	d.onDone = onDone
+	sim.ScheduleCall(n.eng, t, d)
 }
 
 // attachLinks registers f on every directed link of its route. Flows are
@@ -507,15 +568,18 @@ func (n *FlowNetwork) scheduleReallocate(now sim.VTime) {
 		return
 	}
 	n.recomputePending = true
-	sim.ScheduleSecondaryFunc(n.eng, now, func(t sim.VTime) error {
-		n.recomputePending = false
-		n.advance(t)
-		n.reallocate(t)
-		if n.Observer != nil {
-			n.Observer.RatesRecomputed(len(n.flows), t)
-		}
-		return nil
-	})
+	sim.ScheduleSecondaryFunc(n.eng, now, n.reallocFn)
+}
+
+// onReallocate is the coalesced re-solve event's body.
+func (n *FlowNetwork) onReallocate(t sim.VTime) error {
+	n.recomputePending = false
+	n.advance(t)
+	n.reallocate(t)
+	if n.Observer != nil {
+		n.Observer.RatesRecomputed(len(n.flows), t)
+	}
+	return nil
 }
 
 // RefreshRates re-solves the max-min fair shares at the current virtual
@@ -577,12 +641,7 @@ func (n *FlowNetwork) reallocate(now sim.VTime) {
 		if f.rate <= 0 {
 			continue // starved flow: rescheduled when capacity frees up
 		}
-		doneAt := now + sim.VTime(f.remaining/f.rate)
-		fl, gen := f, f.gen
-		sim.ScheduleFunc(n.eng, doneAt, func(t sim.VTime) error {
-			n.completeFlow(fl, gen, t)
-			return nil
-		})
+		n.scheduleFinish(f, now+sim.VTime(f.remaining/f.rate))
 	}
 }
 
@@ -618,12 +677,7 @@ func (n *FlowNetwork) rescheduleApprox(now sim.VTime) {
 		if next <= 0 {
 			continue
 		}
-		doneAt := now + sim.VTime(f.remaining/next)
-		fl, gen := f, f.gen
-		sim.ScheduleFunc(n.eng, doneAt, func(t sim.VTime) error {
-			n.completeFlow(fl, gen, t)
-			return nil
-		})
+		n.scheduleFinish(f, now+sim.VTime(f.remaining/next))
 	}
 }
 
@@ -641,14 +695,10 @@ func (n *FlowNetwork) completeFlow(f *flow, gen int, now sim.VTime) {
 		n.Observer.FlowFinished(f.route, f.bytes, f.start, now)
 	}
 	n.scheduleReallocate(now)
-	// The receiver observes the data one route-latency later. onDone is
-	// captured locally: the flow object goes back to the pool now, while
+	// The receiver observes the data one route-latency later. The record
+	// holds onDone itself: the flow object goes back to the pool now, while
 	// the delivery event fires later.
-	onDone := f.onDone
-	sim.ScheduleFunc(n.eng, now+f.latency, func(t sim.VTime) error {
-		onDone(t)
-		return nil
-	})
+	n.scheduleNotify(now+f.latency, f.onDone)
 	n.releaseFlow(f)
 }
 

@@ -516,3 +516,46 @@ func TestFlowPoolingReusesObjects(t *testing.T) {
 			len(net.freeFlows))
 	}
 }
+
+// TestExactResolveSteadyStateAllocs gates the exact solver's per-event path:
+// once the engine, flow and delivery free lists are warm, admitting N
+// contending flows and draining them — N completions, each re-solving and
+// rescheduling every flow still in flight — allocates nothing.
+func TestExactResolveSteadyStateAllocs(t *testing.T) {
+	const flows = 48
+	eng := sim.NewSerialEngine()
+	topo := Ring(Config{NumGPUs: 8, LinkBandwidth: 100e9, LinkLatency: sim.USec})
+	gpus := topo.GPUs()
+	net := NewFlowNetwork(eng, topo)
+	delivered := 0
+	onDone := func(sim.VTime) { delivered++ }
+	round := func() {
+		for i := 0; i < flows; i++ {
+			src := gpus[i%len(gpus)]
+			dst := gpus[(i*3+1)%len(gpus)]
+			if dst == src {
+				dst = gpus[(i*3+2)%len(gpus)]
+			}
+			net.Send(src, dst, float64(1+i%7)*1e6, onDone)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm up: the free lists and the flow map settle at their high-water
+	// sizes over the first few rounds.
+	const warm, runs = 4, 10
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		t.Fatalf("exact re-solve round allocates %v times, want 0", allocs)
+	}
+	// AllocsPerRun adds one warm-up call of its own.
+	if want := flows * (warm + 1 + runs); delivered != want {
+		t.Fatalf("delivered %d transfers, want %d", delivered, want)
+	}
+	if net.Solves < flows {
+		t.Fatalf("%d solves, want at least one per flow completion", net.Solves)
+	}
+}

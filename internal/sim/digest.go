@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // FNV-1a constants (64-bit).
@@ -24,7 +25,18 @@ type DigestHook struct {
 
 	digest uint64
 	count  uint64
+
+	// labels caches the default "%T/%T" label per (event type, handler
+	// type) pair, so fmt.Sprintf runs once per pair instead of once per
+	// event; last memoizes the most recent pair, which a run of same-kind
+	// events (a collective step's deliveries) hits without hashing.
+	labels   map[labelKey]string
+	last     labelKey
+	lastName string
 }
+
+// labelKey identifies one (event, handler) dynamic-type pair.
+type labelKey struct{ event, handler reflect.Type }
 
 // NewDigestHook returns a hook with an empty digest.
 func NewDigestHook() *DigestHook {
@@ -40,17 +52,37 @@ func (d *DigestHook) Func(ctx HookCtx) {
 	}
 	d.foldUint64(math.Float64bits(float64(ctx.Now)))
 	if e, ok := ctx.Item.(Event); ok {
-		name := ""
+		var name string
 		if d.NameOf != nil {
 			name = d.NameOf(e)
 		} else {
-			name = fmt.Sprintf("%T/%T", e, e.Handler())
+			name = d.label(e)
 		}
 		d.foldString(name)
 		d.foldUint64(uint64(boolBit(e.IsSecondary())))
 	}
 	d.foldUint64(d.count)
 	d.count++
+}
+
+// label returns fmt.Sprintf("%T/%T", e, e.Handler()) from the per-pair
+// cache. The folded bytes are the same string, so the digest is unchanged.
+func (d *DigestHook) label(e Event) string {
+	h := e.Handler()
+	k := labelKey{reflect.TypeOf(e), reflect.TypeOf(h)}
+	if k == d.last { // never the zero key: e is non-nil
+		return d.lastName
+	}
+	name, ok := d.labels[k]
+	if !ok {
+		if d.labels == nil {
+			d.labels = map[labelKey]string{}
+		}
+		name = fmt.Sprintf("%T/%T", e, h)
+		d.labels[k] = name
+	}
+	d.last, d.lastName = k, name
+	return name
 }
 
 // Sum64 returns the digest over all events folded so far.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -119,5 +120,92 @@ func TestMonitorHandlerCountsSorted(t *testing.T) {
 	}
 	if counts[0].Count != 1 || counts[2].Count != 3 {
 		t.Fatalf("counts wrong: %v", counts)
+	}
+}
+
+// tickEvent embeds EventBase, so its handler type is whatever the scheduler
+// passes; the label cache must key on both types, not the event alone.
+type tickEvent struct {
+	EventBase
+	n int
+}
+
+type countHandler struct{ n int }
+
+func (h *countHandler) Handle(Event) error { h.n++; return nil }
+
+type otherHandler struct{}
+
+func (otherHandler) Handle(Event) error { return nil }
+
+// labelMix schedules a mix of (event, handler) type pairs in an order that
+// alternates pairs, repeats them back to back and comes back to earlier
+// ones: pooled and unpooled funcEvents (primary and secondary), and an
+// EventBase-embedding event under two handler types.
+func labelMix(eng *SerialEngine) error {
+	ch := &countHandler{}
+	for i := 0; i < 6; i++ {
+		at := VTime(1 + i%2)
+		ScheduleFunc(eng, at, func(VTime) error { return nil })
+		eng.Schedule(NewFuncEvent(at, func(VTime) error { return nil }))
+		eng.Schedule(&tickEvent{EventBase: NewEventBase(at, ch), n: i})
+		eng.Schedule(&tickEvent{EventBase: NewEventBase(at, otherHandler{}), n: i})
+		eng.Schedule(&tickEvent{EventBase: NewEventBase(at, ch), n: i})
+		ScheduleSecondaryFunc(eng, at, func(VTime) error { return nil })
+		eng.Schedule(NewSecondaryFuncEvent(at, func(VTime) error { return nil }))
+	}
+	return nil
+}
+
+// TestDigestLabelCacheMatchesSprintf checks the cached default labels fold
+// exactly the bytes of the historical per-event fmt.Sprintf("%T/%T").
+func TestDigestLabelCacheMatchesSprintf(t *testing.T) {
+	digestOf := func(nameOf func(Event) string) uint64 {
+		eng := NewSerialEngine()
+		d := NewDigestHook()
+		d.NameOf = nameOf
+		eng.RegisterHook(d)
+		if err := labelMix(eng); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if d.Count() != 42 {
+			t.Fatalf("folded %d events, want 42", d.Count())
+		}
+		return d.Sum64()
+	}
+	cached := digestOf(nil)
+	want := digestOf(func(e Event) string {
+		return fmt.Sprintf("%T/%T", e, e.Handler())
+	})
+	if cached != want {
+		t.Fatalf("cached-label digest %#x, Sprintf-label digest %#x", cached, want)
+	}
+}
+
+// TestDigestHookFuncAllocs gates the digest hook at zero allocations per
+// event once each (event, handler) pair has been labeled.
+func TestDigestHookFuncAllocs(t *testing.T) {
+	eng := NewSerialEngine()
+	ScheduleFunc(eng, 1, func(VTime) error { return nil })
+	pooled := eng.queue.items[0].event // a funcEvent from the engine's pool
+	events := []Event{
+		pooled,
+		NewFuncEvent(1, func(VTime) error { return nil }),
+		NewSecondaryFuncEvent(1, func(VTime) error { return nil }),
+		&tickEvent{EventBase: NewEventBase(1, &countHandler{})},
+		&tickEvent{EventBase: NewEventBase(1, otherHandler{})},
+	}
+	d := NewDigestHook()
+	fold := func() {
+		for _, e := range events {
+			d.Func(HookCtx{Pos: HookPosBeforeEvent, Now: 1, Item: e})
+		}
+	}
+	fold() // label each pair once
+	if allocs := testing.AllocsPerRun(100, fold); allocs != 0 {
+		t.Fatalf("DigestHook.Func allocates %v times per pass, want 0", allocs)
 	}
 }

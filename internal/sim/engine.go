@@ -42,7 +42,7 @@ type queuedEvent struct {
 // SerialEngine is a single-goroutine Engine. All simulated components run in
 // the goroutine that calls Run, so they need no internal locking.
 type SerialEngine struct {
-	queue      heap4[queuedEvent]
+	queue      eventQueue
 	now        VTime
 	seq        uint64
 	dispatched uint64
@@ -50,12 +50,6 @@ type SerialEngine struct {
 	hooks      []Hook
 	started    bool
 	highWater  int
-	// cohort is the reused buffer for same-timestamp batch dispatch: Run pops
-	// every primary event sharing the minimum timestamp in one pass, then
-	// dispatches them without re-sifting the heap between events. cohortLeft
-	// counts the not-yet-dispatched tail so Pending stays exact mid-batch.
-	cohort     []queuedEvent
-	cohortLeft int
 	// free is the funcEvent recycling pool for ScheduleFunc. Single-goroutine
 	// by the engine contract, so a plain slice suffices (and a shared
 	// sync.Pool would violate no-goroutine-in-sim anyway).
@@ -84,16 +78,14 @@ func (eng *SerialEngine) Schedule(e Event) {
 		seq:       eng.seq,
 		secondary: e.IsSecondary(),
 	})
-	if p := eng.queue.len() + eng.cohortLeft; p > eng.highWater {
+	if p := eng.queue.len(); p > eng.highWater {
 		eng.highWater = p
 	}
 }
 
-// schedulePooled enqueues fn wrapped in a recycled (or new) funcEvent. The
+// schedulePooled enqueues body wrapped in a recycled (or new) funcEvent. The
 // event returns to the free list after its dispatch completes.
-func (eng *SerialEngine) schedulePooled(t VTime, fn func(now VTime) error,
-	secondary bool) {
-
+func (eng *SerialEngine) schedulePooled(t VTime, body Caller, secondary bool) {
 	var fe *funcEvent
 	if n := len(eng.free); n > 0 {
 		fe = eng.free[n-1]
@@ -103,7 +95,7 @@ func (eng *SerialEngine) schedulePooled(t VTime, fn func(now VTime) error,
 		fe = &funcEvent{}
 	}
 	fe.EventBase = EventBase{EventTime: t, Secondary: secondary}
-	fe.fn = fn
+	fe.body = body
 	fe.pooled = true
 	eng.Schedule(fe)
 }
@@ -116,7 +108,7 @@ func (eng *SerialEngine) recycle(e Event) {
 		return
 	}
 	fe.pooled = false
-	fe.fn = nil
+	fe.body = nil
 	eng.free = append(eng.free, fe)
 }
 
@@ -129,9 +121,8 @@ func (eng *SerialEngine) EventCount() uint64 { return eng.dispatched }
 // Terminate stops Run after the current event.
 func (eng *SerialEngine) Terminate() { eng.terminated = true }
 
-// Pending returns the number of events waiting to be dispatched, including
-// any same-timestamp cohort events popped from the heap but not yet run.
-func (eng *SerialEngine) Pending() int { return eng.queue.len() + eng.cohortLeft }
+// Pending returns the number of events waiting to be dispatched.
+func (eng *SerialEngine) Pending() int { return eng.queue.len() }
 
 // QueueHighWater returns the largest Pending value observed so far — the
 // peak number of events simultaneously waiting in the engine.
@@ -143,15 +134,8 @@ func (eng *SerialEngine) RegisterHook(h Hook) {
 }
 
 // Run dispatches events until the queue is empty or Terminate is called.
-//
-// Events sharing the minimum timestamp are drained as a batch: when the head
-// of the queue is a primary event, every other primary event at the same time
-// is popped in one pass (they are dispatched in seq order regardless, and any
-// event a handler schedules for the same timestamp gets a higher seq, so it
-// sorts after the whole batch — the cohort is exactly the prefix of the total
-// order either way). Secondary events are never batched: a secondary handler
-// may schedule a primary event at the current time, which must precede the
-// remaining secondaries.
+// Each event leaves the queue as it is dispatched, so a handler error or
+// Terminate leaves every undispatched event queued for a later Run.
 //
 //triosim:hotpath
 func (eng *SerialEngine) Run() error {
@@ -164,56 +148,21 @@ func (eng *SerialEngine) Run() error {
 		}
 		eng.started = true
 		eng.now = qe.time
+		eng.dispatched++
 
-		eng.cohort = append(eng.cohort[:0], qe)
-		if !qe.secondary {
-			for eng.queue.len() > 0 {
-				head := eng.queue.peek()
-				if head.time != qe.time || head.secondary {
-					break
-				}
-				eng.cohort = append(eng.cohort, eng.queue.pop()) //triosim:nolint hotpath-alloc -- amortized: the cohort buffer grows to the largest batch once, then is re-sliced
-			}
+		e := qe.event
+		for _, h := range eng.hooks {
+			h.Func(HookCtx{Pos: HookPosBeforeEvent, Now: eng.now, Item: e})
 		}
-
-		for i := range eng.cohort {
-			eng.cohortLeft = len(eng.cohort) - i - 1
-			e := eng.cohort[i].event
-			eng.cohort[i] = queuedEvent{}
-			eng.dispatched++
-
-			for _, h := range eng.hooks {
-				h.Func(HookCtx{Pos: HookPosBeforeEvent, Now: eng.now, Item: e})
-			}
-			if err := dispatch(e); err != nil {
-				eng.requeueCohort(i + 1)
-				return err
-			}
-			for _, h := range eng.hooks {
-				h.Func(HookCtx{Pos: HookPosAfterEvent, Now: eng.now, Item: e})
-			}
-			eng.recycle(e)
-
-			if eng.terminated && i+1 < len(eng.cohort) {
-				eng.requeueCohort(i + 1)
-				break
-			}
+		if err := dispatch(e); err != nil {
+			return err
 		}
-		eng.cohortLeft = 0
+		for _, h := range eng.hooks {
+			h.Func(HookCtx{Pos: HookPosAfterEvent, Now: eng.now, Item: e})
+		}
+		eng.recycle(e)
 	}
 	return nil
-}
-
-// requeueCohort pushes the undispatched tail of the current cohort back onto
-// the heap so Terminate and handler errors preserve the queue for a later
-// Run. Original sequence numbers are kept, so resumed dispatch order is
-// unchanged.
-func (eng *SerialEngine) requeueCohort(from int) {
-	for i := from; i < len(eng.cohort); i++ {
-		eng.queue.push(eng.cohort[i])
-		eng.cohort[i] = queuedEvent{}
-	}
-	eng.cohortLeft = 0
 }
 
 func dispatch(e Event) error {

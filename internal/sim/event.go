@@ -49,15 +49,28 @@ type HandlerFunc func(e Event) error
 // Handle calls f(e).
 func (f HandlerFunc) Handle(e Event) error { return f(e) }
 
-// funcEvent is an Event that calls a closure when it fires. pooled marks
-// events drawn from a SerialEngine's free list (via ScheduleFunc); the engine
-// recycles those after dispatch, so nothing may retain them past the event's
-// own handler and hooks.
+// Caller is an event body that carries its own state. A pooled record that
+// implements it is scheduled with ScheduleCall without binding a method
+// value, so allocating a fresh record costs one allocation, like a closure.
+type Caller interface {
+	Call(now VTime) error
+}
+
+// callFunc adapts a plain event function to Caller. A func value fits in the
+// interface word, so the conversion does not allocate.
+type callFunc func(now VTime) error
+
+func (f callFunc) Call(now VTime) error { return f(now) }
+
+// funcEvent is an Event that runs a Caller when it fires. pooled marks
+// events drawn from a SerialEngine's free list (via ScheduleFunc or
+// ScheduleCall); the engine recycles those after dispatch, so nothing may
+// retain them past the event's own handler and hooks.
 //
 //triosim:pooled
 type funcEvent struct {
 	EventBase
-	fn     func(now VTime) error
+	body   Caller
 	pooled bool
 	// hf caches the HandlerFunc method value for e.run. Building it on every
 	// Handler() call would allocate a closure per dispatch; caching it keeps
@@ -74,12 +87,12 @@ func (e *funcEvent) Handler() Handler {
 	return e.hf
 }
 
-func (e *funcEvent) run(Event) error { return e.fn(e.EventTime) }
+func (e *funcEvent) run(Event) error { return e.body.Call(e.EventTime) }
 
 // NewFuncEvent wraps fn in an event that fires at time t. It is the most
 // convenient way for components to schedule one-off future work.
 func NewFuncEvent(t VTime, fn func(now VTime) error) Event {
-	return &funcEvent{EventBase: EventBase{EventTime: t}, fn: fn}
+	return &funcEvent{EventBase: EventBase{EventTime: t}, body: callFunc(fn)}
 }
 
 // NewSecondaryFuncEvent is like NewFuncEvent but the event runs after all
@@ -87,7 +100,7 @@ func NewFuncEvent(t VTime, fn func(now VTime) error) Event {
 func NewSecondaryFuncEvent(t VTime, fn func(now VTime) error) Event {
 	return &funcEvent{
 		EventBase: EventBase{EventTime: t, Secondary: true},
-		fn:        fn,
+		body:      callFunc(fn),
 	}
 }
 
@@ -98,17 +111,24 @@ func NewSecondaryFuncEvent(t VTime, fn func(now VTime) error) Event {
 // byte-identical either way. Hot paths (the flow network, the task executor)
 // use this instead of NewFuncEvent to avoid one allocation per event.
 func ScheduleFunc(eng Engine, t VTime, fn func(now VTime) error) {
+	ScheduleCall(eng, t, callFunc(fn))
+}
+
+// ScheduleCall is ScheduleFunc for a Caller: the event runs c.Call(now). It
+// schedules the same event and handler types as ScheduleFunc, so the replay
+// digest cannot tell the two apart.
+func ScheduleCall(eng Engine, t VTime, c Caller) {
 	if se, ok := eng.(*SerialEngine); ok {
-		se.schedulePooled(t, fn, false)
+		se.schedulePooled(t, c, false)
 		return
 	}
-	eng.Schedule(NewFuncEvent(t, fn))
+	eng.Schedule(&funcEvent{EventBase: EventBase{EventTime: t}, body: c})
 }
 
 // ScheduleSecondaryFunc is ScheduleFunc for secondary events.
 func ScheduleSecondaryFunc(eng Engine, t VTime, fn func(now VTime) error) {
 	if se, ok := eng.(*SerialEngine); ok {
-		se.schedulePooled(t, fn, true)
+		se.schedulePooled(t, callFunc(fn), true)
 		return
 	}
 	eng.Schedule(NewSecondaryFuncEvent(t, fn))

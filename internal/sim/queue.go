@@ -1,13 +1,16 @@
 package sim
 
-// This file is the engine's specialized event queue: a hand-rolled generic
-// 4-ary min-heap over queuedEvent values. It replaces container/heap, whose
+// This file is the engine's specialized event queue: a hand-rolled 4-ary
+// min-heap over queuedEvent values. It replaces container/heap, whose
 // Push(x any)/Pop() any interface boxes every queuedEvent on the heap's hot
 // path (one allocation per scheduled event) and whose binary layout costs one
 // extra comparison level for every doubling of the queue. The 4-ary layout
 // halves the tree depth, the concrete element type removes the boxing and the
 // Less/Swap interface calls, and the (time, secondary, seq) key is cached in
-// the element so ordering never calls back into the Event interface.
+// the element so ordering never calls back into the Event interface. The heap
+// is monomorphic — it holds queuedEvent only — so before inlines into the
+// sift loops, and both sifts move a hole instead of swapping, writing each
+// displaced element once.
 //
 // The total order is exactly the one the engine has always used — event time,
 // then primary-before-secondary, then insertion sequence — so the dispatch
@@ -17,7 +20,7 @@ package sim
 
 // before reports whether a sorts strictly ahead of b in the engine's total
 // dispatch order: (time, primary before secondary, insertion sequence).
-func (a queuedEvent) before(b queuedEvent) bool {
+func (a *queuedEvent) before(b *queuedEvent) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
@@ -27,70 +30,54 @@ func (a queuedEvent) before(b queuedEvent) bool {
 	return a.seq < b.seq
 }
 
-// heapOrdered is the element constraint for heap4: the type supplies its own
-// strict ordering.
-type heapOrdered[T any] interface{ before(T) bool }
-
-// heap4 is a generic 4-ary min-heap. Children of node i live at 4i+1..4i+4;
-// the parent of node i is (i-1)/4. The zero value is an empty, ready-to-use
-// heap.
-type heap4[T heapOrdered[T]] struct {
-	items []T
+// eventQueue is a 4-ary min-heap of queuedEvents. Children of node i live at
+// 4i+1..4i+4; the parent of node i is (i-1)/4. The zero value is an empty,
+// ready-to-use queue.
+type eventQueue struct {
+	items []queuedEvent
 }
 
-func (h *heap4[T]) len() int { return len(h.items) }
+func (q *eventQueue) len() int { return len(q.items) }
 
-// peek returns the minimum element without removing it. Undefined on an
-// empty heap (callers check len first).
-func (h *heap4[T]) peek() T { return h.items[0] }
-
-// push inserts v, keeping the heap property.
+// push inserts v, keeping the heap property: a hole opens at the new tail
+// and climbs while v sorts ahead of the parent.
 //
 //triosim:hotpath
-func (h *heap4[T]) push(v T) {
-	h.items = append(h.items, v) //triosim:nolint hotpath-alloc -- amortized: the heap's backing array doubles until the queue's high-water mark, then is reused
-	h.siftUp(len(h.items) - 1)
-}
-
-// pop removes and returns the minimum element.
-//
-//triosim:hotpath
-func (h *heap4[T]) pop() T {
-	root := h.items[0]
-	n := len(h.items) - 1
-	h.items[0] = h.items[n]
-	var zero T
-	h.items[n] = zero // release references held by the vacated slot
-	h.items = h.items[:n]
-	if n > 1 {
-		h.siftDown(0)
-	}
-	return root
-}
-
-// siftUp restores the heap property upward from slot i.
-//
-//triosim:hotpath
-func (h *heap4[T]) siftUp(i int) {
+func (q *eventQueue) push(v queuedEvent) {
+	q.items = append(q.items, v) //triosim:nolint hotpath-alloc -- amortized: the heap's backing array grows until the queue's high-water mark, then is reused
+	items := q.items
+	i := len(items) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !h.items[i].before(h.items[p]) {
-			return
+		if !v.before(&items[p]) {
+			break
 		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
+		items[i] = items[p]
 		i = p
 	}
+	items[i] = v
 }
 
-// siftDown restores the heap property downward from slot i.
+// pop removes and returns the minimum element: the tail element fills the
+// hole left at the root and sinks while a child sorts ahead of it.
 //
 //triosim:hotpath
-func (h *heap4[T]) siftDown(i int) {
-	n := len(h.items)
+func (q *eventQueue) pop() queuedEvent {
+	items := q.items
+	root := items[0]
+	n := len(items) - 1
+	v := items[n]
+	items[n] = queuedEvent{} // release references held by the vacated slot
+	items = items[:n]
+	q.items = items
+	if n == 0 {
+		return root
+	}
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
 		last := first + 4
@@ -98,14 +85,16 @@ func (h *heap4[T]) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if h.items[c].before(h.items[min]) {
+			if items[c].before(&items[min]) {
 				min = c
 			}
 		}
-		if !h.items[min].before(h.items[i]) {
-			return
+		if !items[min].before(&v) {
+			break
 		}
-		h.items[i], h.items[min] = h.items[min], h.items[i]
+		items[i] = items[min]
 		i = min
 	}
+	items[i] = v
+	return root
 }

@@ -42,51 +42,51 @@ func sameKey(a, b queuedEvent) bool {
 }
 
 // TestQueueMatchesContainerHeap drives randomized push/pop interleavings
-// through heap4 and the container/heap reference side by side and asserts
+// through eventQueue and the container/heap reference side by side and asserts
 // identical pop order. Times are drawn from a tiny set so same-timestamp
 // collisions (where the secondary flag and seq tiebreaks matter) dominate.
 func TestQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		var h4 heap4[queuedEvent]
+		var q eventQueue
 		ref := &refHeap{}
 		var seq uint64
 		ops := 1 + rng.Intn(400)
 		for op := 0; op < ops; op++ {
-			if h4.len() == 0 || rng.Intn(3) > 0 {
+			if q.len() == 0 || rng.Intn(3) > 0 {
 				seq++
 				qe := queuedEvent{
 					time:      VTime(rng.Intn(5)) * MSec,
 					seq:       seq,
 					secondary: rng.Intn(4) == 0,
 				}
-				h4.push(qe)
+				q.push(qe)
 				heap.Push(ref, qe)
 				continue
 			}
-			got := h4.pop()
+			got := q.pop()
 			want := heap.Pop(ref).(queuedEvent)
 			if !sameKey(got, want) {
-				t.Fatalf("trial %d op %d: pop mismatch: heap4 (%v,%v,%d) vs container/heap (%v,%v,%d)",
+				t.Fatalf("trial %d op %d: pop mismatch: eventQueue (%v,%v,%d) vs container/heap (%v,%v,%d)",
 					trial, op, got.time, got.secondary, got.seq,
 					want.time, want.secondary, want.seq)
 			}
 		}
-		for h4.len() > 0 {
+		for q.len() > 0 {
 			if ref.Len() == 0 {
-				t.Fatalf("trial %d: heap4 has %d leftover events, reference is empty",
-					trial, h4.len())
+				t.Fatalf("trial %d: eventQueue has %d leftover events, reference is empty",
+					trial, q.len())
 			}
-			got := h4.pop()
+			got := q.pop()
 			want := heap.Pop(ref).(queuedEvent)
 			if !sameKey(got, want) {
-				t.Fatalf("trial %d drain: pop mismatch: heap4 (%v,%v,%d) vs container/heap (%v,%v,%d)",
+				t.Fatalf("trial %d drain: pop mismatch: eventQueue (%v,%v,%d) vs container/heap (%v,%v,%d)",
 					trial, got.time, got.secondary, got.seq,
 					want.time, want.secondary, want.seq)
 			}
 		}
 		if ref.Len() != 0 {
-			t.Fatalf("trial %d: reference has %d leftover events, heap4 is empty",
+			t.Fatalf("trial %d: reference has %d leftover events, eventQueue is empty",
 				trial, ref.Len())
 		}
 	}
@@ -96,18 +96,18 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 // strictly increasing in the (time, secondary, seq) total order.
 func TestQueuePopOrderIsTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var h4 heap4[queuedEvent]
+	var q eventQueue
 	for seq := uint64(1); seq <= 1000; seq++ {
-		h4.push(queuedEvent{
+		q.push(queuedEvent{
 			time:      VTime(rng.Intn(10)) * USec,
 			seq:       seq,
 			secondary: rng.Intn(2) == 0,
 		})
 	}
-	prev := h4.pop()
-	for h4.len() > 0 {
-		next := h4.pop()
-		if next.before(prev) {
+	prev := q.pop()
+	for q.len() > 0 {
+		next := q.pop()
+		if next.before(&prev) {
 			t.Fatalf("pop order violated: (%v,%v,%d) after (%v,%v,%d)",
 				next.time, next.secondary, next.seq,
 				prev.time, prev.secondary, prev.seq)
@@ -117,9 +117,9 @@ func TestQueuePopOrderIsTotal(t *testing.T) {
 }
 
 // ringCollectiveSeed encodes the event pattern a ring all-reduce produces:
-// per step, one primary send per GPU at the same timestamp (the heavy
-// same-time cohort the batch pop targets) followed by a secondary bookkeeping
-// flush, with the next step offset in time. Each byte is one fuzz op (see
+// per step, one primary send per GPU at the same timestamp (a same-time
+// burst that only the seq tie-break orders) followed by a secondary
+// bookkeeping flush, with the next step offset in time. Each byte is one fuzz op (see
 // FuzzEventQueueOrder for the decoding).
 func ringCollectiveSeed(gpus, steps int) []byte {
 	var ops []byte
@@ -139,27 +139,27 @@ func ringCollectiveSeed(gpus, steps int) []byte {
 // FuzzEventQueueOrder fuzzes push/pop interleavings: byte 0xFF pops from both
 // queues and compares; any other byte pushes an event with time = low 3 bits
 // (in ms) and secondary = high bit. Seeds include ring-collective patterns so
-// the corpus starts on the same-timestamp cohorts the engine batches.
+// the corpus starts on the same-timestamp bursts collectives produce.
 func FuzzEventQueueOrder(f *testing.F) {
 	f.Add(ringCollectiveSeed(4, 3))
 	f.Add(ringCollectiveSeed(8, 2))
 	f.Add([]byte{0, 0, 0x80, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var h4 heap4[queuedEvent]
+		var q eventQueue
 		ref := &refHeap{}
 		var seq uint64
 		for _, b := range ops {
 			if b == 0xFF {
-				if h4.len() == 0 {
+				if q.len() == 0 {
 					if ref.Len() != 0 {
-						t.Fatalf("heap4 empty but reference holds %d", ref.Len())
+						t.Fatalf("eventQueue empty but reference holds %d", ref.Len())
 					}
 					continue
 				}
-				got := h4.pop()
+				got := q.pop()
 				want := heap.Pop(ref).(queuedEvent)
 				if !sameKey(got, want) {
-					t.Fatalf("pop mismatch: heap4 (%v,%v,%d) vs container/heap (%v,%v,%d)",
+					t.Fatalf("pop mismatch: eventQueue (%v,%v,%d) vs container/heap (%v,%v,%d)",
 						got.time, got.secondary, got.seq,
 						want.time, want.secondary, want.seq)
 				}
@@ -171,20 +171,20 @@ func FuzzEventQueueOrder(f *testing.F) {
 				seq:       seq,
 				secondary: b&0x80 != 0,
 			}
-			h4.push(qe)
+			q.push(qe)
 			heap.Push(ref, qe)
 		}
-		for h4.len() > 0 {
-			got := h4.pop()
+		for q.len() > 0 {
+			got := q.pop()
 			want := heap.Pop(ref).(queuedEvent)
 			if !sameKey(got, want) {
-				t.Fatalf("drain mismatch: heap4 (%v,%v,%d) vs container/heap (%v,%v,%d)",
+				t.Fatalf("drain mismatch: eventQueue (%v,%v,%d) vs container/heap (%v,%v,%d)",
 					got.time, got.secondary, got.seq,
 					want.time, want.secondary, want.seq)
 			}
 		}
 		if ref.Len() != 0 {
-			t.Fatalf("reference holds %d events after heap4 drained", ref.Len())
+			t.Fatalf("reference holds %d events after eventQueue drained", ref.Len())
 		}
 	})
 }

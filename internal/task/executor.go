@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"slices"
 
 	"triosim/internal/network"
 	"triosim/internal/sim"
@@ -157,9 +158,15 @@ func (x *Executor) Run() (sim.VTime, error) {
 	}
 	x.indeg = make([]int, x.graph.Len())
 	x.remaining = x.graph.Len()
+	recorded := 0 // tasks that add a timeline interval when they finish
 	for _, t := range x.graph.Tasks {
 		x.indeg[t.ID] = len(t.deps)
+		if t.Kind == Compute || t.Kind == Comm || t.Kind == HostLoad {
+			recorded++
+		}
 	}
+	// Reserve the interval log once instead of letting append regrow it.
+	x.tl.Intervals = slices.Grow(x.tl.Intervals, recorded)
 	x.startTime = x.eng.CurrentTime()
 	x.lastEnd = x.startTime
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -163,7 +164,14 @@ type Collector struct {
 
 	coll map[string]*collAgg
 
-	kinds      map[string]uint64
+	kinds map[string]uint64
+	// kindCache maps an event's (dynamic type, secondary flag) to its kind
+	// label and triosim_events_total series, so the per-event hook neither
+	// formats a type name nor looks the counter up in the registry;
+	// lastKind/lastEntry memoize the most recent key.
+	kindCache  map[kindKey]kindEntry
+	lastKind   kindKey
+	lastEntry  kindEntry
 	queuePeak  int
 	recomputes int
 	lastVTime  float64
@@ -189,6 +197,7 @@ func NewCollector(reg *Registry, topo *network.Topology,
 		tierFlows:    map[string]int{},
 		coll:         map[string]*collAgg{},
 		kinds:        map[string]uint64{},
+		kindCache:    map[kindKey]kindEntry{},
 	}
 	for i, id := range topo.GPUs() {
 		c.gpuIndex[id] = i
@@ -327,6 +336,36 @@ func eventKind(e sim.Event) string {
 	return name
 }
 
+// kindKey identifies one event kind: what eventKind reads from an event.
+type kindKey struct {
+	typ       reflect.Type
+	secondary bool
+}
+
+// kindEntry is one cached event kind: its label and its event counter.
+type kindEntry struct {
+	name   string
+	events *Counter
+}
+
+// kindOf returns e's cached kind entry, registering its counter series on
+// the kind's first event — the same first-use order as an uncached lookup.
+func (c *Collector) kindOf(e sim.Event) kindEntry {
+	k := kindKey{reflect.TypeOf(e), e.IsSecondary()}
+	if k == c.lastKind { // never the zero key: e is non-nil
+		return c.lastEntry
+	}
+	ent, ok := c.kindCache[k]
+	if !ok {
+		ent.name = eventKind(e)
+		ent.events = c.reg.Counter("triosim_events_total", "kind", ent.name,
+			"Engine events dispatched, by event kind.")
+		c.kindCache[k] = ent
+	}
+	c.lastKind, c.lastEntry = k, ent
+	return ent
+}
+
 // EngineHook returns the self-profiler hook: per-event-kind dispatch counts,
 // the queue-depth high-water mark (via the injected pending-depth probe), and
 // the virtual-time frontier. Register it on the engine before Run.
@@ -339,10 +378,9 @@ func (c *Collector) EngineHook(pending func() int) sim.Hook {
 		if !ok {
 			return
 		}
-		kind := eventKind(e)
-		c.kinds[kind]++
-		c.reg.Counter("triosim_events_total", "kind", kind,
-			"Engine events dispatched, by event kind.").Inc()
+		kind := c.kindOf(e)
+		c.kinds[kind.name]++
+		kind.events.Inc()
 		if pending != nil {
 			if d := pending(); d > c.queuePeak {
 				c.queuePeak = d

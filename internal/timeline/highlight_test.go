@@ -37,7 +37,7 @@ func TestBreakdownDegenerateLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if got := strings.Count(out, "<td>gpu0</td>")+
+	if got := strings.Count(out, "<td>gpu0</td>") +
 		strings.Count(out, "<td>sync</td>"); got != 2 {
 		t.Fatalf("breakdown table rows = %d, want 2", got)
 	}

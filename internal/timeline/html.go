@@ -101,7 +101,7 @@ table.breakdown th:first-child, table.breakdown td:first-child { text-align: lef
 — span %s</p>
 `, html.EscapeString(title), html.EscapeString(title),
 		phaseColor("compute"), phaseColor("comm"), phaseColor("hostload"),
-		phaseColor("fault"), (end-start).String()); err != nil {
+		phaseColor("fault"), (end - start).String()); err != nil {
 		return err
 	}
 	for _, line := range summary {

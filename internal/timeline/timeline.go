@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"triosim/internal/sim"
@@ -84,19 +85,33 @@ func (tl *Timeline) UnionTime(match func(*Interval) bool) sim.VTime {
 		t     sim.VTime
 		delta int
 	}
-	var edges []edge
-	for i := range tl.Intervals {
-		iv := &tl.Intervals[i]
-		if !match(iv) || iv.End.AtOrBefore(iv.Start) {
-			continue
-		}
-		edges = append(edges, edge{iv.Start, +1}, edge{iv.End, -1})
+	keep := func(iv *Interval) bool {
+		return match(iv) && !iv.End.AtOrBefore(iv.Start)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t.Before(edges[j].t)
+	// Count first so edges is allocated once, at its exact size.
+	n := 0
+	for i := range tl.Intervals {
+		if keep(&tl.Intervals[i]) {
+			n++
 		}
-		return edges[i].delta > edges[j].delta
+	}
+	edges := make([]edge, 0, 2*n)
+	for i := range tl.Intervals {
+		if iv := &tl.Intervals[i]; keep(iv) {
+			edges = append(edges, edge{iv.Start, +1}, edge{iv.End, -1})
+		}
+	}
+	// Opens sort ahead of closes at the same instant, so touching intervals
+	// merge. Edges that compare equal are identical, so the unstable sort
+	// yields one order and the float sum below is deterministic.
+	slices.SortFunc(edges, func(a, b edge) int {
+		switch {
+		case a.t.Before(b.t):
+			return -1
+		case b.t.Before(a.t):
+			return 1
+		}
+		return b.delta - a.delta
 	})
 	var total sim.VTime
 	depth := 0

@@ -161,3 +161,27 @@ func TestSummary(t *testing.T) {
 		t.Fatal("empty summary")
 	}
 }
+
+// TestUnionTimeAllocs gates UnionTime at one allocation: the edge slice,
+// sized exactly from a counting pass and sorted in place.
+func TestUnionTimeAllocs(t *testing.T) {
+	tl := New()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		s := sim.VTime(rng.Intn(1000))
+		phase := "compute"
+		if i%3 == 0 {
+			phase = "comm"
+		}
+		tl.Add("gpu0", "op", phase, s, s+sim.VTime(rng.Intn(20)))
+	}
+	match := ByPhase("compute")
+	var got sim.VTime
+	allocs := testing.AllocsPerRun(20, func() { got = tl.UnionTime(match) })
+	if allocs != 1 {
+		t.Fatalf("UnionTime allocates %v times, want 1", allocs)
+	}
+	if got <= 0 {
+		t.Fatalf("UnionTime = %v over 500 intervals", got)
+	}
+}

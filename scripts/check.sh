@@ -7,6 +7,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+  echo "gofmt: these files need formatting (run gofmt -w):"
+  echo "$unformatted"
+  exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 

@@ -1,9 +1,10 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"triosim/internal/sim"
@@ -120,22 +121,16 @@ func (d *delivery) Call(now sim.VTime) error {
 // linkState is the per-directed-link allocator state. flows is maintained
 // incrementally across Send/complete instead of being rebuilt on every
 // max-min solve; cap, active, heapKey and seenGen are scratch fields valid
-// only inside one computeRates call.
-//
-// Each linkState is also an element of two persistent structures: a
-// union-find over directed links (two links share a partition when some
-// flow's route has crossed both — the transitive link-sharing components
-// max-min provably decomposes over) and, while it carries flows, an
-// intrusive per-partition active-link list that lets a solve enumerate
-// exactly the links of the dirty components.
+// only inside one computeRates call. Two links belong to the same
+// link-sharing component — the unit max-min provably decomposes over — when
+// a chain of in-flight flows connects them; the solve finds components by
+// walking flows, so nothing about them is stored here.
 type linkState struct {
 	cap    float64 // scratch: remaining capacity during a solve
 	active int     // scratch: unassigned crossing flows during a solve
 	flows  []*flow // in-flight flows crossing this link, ascending id
 
 	key DirLink
-	// idx is the dense union-find element index (creation order).
-	idx int
 	// sortKey reproduces the historical sorted-scan tie-break order
 	// (ascending link ID, forward before reverse) for the solve heap.
 	sortKey uint64
@@ -145,9 +140,6 @@ type linkState struct {
 	// seenGen stamps the solve generation that initialized the scratch
 	// fields, so a solve touches each closure link's state exactly once.
 	seenGen int
-	// prevActive/nextActive chain the intrusive active-link list of this
-	// link's partition root (only valid while len(flows) > 0).
-	prevActive, nextActive *linkState
 }
 
 // FlowNetwork is the flow-based packet-switching model: shortest-path
@@ -201,27 +193,14 @@ type FlowNetwork struct {
 	// sortKey encoding) — a slice, not a map keyed by DirLink, because the
 	// solver pays one lookup per route hop per filling round and the hash
 	// alone dominated 10k-GPU solves. nil entries are directed links no route
-	// has crossed yet; states holds the same linkStates in creation order for
-	// the union-find arrays below.
+	// has crossed yet.
 	links    []*linkState
-	states   []*linkState
 	solveGen int
 
-	// Partition (dirty-set) state. ufParent/ufSize are a weighted
-	// union-find over states: attachLinks unions every link of a route, so
-	// a partition root identifies one transitive link-sharing component.
-	// Components only ever merge (a detach never splits them — stale
-	// merges are conservative, never wrong). heads/tails hold each root's
-	// intrusive list of links that currently carry flows; dirtyFlag/
-	// dirtyList record which elements' components changed membership since
-	// the last solve, and rootGen dedups canonicalized roots per solve.
-	ufParent  []int
-	ufSize    []int
-	heads     []*linkState
-	tails     []*linkState
-	dirtyFlag []bool
-	dirtyList []int
-	rootGen   []int
+	// Dirty-set state. seeds holds links a flow joined or left since the
+	// last solve (duplicates allowed): the next solve re-solves exactly the
+	// current link-sharing components that contain one.
+	seeds []*linkState
 	// allDirty forces a full re-solve: set when the topology's capacity
 	// generation moved (SetLinkBandwidth without an explicit refresh mark),
 	// preserving the historical "capacities are re-read every solve"
@@ -230,8 +209,8 @@ type FlowNetwork struct {
 	lastCapGen int
 
 	// Per-solve scratch, reused across solves: the dirty closure's flows
-	// (sorted ascending id after collection) and links, and the bottleneck
-	// min-heap keyed by (fair share, sortKey).
+	// and links (solveLinks doubles as the closure walk's work queue), and
+	// the bottleneck min-heap keyed by (fair share, sortKey).
 	scratchFlows []*flow
 	solveLinks   []*linkState
 	heap         []solveEntry
@@ -390,43 +369,28 @@ func (n *FlowNetwork) scheduleNotify(t sim.VTime, onDone func(now sim.VTime)) {
 // admitted in ascending id order and removal preserves relative order, so
 // each linkState.flows slice stays sorted by id — the invariant the solve's
 // freeze loop relies on for deterministic (and bit-identical) allocation.
-// The route's links are unioned into one partition and that partition is
-// marked dirty for the next solve.
+// f now joins every link of its route into one component, so its first link
+// alone seeds the next solve's walk.
 func (n *FlowNetwork) attachLinks(f *flow) {
-	first := -1
 	for _, dl := range f.route {
 		st := n.linkFor(dl)
 		if st == nil {
 			st = n.newLinkState(dl)
 		}
-		if len(st.flows) == 0 {
-			n.activateLink(st)
-		}
 		st.flows = append(st.flows, f)
-		if first < 0 {
-			first = st.idx
-		} else {
-			n.union(first, st.idx)
-		}
 	}
-	n.markDirty(first)
+	n.seeds = append(n.seeds, n.linkFor(f.route[0]))
 }
 
 // detachLinks removes f from its route's link sets and from the ordered
-// slice, preserving order, and marks the flow's partition dirty.
+// slice, preserving order. f's departure can split its component, so every
+// link of its route seeds the next solve's walk.
 func (n *FlowNetwork) detachLinks(f *flow) {
-	first := -1
 	for _, dl := range f.route {
 		st := n.linkFor(dl)
-		if first < 0 {
-			first = st.idx
-		}
 		st.flows = removeFlow(st.flows, f)
-		if len(st.flows) == 0 {
-			n.deactivateLink(st)
-		}
+		n.seeds = append(n.seeds, st)
 	}
-	n.markDirty(first)
 	n.ordered = removeFlow(n.ordered, f)
 }
 
@@ -450,9 +414,9 @@ func (n *FlowNetwork) linkFor(dl DirLink) *linkState {
 }
 
 // newLinkState creates the allocator state for a directed link the first
-// time a route crosses it, registering it with the union-find arrays.
+// time a route crosses it.
 func (n *FlowNetwork) newLinkState(dl DirLink) *linkState {
-	st := &linkState{key: dl, idx: len(n.states)}
+	st := &linkState{key: dl}
 	st.sortKey = uint64(dl.Link) << 1
 	if !dl.Forward {
 		st.sortKey |= 1
@@ -464,101 +428,19 @@ func (n *FlowNetwork) newLinkState(dl DirLink) *linkState {
 		n.links = append(n.links, nil)
 	}
 	n.links[di] = st
-	n.states = append(n.states, st)
-	n.ufParent = append(n.ufParent, st.idx)
-	n.ufSize = append(n.ufSize, 1)
-	n.heads = append(n.heads, nil)
-	n.tails = append(n.tails, nil)
-	n.dirtyFlag = append(n.dirtyFlag, false)
-	n.rootGen = append(n.rootGen, 0)
 	return st
 }
 
-// find returns the partition root of link element x (path-halving).
-func (n *FlowNetwork) find(x int) int {
-	for n.ufParent[x] != x {
-		n.ufParent[x] = n.ufParent[n.ufParent[x]]
-		x = n.ufParent[x]
-	}
-	return x
-}
-
-// union merges the partitions of link elements a and b (union by size),
-// concatenating the loser's active-link list onto the winner's.
-func (n *FlowNetwork) union(a, b int) {
-	ra, rb := n.find(a), n.find(b)
-	if ra == rb {
-		return
-	}
-	if n.ufSize[ra] < n.ufSize[rb] {
-		ra, rb = rb, ra
-	}
-	n.ufParent[rb] = ra
-	n.ufSize[ra] += n.ufSize[rb]
-	if n.heads[rb] != nil {
-		if n.tails[ra] != nil {
-			n.tails[ra].nextActive = n.heads[rb]
-			n.heads[rb].prevActive = n.tails[ra]
-		} else {
-			n.heads[ra] = n.heads[rb]
-		}
-		n.tails[ra] = n.tails[rb]
-		n.heads[rb], n.tails[rb] = nil, nil
-	}
-}
-
-// activateLink inserts st into its partition root's active-link list (the
-// link is about to carry its first flow).
-func (n *FlowNetwork) activateLink(st *linkState) {
-	r := n.find(st.idx)
-	st.prevActive = n.tails[r]
-	st.nextActive = nil
-	if n.tails[r] != nil {
-		n.tails[r].nextActive = st
-	} else {
-		n.heads[r] = st
-	}
-	n.tails[r] = st
-}
-
-// deactivateLink unlinks st from its partition root's active-link list (its
-// last flow just detached).
-func (n *FlowNetwork) deactivateLink(st *linkState) {
-	r := n.find(st.idx)
-	if st.prevActive != nil {
-		st.prevActive.nextActive = st.nextActive
-	} else {
-		n.heads[r] = st.nextActive
-	}
-	if st.nextActive != nil {
-		st.nextActive.prevActive = st.prevActive
-	} else {
-		n.tails[r] = st.prevActive
-	}
-	st.prevActive, st.nextActive = nil, nil
-}
-
-// markDirty queues link element idx's partition for re-solving. Roots are
-// canonicalized (and deduped) at solve time, so marking a non-root element
-// that later merges into a bigger component still dirties the right root.
-func (n *FlowNetwork) markDirty(idx int) {
-	if idx < 0 || n.dirtyFlag[idx] {
-		return
-	}
-	n.dirtyFlag[idx] = true
-	n.dirtyList = append(n.dirtyList, idx)
-}
-
-// removeFlow deletes f from s, keeping the remaining order.
+// removeFlow deletes f from s, which is sorted by ascending id, keeping the
+// remaining order.
 func removeFlow(s []*flow, f *flow) []*flow {
-	for i, g := range s {
-		if g == f {
-			copy(s[i:], s[i+1:])
-			s[len(s)-1] = nil
-			return s[:len(s)-1]
-		}
+	i, ok := slices.BinarySearchFunc(s, f.id, func(g *flow, id int) int {
+		return cmp.Compare(g.id, id)
+	})
+	if !ok {
+		return s
 	}
-	return s
+	return slices.Delete(s, i, i+1)
 }
 
 // scheduleReallocate defers the max-min recomputation to a secondary event
@@ -653,8 +535,8 @@ func (n *FlowNetwork) reallocate(now sim.VTime) {
 func (n *FlowNetwork) rescheduleApprox(now sim.VTime) {
 	// Deterministic reschedule order regardless of closure-collection
 	// order: ascending flow id, like the exact path's ordered slice.
-	sort.Slice(n.scratchFlows, func(i, j int) bool {
-		return n.scratchFlows[i].id < n.scratchFlows[j].id
+	slices.SortFunc(n.scratchFlows, func(a, b *flow) int {
+		return cmp.Compare(a.id, b.id)
 	})
 	tol := n.ApproxTol
 	for _, f := range n.scratchFlows {
@@ -710,14 +592,15 @@ func (n *FlowNetwork) completeFlow(f *flow, gen int, now sim.VTime) {
 // producing bit-identical rates (TestMaxMinMatchesReferenceSolve and
 // TestPartitionedSolveMatchesReference pin this):
 //
-//  1. Dirty partitions. Max-min decomposes exactly over the connected
+//  1. Dirty components. Max-min decomposes exactly over the connected
 //     components of the link-sharing graph (flows in disjoint components
 //     never exchange capacity, and the global freeze order restricted to a
-//     component equals the component's own freeze order). Only components
-//     whose membership changed since the last solve — or all of them, when
-//     a capacity changed — are re-solved; every other flow keeps the rate
-//     an earlier solve froze, which is exactly what the global solve would
-//     recompute for it.
+//     component equals the component's own freeze order). Only the current
+//     components that contain a flow that arrived or left since the last
+//     solve — or all of them, when a capacity changed — are re-solved; every
+//     other flow keeps the rate an earlier solve froze, which is exactly
+//     what the global solve would recompute for it, since neither its
+//     component's membership nor its capacities have moved since.
 //
 //  2. Bottleneck heap. Within a component, the most constrained link is
 //     popped from a min-heap keyed by (fair share, historical scan order)
@@ -743,9 +626,8 @@ func (n *FlowNetwork) computeRates() {
 	if n.allDirty {
 		n.allDirty = false
 		n.gatherAll(gen)
-	} else {
-		n.gatherDirty(gen)
 	}
+	n.gatherDirty(gen)
 	n.SolvedFlows += len(n.scratchFlows)
 	n.SolvedLinks += len(n.solveLinks)
 
@@ -802,57 +684,51 @@ func (n *FlowNetwork) computeRates() {
 	}
 }
 
-// gatherAll collects every in-flight flow and every link they cross into
-// the solve scratch (the full re-solve the historical allocator always did).
+// gatherAll makes every in-flight flow's component part of the closure:
+// the full re-solve the historical allocator always did.
 func (n *FlowNetwork) gatherAll(gen int) {
-	// Consume any pending dirty marks; this solve covers them.
-	for _, idx := range n.dirtyList {
-		n.dirtyFlag[idx] = false
-	}
-	n.dirtyList = n.dirtyList[:0]
 	for _, f := range n.ordered {
-		f.seen = gen
-		n.scratchFlows = append(n.scratchFlows, f) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
-		for _, dl := range f.route {
-			st := n.links[denseIndex(dl)]
-			if st.seenGen == gen {
+		n.visitLink(n.links[denseIndex(f.route[0])], gen)
+	}
+}
+
+// gatherDirty collects the current link-sharing components that contain a
+// seed (or a link gatherAll visited) into the solve scratch: a breadth-first
+// walk from link to crossing flow to that flow's links, with solveLinks as
+// the work queue. Components the walk does not reach keep the rates an
+// earlier solve gave them.
+func (n *FlowNetwork) gatherDirty(gen int) {
+	for _, st := range n.seeds {
+		n.visitLink(st, gen)
+	}
+	n.seeds = n.seeds[:0]
+	for i := 0; i < len(n.solveLinks); i++ {
+		for _, f := range n.solveLinks[i].flows {
+			if f.seen == gen {
 				continue
 			}
-			st.seenGen = gen
-			st.cap = n.topo.Links[dl.Link].Bandwidth
-			st.active = len(st.flows)
-			n.solveLinks = append(n.solveLinks, st) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
+			f.seen = gen
+			n.scratchFlows = append(n.scratchFlows, f) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
+			for _, dl := range f.route {
+				n.visitLink(n.links[denseIndex(dl)], gen)
+			}
 		}
 	}
 }
 
-// gatherDirty collects the flows and links of every dirty partition into
-// the solve scratch, leaving untouched components alone.
-func (n *FlowNetwork) gatherDirty(gen int) {
-	for _, idx := range n.dirtyList {
-		n.dirtyFlag[idx] = false
-		root := n.find(idx)
-		if n.rootGen[root] == gen {
-			continue // several dirty marks canonicalized to one component
-		}
-		n.rootGen[root] = gen
-		for st := n.heads[root]; st != nil; st = st.nextActive {
-			st.seenGen = gen
-			// Capacity is re-read from the topology each solve so mid-run
-			// bandwidth changes keep taking effect.
-			st.cap = n.topo.Links[st.key.Link].Bandwidth
-			st.active = len(st.flows)
-			n.solveLinks = append(n.solveLinks, st) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
-			for _, f := range st.flows {
-				if f.seen == gen {
-					continue
-				}
-				f.seen = gen
-				n.scratchFlows = append(n.scratchFlows, f) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
-			}
-		}
+// visitLink adds st to the solve's closure the first time the walk reaches
+// it in solve generation gen, resetting its scratch fields. A link no flow
+// crosses any more constrains nothing and is skipped.
+func (n *FlowNetwork) visitLink(st *linkState, gen int) {
+	if st.seenGen == gen || len(st.flows) == 0 {
+		return
 	}
-	n.dirtyList = n.dirtyList[:0]
+	st.seenGen = gen
+	// Capacity is re-read from the topology each solve so mid-run
+	// bandwidth changes keep taking effect.
+	st.cap = n.topo.Links[st.key.Link].Bandwidth
+	st.active = len(st.flows)
+	n.solveLinks = append(n.solveLinks, st) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
 }
 
 // heapPush adds e to the bottleneck min-heap ordered by (fair, sortKey).

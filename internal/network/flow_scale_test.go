@@ -8,18 +8,129 @@ import (
 	"triosim/internal/sim"
 )
 
+// solveChecker is a RatesRecomputed oracle run after every solve. It
+// recomputes by brute force the link-sharing components of the flows in
+// flight and checks that the solve re-solved exactly the flows of the
+// components that contain a link some flow joined or left since the
+// previous solve — every flow, when a capacity changed. With rates set, it
+// also checks every flow's rate against the from-scratch referenceRates.
+type solveChecker struct {
+	t      *testing.T
+	net    *FlowNetwork
+	rates  bool
+	prev   map[int][]DirLink // flows in flight at the previous solve
+	capGen int
+	solves int
+}
+
+func newSolveChecker(t *testing.T, net *FlowNetwork,
+	rates bool) *solveChecker {
+	return &solveChecker{t: t, net: net, rates: rates,
+		prev: map[int][]DirLink{}, capGen: net.topo.CapacityGen()}
+}
+
+// FlowFinished implements FlowObserver.
+func (c *solveChecker) FlowFinished([]DirLink, float64, sim.VTime,
+	sim.VTime) {
+}
+
+// RatesRecomputed implements FlowObserver.
+func (c *solveChecker) RatesRecomputed(int, sim.VTime) {
+	net := c.net
+	c.solves++
+
+	// Brute-force components: a union-find over directed links, joining
+	// the links of every in-flight flow's route.
+	parent := map[DirLink]DirLink{}
+	var find func(DirLink) DirLink
+	find = func(x DirLink) DirLink {
+		p, ok := parent[x]
+		if !ok || p == x {
+			return x
+		}
+		r := find(p)
+		parent[x] = r
+		return r
+	}
+	cur := map[int][]DirLink{}
+	for _, f := range net.ordered {
+		cur[f.id] = f.route
+		for _, dl := range f.route[1:] {
+			if a, b := find(f.route[0]), find(dl); a != b {
+				parent[a] = b
+			}
+		}
+	}
+	// Seeds: every link of an arrived or a departed flow's route.
+	dirty := map[DirLink]bool{}
+	for id, route := range cur {
+		if _, ok := c.prev[id]; !ok {
+			for _, dl := range route {
+				dirty[find(dl)] = true
+			}
+		}
+	}
+	for id, route := range c.prev {
+		if _, ok := cur[id]; !ok {
+			for _, dl := range route {
+				dirty[find(dl)] = true
+			}
+		}
+	}
+	full := net.topo.CapacityGen() != c.capGen
+	want := map[int]bool{}
+	for _, f := range net.ordered {
+		if full || dirty[find(f.route[0])] {
+			want[f.id] = true
+		}
+	}
+	got := map[int]bool{}
+	for _, f := range net.scratchFlows {
+		if got[f.id] {
+			c.t.Fatalf("solve %d re-solved flow %d twice", c.solves, f.id)
+		}
+		got[f.id] = true
+	}
+	if len(got) != len(want) {
+		c.t.Fatalf("solve %d re-solved %d flows, the changed components "+
+			"hold %d (full=%v)", c.solves, len(got), len(want), full)
+	}
+	for id := range want {
+		if !got[id] {
+			c.t.Fatalf("solve %d skipped flow %d of a changed component",
+				c.solves, id)
+		}
+	}
+	c.prev, c.capGen = cur, net.topo.CapacityGen()
+
+	if !c.rates {
+		return
+	}
+	ref := referenceRates(net)
+	for _, f := range net.ordered {
+		if f.rate != ref[f.id] {
+			c.t.Fatalf("solve %d: flow %d rate %g != reference %g",
+				c.solves, f.id, f.rate, ref[f.id])
+		}
+	}
+}
+
 // The partitioned dirty-set solve must stay bit-identical to the
 // from-scratch reference on a tiered topology, where flows split into many
 // independent link-sharing components (intra-machine NVLink islands vs.
 // inter-machine rail traffic) and mid-run bandwidth changes force the
-// all-dirty fallback.
+// all-dirty fallback. The rates are checked after every solve, and every
+// solve must re-solve exactly the components its changes touched.
 func TestPartitionedSolveMatchesReferenceOnTieredTopo(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	solves := 0
 	for trial := 0; trial < 40; trial++ {
 		eng := sim.NewSerialEngine()
 		topo := RailFatTree(clusterCfg(4, 2), 2, 2)
 		gpus := topo.GPUs()
 		net := NewFlowNetwork(eng, topo)
+		checker := newSolveChecker(t, net, true)
+		net.Observer = checker
 
 		n := 8 + rng.Intn(24)
 		for i := 0; i < n; i++ {
@@ -62,6 +173,7 @@ func TestPartitionedSolveMatchesReferenceOnTieredTopo(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
+		solves += checker.solves
 
 		want := referenceRates(net)
 		net.computeRates()
@@ -75,6 +187,9 @@ func TestPartitionedSolveMatchesReferenceOnTieredTopo(t *testing.T) {
 					trial, f.id, f.rate, want[f.id])
 			}
 		}
+	}
+	if solves < 40 {
+		t.Fatalf("%d solves over 40 trials checked, want at least 40", solves)
 	}
 }
 
@@ -113,6 +228,55 @@ func TestDirtySetPartitionIsolation(t *testing.T) {
 	}
 }
 
+// A component splits when the flow that joined it leaves. Two switch
+// islands, X and Y, each carry a long-running flow; a short bridge flow
+// crosses both and joins them into one component until it completes. A
+// flow then arriving inside X must re-solve X's flows only: Y's flow is in
+// a component of its own again.
+func TestDirtySetComponentSplits(t *testing.T) {
+	eng := sim.NewSerialEngine()
+	topo := NewTopology()
+	x0 := topo.AddNode("x0", GPUNode)
+	x1 := topo.AddNode("x1", GPUNode)
+	y0 := topo.AddNode("y0", GPUNode)
+	y1 := topo.AddNode("y1", GPUNode)
+	sx := topo.AddNode("sx", SwitchNode)
+	sy := topo.AddNode("sy", SwitchNode)
+	for _, l := range [][2]NodeID{{x0, sx}, {x1, sx}, {y0, sy}, {y1, sy},
+		{sx, sy}} {
+		topo.AddLink(l[0], l[1], 100e9, sim.USec)
+	}
+	net := NewFlowNetwork(eng, topo)
+
+	net.Send(x0, x1, 500e9, func(sim.VTime) {}) // X: x0→sx→x1
+	net.Send(y0, y1, 500e9, func(sim.VTime) {}) // Y: y0→sy→y1
+	// The bridge shares x0→sx with X and sy→y1 with Y, and finishes
+	// after 20 ms at half of x0→sx.
+	bridged := false
+	net.Send(x0, y1, 1e9, func(sim.VTime) { bridged = true })
+
+	var before, after int
+	eng.Schedule(sim.NewFuncEvent(100*sim.MSec, func(sim.VTime) error {
+		if !bridged {
+			t.Fatal("bridge flow still in flight at 100 ms")
+		}
+		before = net.SolvedFlows
+		net.Send(x0, x1, 1e9, func(sim.VTime) {})
+		return nil
+	}))
+	eng.Schedule(sim.NewFuncEvent(101*sim.MSec, func(sim.VTime) error {
+		after = net.SolvedFlows
+		eng.Terminate()
+		return nil
+	}))
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := after - before; got != 2 {
+		t.Fatalf("arrival re-solved %d flows, want 2 (island X only)", got)
+	}
+}
+
 func TestApproxModeOffByDefault(t *testing.T) {
 	eng := sim.NewSerialEngine()
 	topo, _ := lineTopo()
@@ -121,10 +285,18 @@ func TestApproxModeOffByDefault(t *testing.T) {
 	}
 }
 
+// tieredRun is the outcome of runTieredWorkload.
+type tieredRun struct {
+	makespan    sim.VTime
+	delivered   int
+	finish      []sim.VTime // delivery time per send, 0 for local sends
+	solvedFlows int
+}
+
 // runTieredWorkload replays a deterministic random workload on a rail
-// fat-tree and returns (makespan, deliveries).
-func runTieredWorkload(t *testing.T, seed int64,
-	tol float64) (sim.VTime, int) {
+// fat-tree. observe, when non-nil, supplies the network's Observer.
+func runTieredWorkload(t *testing.T, seed int64, tol float64,
+	observe func(*FlowNetwork) FlowObserver) tieredRun {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.NewSerialEngine()
@@ -132,24 +304,27 @@ func runTieredWorkload(t *testing.T, seed int64,
 	gpus := topo.GPUs()
 	net := NewFlowNetwork(eng, topo)
 	net.ApproxTol = tol
+	if observe != nil {
+		net.Observer = observe(net)
+	}
 
-	var makespan sim.VTime
-	delivered := 0
-	n := 60
+	const n = 60
+	r := tieredRun{finish: make([]sim.VTime, n)}
 	for i := 0; i < n; i++ {
 		at := sim.VTime(rng.Float64()) * sim.Sec
 		bytes := float64(1+rng.Intn(80)) * 1e9
 		src := gpus[rng.Intn(len(gpus))]
 		dst := gpus[rng.Intn(len(gpus))]
 		if dst == src {
-			delivered++ // keep counts comparable across modes
+			r.delivered++ // keep counts comparable across modes
 			continue
 		}
 		eng.Schedule(sim.NewFuncEvent(at, func(sim.VTime) error {
 			net.Send(src, dst, bytes, func(now sim.VTime) {
-				delivered++
-				if now > makespan {
-					makespan = now
+				r.delivered++
+				r.finish[i] = now
+				if now > r.makespan {
+					r.makespan = now
 				}
 			})
 			return nil
@@ -158,7 +333,54 @@ func runTieredWorkload(t *testing.T, seed int64,
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return makespan, delivered
+	r.solvedFlows = net.SolvedFlows
+	return r
+}
+
+// fullSolves makes every solve after the first a full re-solve, through
+// the same allDirty flag a capacity change sets.
+type fullSolves struct{ net *FlowNetwork }
+
+// FlowFinished implements FlowObserver.
+func (fullSolves) FlowFinished([]DirLink, float64, sim.VTime, sim.VTime) {}
+
+// RatesRecomputed implements FlowObserver.
+func (o fullSolves) RatesRecomputed(int, sim.VTime) { o.net.allDirty = true }
+
+// In approximate mode a flow keeps its delivery event unless its rate moves
+// beyond the tolerance, so re-solving a component no change touched must
+// keep every one of its events: the run with partial solves and the run
+// that re-solves everything on every solve deliver every flow at the same
+// instant. The partial run's every solve must re-solve exactly the
+// components its changes touched.
+func TestApproxPartialSolvesMatchFullSolves(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		var c *solveChecker
+		part := runTieredWorkload(t, seed, 0.01,
+			func(net *FlowNetwork) FlowObserver {
+				c = newSolveChecker(t, net, false)
+				return c
+			})
+		if c.solves == 0 {
+			t.Fatalf("seed %d: no solves checked", seed)
+		}
+		full := runTieredWorkload(t, seed, 0.01,
+			func(net *FlowNetwork) FlowObserver { return fullSolves{net} })
+		if full.solvedFlows <= part.solvedFlows {
+			t.Fatalf("seed %d: full solves re-solved %d flows, partial %d",
+				seed, full.solvedFlows, part.solvedFlows)
+		}
+		if part.makespan != full.makespan || part.delivered != full.delivered {
+			t.Fatalf("seed %d: partial (%v, %d) != full (%v, %d)", seed,
+				part.makespan, part.delivered, full.makespan, full.delivered)
+		}
+		for i := range part.finish {
+			if part.finish[i] != full.finish[i] {
+				t.Fatalf("seed %d: send %d delivered at %v, full solves %v",
+					seed, i, part.finish[i], full.finish[i])
+			}
+		}
+	}
 }
 
 // Approximate-equilibrium mode (the large-network fast path) must deliver
@@ -166,8 +388,10 @@ func runTieredWorkload(t *testing.T, seed int64,
 // exact solve: ApproxTol=0.01 → ≤1% relative deviation.
 func TestApproxBoundedMakespanError(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		exact, nExact := runTieredWorkload(t, seed, 0)
-		appr, nAppr := runTieredWorkload(t, seed, 0.01)
+		ex := runTieredWorkload(t, seed, 0, nil)
+		ap := runTieredWorkload(t, seed, 0.01, nil)
+		exact, nExact := ex.makespan, ex.delivered
+		appr, nAppr := ap.makespan, ap.delivered
 		if nExact != nAppr {
 			t.Fatalf("seed %d: exact delivered %d, approx %d",
 				seed, nExact, nAppr)

@@ -101,12 +101,16 @@ echo "==> triosimd race smoke (race-built daemon under concurrent load)"
 go build -race -o "$tmpdir/triosimd-race" ./cmd/triosimd
 run_daemon_load "$tmpdir/triosimd-race" 200 200
 
-echo "==> scale smoke (1,024-GPU DP×TP×PP step: replay identity, approx error bound, wall-clock budget)"
+echo "==> scale smoke (1,024-GPU DP×TP×PP step: pinned digests, replay identity, approx error bound, wall-clock budget)"
 # A 128-machine rail fat-tree running llama32-1b under DP=16 × TP=8 × PP=8.
 # Exact solver twice: the event digests must be byte-identical (the replay
-# guarantee at cluster scale). Approximate solver (1% tolerance) once: the
+# guarantee at cluster scale) and equal the pinned digest, so a solver
+# change that moves a single event fails even when both runs agree.
+# Approximate solver (1% tolerance) once: its digest is pinned too, and the
 # simulated step time must stay within 1% of exact. The whole leg must fit a
 # wall-clock budget — the 10k-GPU "single-digit seconds" claim, scaled to CI.
+scale_exact_digest=0xdff2e6f893fb3d7e
+scale_approx_digest=0x5526f03f6427f794
 scale_start=$SECONDS
 scale_spec() { # $1 net_approx_tol
   cat <<JSON
@@ -132,8 +136,11 @@ d1="$(run_scale "$tmpdir/scale-exact.json" "$tmpdir/scale-exact-report.json")"
 d2="$(run_scale "$tmpdir/scale-exact.json" "$tmpdir/scale-exact2-report.json")"
 [[ -n "$d1" && "$d1" == "$d2" ]] ||
   { echo "scale smoke: exact replay digests differ: $d1 vs $d2"; exit 1; }
-run_scale "$tmpdir/scale-approx.json" "$tmpdir/scale-approx-report.json" \
-  >/dev/null
+[[ "$d1" == "$scale_exact_digest" ]] ||
+  { echo "scale smoke: exact digest $d1, pinned $scale_exact_digest"; exit 1; }
+da="$(run_scale "$tmpdir/scale-approx.json" "$tmpdir/scale-approx-report.json")"
+[[ "$da" == "$scale_approx_digest" ]] ||
+  { echo "scale smoke: approx digest $da, pinned $scale_approx_digest"; exit 1; }
 step_of() { # $1 report json -> per_iteration_sec
   grep -o '"per_iteration_sec": *[0-9.eE+-]*' "$1" | head -1 | awk '{print $2}'
 }
@@ -144,7 +151,7 @@ awk -v a="$exact_step" -v b="$approx_step" \
   { echo "scale smoke: approx step $approx_step vs exact $exact_step exceeds 1%"; exit 1; }
 (( SECONDS - scale_start <= 120 )) ||
   { echo "scale smoke: $((SECONDS - scale_start))s exceeds the 120s budget"; exit 1; }
-echo "    exact digest $d1, step ${exact_step}s, approx step ${approx_step}s, $((SECONDS - scale_start))s wall"
+echo "    exact digest $d1, approx digest $da, step ${exact_step}s, approx step ${approx_step}s, $((SECONDS - scale_start))s wall"
 
 echo "==> bench smoke + benchdiff gate (allocs/op vs committed BENCH_*.json)"
 go test -run '^$' -bench . -benchmem -benchtime 1x . >"$tmpdir/bench.txt"

@@ -19,7 +19,8 @@ import (
 // topology's closed form (rail lookup, minimal group paths,
 // dimension-ordered torus hops) in O(path length) instead of O(V+E) BFS,
 // which is the difference between milliseconds and minutes of setup at
-// 10,000 GPUs. Host staging links fall back to BFS (they are single hops).
+// 10,000 GPUs. The routers decline host staging pairs; those are single
+// hops, which Topology.Route resolves with a direct-link scan, not BFS.
 
 // ClusterConfig parameterizes the hierarchical topology generators.
 type ClusterConfig struct {

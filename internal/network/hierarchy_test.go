@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"triosim/internal/sim"
@@ -46,6 +47,32 @@ func tierOf(topo *Topology, route []DirLink) []string {
 		out[i] = topo.Links[dl.Link].Tier
 	}
 	return out
+}
+
+// checkHostRoutes asserts the host↔gpu routes, both directions, are each
+// exactly one TierHost link and deep-equal the BFS reference.
+func checkHostRoutes(t *testing.T, topo *Topology, gpu NodeID) {
+	t.Helper()
+	host := topo.Host()
+	for _, p := range [][2]NodeID{{host, gpu}, {gpu, host}} {
+		r, err := topo.Route(p[0], p[1])
+		if err != nil {
+			t.Fatalf("host route %d→%d: %v", p[0], p[1], err)
+		}
+		checkRoutePath(t, topo, p[0], p[1], r)
+		if got := tierOf(topo, r); len(got) != 1 || got[0] != TierHost {
+			t.Fatalf("host route %d→%d tiers %v, want one %s link",
+				p[0], p[1], got, TierHost)
+		}
+		want, err := topo.bfsRoute(p[0], p[1])
+		if err != nil {
+			t.Fatalf("bfs host route %d→%d: %v", p[0], p[1], err)
+		}
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("host route %d→%d = %v, BFS reference %v",
+				p[0], p[1], r, want)
+		}
+	}
 }
 
 func TestRailFatTreeStructure(t *testing.T) {
@@ -178,7 +205,8 @@ func TestTorus3DRoutes(t *testing.T) {
 }
 
 // Hierarchical routes must agree with BFS shortest paths in hop count —
-// the structural routers are a fast path, not a different metric.
+// the structural routers are a fast path, not a different metric — and
+// host staging routes must equal the BFS reference exactly.
 func TestStructuralRoutersMatchBFSLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	builds := []func() *Topology{
@@ -210,14 +238,17 @@ func TestStructuralRoutersMatchBFSLength(t *testing.T) {
 				t.Fatalf("build %d: route %d→%d structural %d hops, BFS %d",
 					bi, a, b, len(rf), len(rs))
 			}
+			checkHostRoutes(t, fast, a)
+			checkHostRoutes(t, fast, b)
 		}
 	}
 }
 
 // FuzzTopologyBuild checks generator invariants over fuzz-chosen cluster
 // shapes: every link carries a tier label, adjacency is symmetric, GPUs
-// carry dense machine labels, and the installed structural router produces
-// valid GPU↔GPU paths with BFS-shortest hop counts.
+// carry dense machine labels, the installed structural router produces
+// valid GPU↔GPU paths with BFS-shortest hop counts, and host↔GPU routes are
+// the single TierHost link BFS would take.
 func FuzzTopologyBuild(f *testing.F) {
 	// kind 0 = rail fat-tree, 1 = dragonfly, 2 = 3D torus.
 	f.Add(uint8(0), uint8(8), uint8(4), uint8(4), uint8(2))
@@ -311,12 +342,12 @@ func FuzzTopologyBuild(f *testing.F) {
 				t.Fatalf("route %d→%d: structural %d hops, BFS %d",
 					a, b, len(route), len(bfs))
 			}
+			checkHostRoutes(t, topo, a)
+			checkHostRoutes(t, topo, b)
 		}
 		// The host must reach every GPU for input staging.
 		if h := topo.Host(); h >= 0 && len(gpus) > 0 {
-			if _, err := topo.Route(h, gpus[len(gpus)-1]); err != nil {
-				t.Fatalf("host cannot stage to gpu: %v", err)
-			}
+			checkHostRoutes(t, topo, gpus[len(gpus)-1])
 		}
 	})
 }

@@ -14,7 +14,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
 	"triosim/internal/sim"
 )
@@ -77,7 +76,9 @@ type Topology struct {
 	Nodes []Node
 	Links []Link
 
-	adj        map[NodeID][]int // node -> incident link IDs
+	// adj[n] lists the IDs of the links incident to node n in ascending
+	// order: AddLink appends increasing IDs, so no list ever needs sorting.
+	adj        [][]int
 	routeCache map[[2]NodeID][]DirLink
 
 	// router, when set by a hierarchical generator, computes shortest
@@ -97,10 +98,7 @@ type Topology struct {
 
 // NewTopology returns an empty topology.
 func NewTopology() *Topology {
-	return &Topology{
-		adj:        map[NodeID][]int{},
-		routeCache: map[[2]NodeID][]DirLink{},
-	}
+	return &Topology{routeCache: map[[2]NodeID][]DirLink{}}
 }
 
 // AddNode appends a node and returns its ID. The node starts unassigned to
@@ -109,6 +107,7 @@ func (t *Topology) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Name: name, Kind: kind,
 		Machine: -1})
+	t.adj = append(t.adj, nil)
 	return id
 }
 
@@ -141,7 +140,9 @@ func (t *Topology) AddLink(a, b NodeID, bandwidth float64,
 	})
 	t.adj[a] = append(t.adj[a], id)
 	t.adj[b] = append(t.adj[b], id)
-	t.routeCache = map[[2]NodeID][]DirLink{}
+	if len(t.routeCache) > 0 {
+		clear(t.routeCache) // a new link can shorten any cached route
+	}
 	return id
 }
 
@@ -190,7 +191,8 @@ func (t *Topology) Neighbor(l int, n NodeID) NodeID {
 
 // Route returns the directed links of a shortest path (minimum hop count,
 // deterministic tie-break by link ID) from src to dst, or an error if the
-// nodes are disconnected. Routes are cached.
+// nodes are disconnected. Resolution order: the route cache, the structural
+// router, a direct link between the endpoints, then BFS. Routes are cached.
 func (t *Topology) Route(src, dst NodeID) ([]DirLink, error) {
 	if src == dst {
 		return nil, nil
@@ -205,22 +207,57 @@ func (t *Topology) Route(src, dst NodeID) ([]DirLink, error) {
 			return r, nil
 		}
 	}
+	if src < 0 || dst < 0 || int(src) >= len(t.Nodes) ||
+		int(dst) >= len(t.Nodes) {
+		return nil, fmt.Errorf("network: no route %d→%d", src, dst)
+	}
+	route := t.directRoute(src, dst)
+	if route == nil {
+		var err error
+		if route, err = t.bfsRoute(src, dst); err != nil {
+			return nil, err
+		}
+	}
+	t.routeCache[key] = route
+	return route, nil
+}
 
-	// BFS with deterministic neighbor ordering.
-	prev := map[NodeID]DirLink{}
-	visited := map[NodeID]bool{src: true}
-	queue := []NodeID{src}
-	for len(queue) > 0 && !visited[dst] {
-		n := queue[0]
-		queue = queue[1:]
-		// Hosts are endpoints, never transit: GPU↔GPU traffic must not
-		// shortcut through the host's staging links.
+// directRoute returns the one-hop route over the lowest-ID link joining src
+// and dst, or nil if no link joins them. It is exactly what bfsRoute
+// returns for such a pair: BFS pops src first and walks its links in
+// ascending ID order, so the first link to reach dst is the lowest-ID one
+// (the host-is-never-transit rule exempts src). Scanning the endpoint with
+// fewer links makes a host↔GPU route O(1) instead of O(GPUs).
+func (t *Topology) directRoute(src, dst NodeID) []DirLink {
+	links := t.adj[src]
+	if len(t.adj[dst]) < len(links) {
+		links = t.adj[dst]
+	}
+	for _, l := range links {
+		lk := t.Links[l]
+		if (lk.A == src && lk.B == dst) || (lk.A == dst && lk.B == src) {
+			return []DirLink{{Link: l, Forward: lk.A == src}}
+		}
+	}
+	return nil
+}
+
+// bfsRoute is the general shortest-path fallback: BFS over link IDs in
+// ascending order, so ties break toward the lowest link ID. Hosts are
+// endpoints, never transit: GPU↔GPU traffic must not shortcut through the
+// host's staging links.
+func (t *Topology) bfsRoute(src, dst NodeID) ([]DirLink, error) {
+	prev := make([]DirLink, len(t.Nodes))
+	visited := make([]bool, len(t.Nodes))
+	visited[src] = true
+	queue := make([]NodeID, 1, len(t.Nodes))
+	queue[0] = src
+	for head := 0; head < len(queue) && !visited[dst]; head++ {
+		n := queue[head]
 		if t.Nodes[n].Kind == HostNode && n != src {
 			continue
 		}
-		links := append([]int(nil), t.adj[n]...)
-		sort.Ints(links)
-		for _, l := range links {
+		for _, l := range t.adj[n] {
 			m := t.Neighbor(l, n)
 			if visited[m] {
 				continue
@@ -234,21 +271,23 @@ func (t *Topology) Route(src, dst NodeID) ([]DirLink, error) {
 		return nil, fmt.Errorf("network: no route %d→%d", src, dst)
 	}
 
-	var rev []DirLink
-	for n := dst; n != src; {
-		dl := prev[n]
-		rev = append(rev, dl)
+	// Walk back from dst once to count hops, then again to fill the route
+	// front to back.
+	from := func(dl DirLink) NodeID {
 		if dl.Forward {
-			n = t.Links[dl.Link].A
-		} else {
-			n = t.Links[dl.Link].B
+			return t.Links[dl.Link].A
 		}
+		return t.Links[dl.Link].B
 	}
-	route := make([]DirLink, len(rev))
-	for i := range rev {
-		route[i] = rev[len(rev)-1-i]
+	hops := 0
+	for n := dst; n != src; n = from(prev[n]) {
+		hops++
 	}
-	t.routeCache[key] = route
+	route := make([]DirLink, hops)
+	for n := dst; n != src; n = from(prev[n]) {
+		hops--
+		route[hops] = prev[n]
+	}
 	return route, nil
 }
 

@@ -7,21 +7,20 @@
 //	triosim -model resnet50 -platform P2 -parallelism ddp
 //	triosim -model gpt2 -platform P1 -parallelism tp -validate
 //	triosim -trace mytrace.json -platform P3 -parallelism pp -chunks 4
-//	triosim -model vgg16 -platform P2 -parallelism ddp -timeline out.json
+//	triosim -model vgg16 -platform P2 -parallelism ddp -trace-out out.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"time"
 
 	"triosim"
 	"triosim/internal/config"
 	"triosim/internal/monitor"
-	"triosim/internal/timeline"
+	"triosim/internal/telemetry"
 )
 
 func main() {
@@ -48,7 +47,6 @@ func main() {
 		iterations   = flag.Int("iterations", 1, "training iterations to simulate")
 		validate     = flag.Bool("validate", false, "also run the hardware emulator and report error")
 		memCheck     = flag.Bool("memory", false, "estimate per-GPU peak memory and capacity fit")
-		timelineOut  = flag.String("timeline", "", "write a Chrome-trace timeline JSON here")
 		timelineHTML = flag.String("timeline-html", "", "write a self-contained HTML timeline viewer here")
 		traceOut     = flag.String("trace-out", "", "write the span-level Chrome trace-event JSON here (open in Perfetto or chrome://tracing)")
 		metricsOut   = flag.String("metrics-out", "", "write the telemetry RunReport JSON here")
@@ -99,9 +97,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runAndReport(cfg, *validate, *memCheck, *determ, *timelineOut,
-			*timelineHTML, *traceOut, *metricsOut, *monitorAddr, *faultsPath,
-			*faultSeed)
+		runAndReport(cfg, *validate, *memCheck, *determ, *timelineHTML,
+			*traceOut, *metricsOut, *monitorAddr, *faultsPath, *faultSeed)
 		return
 	}
 
@@ -139,14 +136,13 @@ func main() {
 		log.Fatal("need -model or -trace (see -list-models)")
 	}
 
-	runAndReport(cfg, *validate, *memCheck, *determ, *timelineOut,
-		*timelineHTML, *traceOut, *metricsOut, *monitorAddr, *faultsPath,
-		*faultSeed)
+	runAndReport(cfg, *validate, *memCheck, *determ, *timelineHTML,
+		*traceOut, *metricsOut, *monitorAddr, *faultsPath, *faultSeed)
 }
 
 // runAndReport executes one simulation and prints the result block.
 func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
-	timelineOut, timelineHTML, traceOut, metricsOut, monitorAddr,
+	timelineHTML, traceOut, metricsOut, monitorAddr,
 	faultsPath string, faultSeed int64) {
 	plat := cfg.Platform
 	// The sim core never reads the host clock (triosimvet: no-wallclock);
@@ -157,11 +153,12 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 	if !deterministic {
 		cfg.Clock = time.Now
 	}
-	if metricsOut != "" {
+	if metricsOut != "" || timelineHTML != "" {
 		cfg.Telemetry = true
 	}
 	if traceOut != "" || timelineHTML != "" {
-		// The HTML view highlights the critical path, so it needs spans too.
+		// The HTML view draws spans, tabulates the RunReport's per-GPU
+		// partition, and highlights the critical path.
 		cfg.SpanTrace = true
 	}
 	// Fault injection runs a fault-free baseline first: it sizes seeded
@@ -307,19 +304,6 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 			verdict, rep.WorstUtilization*100, gb(plat.GPU.MemCapacity))
 	}
 
-	if timelineOut != "" {
-		f, err := os.Create(timelineOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := res.Timeline.ExportChromeTrace(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("timeline:        %s (chrome://tracing format)\n",
-			timelineOut)
-	}
-
 	if traceOut != "" {
 		if res.Spans == nil {
 			log.Fatal("-trace-out: run recorded no spans")
@@ -336,66 +320,18 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		title := fmt.Sprintf("%s · %s · %s", cfg.Model, plat.Name,
 			cfg.Parallelism)
-		critical, summary := criticalOverlay(res)
-		if err := res.Timeline.ExportHTMLHighlight(f, title, critical,
-			summary); err != nil {
+		if err := telemetry.WriteTimelineHTML(f, title, res.Spans,
+			res.Report); err != nil {
+			f.Close()
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("timeline html:   %s\n", timelineHTML)
 	}
-}
-
-// criticalOverlay builds the HTML viewer's critical-path matcher and summary
-// lines from the run's critical-path report (nil, nil when none).
-func criticalOverlay(res *triosim.Result) (func(*timeline.Interval) bool,
-	[]string) {
-	cp := res.CriticalPath
-	if cp == nil || len(cp.Steps) == 0 {
-		return nil, nil
-	}
-	// Match a timeline interval to a critical step by label and (tolerant)
-	// start/end: the two views are recorded independently but from the same
-	// virtual times.
-	type window struct{ start, end float64 }
-	steps := map[string][]window{}
-	for _, st := range cp.Steps {
-		steps[st.Name] = append(steps[st.Name], window{st.StartSec, st.EndSec})
-	}
-	eps := 1e-9 * math.Max(1, cp.MakespanSec)
-	critical := func(iv *timeline.Interval) bool {
-		for _, w := range steps[iv.Label] {
-			if math.Abs(iv.Start.Seconds()-w.start) <= eps &&
-				math.Abs(iv.End.Seconds()-w.end) <= eps {
-				return true
-			}
-		}
-		return false
-	}
-	pct := func(v float64) float64 {
-		if cp.LengthSec <= 0 {
-			return 0
-		}
-		return 100 * v / cp.LengthSec
-	}
-	summary := []string{
-		fmt.Sprintf("critical path: %d steps over %.6gs — compute %.1f%%, comm %.1f%%, idle %.1f%%, fault-stretch %.1f%%, other %.1f%%",
-			len(cp.Steps), cp.LengthSec,
-			pct(cp.Attribution.ComputeSec), pct(cp.Attribution.CommSec),
-			pct(cp.Attribution.IdleSec), pct(cp.Attribution.FaultStretchSec),
-			pct(cp.Attribution.HostLoadSec+cp.Attribution.OtherSec)),
-	}
-	for i, s := range cp.Slack {
-		if i >= 3 {
-			break
-		}
-		summary = append(summary, fmt.Sprintf(
-			"near-critical: %s on %s — slack %.6gs", s.Name, s.Track,
-			s.SlackSec))
-	}
-	return critical, summary
 }
 
 func gb(b int64) float64 { return float64(b) / (1 << 30) }

@@ -3,7 +3,7 @@
 // model, and the lightweight network model into a single simulator with the
 // paper's inputs (a single-GPU trace, a network topology, GPU parameters,
 // and a parallelism scheme) and outputs (predicted execution time, per-phase
-// communication/computation breakdown, and a timeline).
+// communication/computation breakdown, and a virtual-time span log).
 package core
 
 import (
@@ -22,7 +22,6 @@ import (
 	"triosim/internal/spantrace"
 	"triosim/internal/task"
 	"triosim/internal/telemetry"
-	"triosim/internal/timeline"
 	"triosim/internal/trace"
 	"triosim/internal/tracecache"
 )
@@ -192,8 +191,6 @@ type Result struct {
 	CommTime sim.VTime
 	// HostLoadTime is the union time of host→GPU input staging.
 	HostLoadTime sim.VTime
-	// Timeline holds every recorded interval for deeper analysis.
-	Timeline *timeline.Timeline
 	// Tasks is the extrapolated graph size.
 	Tasks int
 	// Events is the number of engine events dispatched.
@@ -343,6 +340,74 @@ func extrapolate(cfg Config, tr *trace.Trace, topo *network.Topology,
 	return nil, fmt.Errorf("core: unknown parallelism %q", cfg.Parallelism)
 }
 
+// observeConfig is the observation half of Config and ServeConfig.
+type observeConfig struct {
+	spanTrace bool
+	telemetry bool
+	metrics   *telemetry.Registry
+	hooks     []sim.Hook
+	ctx       context.Context
+}
+
+// attach wires one run's optional observers in the order Simulate and Serve
+// both rely on: the span recorder, the telemetry collector, the caller's
+// hooks, then the context poll. observe registers a task observer with the
+// executor or the serving cluster; g may be nil. Observation never
+// schedules events, so the replay digest is the same with or without it.
+// The recorder and the collector are nil when off.
+func (oc observeConfig) attach(eng *sim.SerialEngine, net *network.FlowNetwork,
+	topo *network.Topology, g *task.Graph, collLog *telemetry.CollectiveLog,
+	observe func(task.Observer)) (*spantrace.Recorder, *telemetry.Collector,
+	error) {
+
+	var rec *spantrace.Recorder
+	if oc.spanTrace {
+		rec = spantrace.NewRecorder(g, topo)
+		observe(rec)
+		eng.RegisterHook(rec.EngineHook(eng.Pending))
+	}
+	var coll *telemetry.Collector
+	if oc.telemetry {
+		reg := oc.metrics
+		if reg == nil {
+			reg = telemetry.NewRegistry()
+		}
+		coll = telemetry.NewCollector(reg, topo, collLog)
+		eng.RegisterHook(coll.EngineHook(eng.Pending))
+		observe(coll)
+	}
+	switch {
+	case coll != nil && rec != nil:
+		net.Observer = network.MultiFlowObserver{coll, rec}
+	case coll != nil:
+		net.Observer = coll
+	case rec != nil:
+		net.Observer = rec
+	}
+	for _, h := range oc.hooks {
+		eng.RegisterHook(h)
+	}
+	if ctx := oc.ctx; ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("core: simulation canceled: %w", err)
+		}
+		// Poll the context every 1024 dispatches: ctx.Err() is a mutex
+		// acquisition, too expensive per event, and cancellation latency of
+		// ~1k events is fine for sweep timeouts.
+		var dispatched uint64
+		eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
+			if hc.Pos != sim.HookPosAfterEvent {
+				return
+			}
+			dispatched++
+			if dispatched&1023 == 0 && ctx.Err() != nil {
+				eng.Terminate()
+			}
+		}))
+	}
+	return rec, coll, nil
+}
+
 // execute runs a task graph over the platform network and packages results.
 // ckptCost is the resolved per-checkpoint pause for the resilience overlay
 // (zero when Config.Faults carries no checkpoint policy).
@@ -360,24 +425,26 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 	net := network.NewFlowNetwork(eng, topo)
 	net.RampBytes = rampBytes
 	net.ApproxTol = cfg.NetApproxTol
-	tl := timeline.New()
-	x := task.NewExecutor(eng, net, res.Graph, tl)
+	x := task.NewExecutor(eng, net, res.Graph, nil)
 
 	// Self-profiling: time the max-min solver on the injected clock (the sim
 	// core never reads the host clock itself). Wall time feeds counter
 	// tracks and gauges only — virtual time is unaffected.
 	net.SolveClock = cfg.Clock
 
-	var rec *spantrace.Recorder
-	if cfg.SpanTrace {
-		rec = spantrace.NewRecorder(res.Graph, topo)
-		x.Observe(rec)
-		eng.RegisterHook(rec.EngineHook(eng.Pending))
+	rec, coll, err := observeConfig{
+		spanTrace: cfg.SpanTrace,
+		telemetry: cfg.telemetryOn(),
+		metrics:   cfg.Metrics,
+		hooks:     cfg.Hooks,
+		ctx:       cfg.Context,
+	}.attach(eng, net, topo, res.Graph, collLog, x.Observe)
+	if err != nil {
+		return nil, err
 	}
 
 	var inj *faults.Injector
 	if cfg.Faults != nil {
-		var err error
 		inj, err = faults.NewInjector(eng, net, cfg.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -388,59 +455,14 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 		// schedule arms nothing and the run stays digest-identical.
 		x.Stretch = inj.Factor
 		inj.Arm()
-		for _, w := range inj.Windows() {
-			tl.Add(faults.TimelineResource, w.Label(), "fault", w.Start, w.End)
-			if rec != nil {
+		if rec != nil {
+			for _, w := range inj.Windows() {
 				rec.AddFault(w.Label(), w.Start, w.End)
 			}
-		}
-		for _, f := range inj.Failures() {
-			tl.Add(faults.TimelineResource, faults.FailLabel(f), "fault",
-				f.At, f.At)
-			if rec != nil {
+			for _, f := range inj.Failures() {
 				rec.AddFault(faults.FailLabel(f), f.At, f.At)
 			}
 		}
-	}
-
-	var coll *telemetry.Collector
-	if cfg.telemetryOn() {
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		coll = telemetry.NewCollector(reg, topo, collLog)
-		eng.RegisterHook(coll.EngineHook(eng.Pending))
-		x.Observe(coll)
-	}
-	switch {
-	case coll != nil && rec != nil:
-		net.Observer = network.MultiFlowObserver{coll, rec}
-	case coll != nil:
-		net.Observer = coll
-	case rec != nil:
-		net.Observer = rec
-	}
-	for _, h := range cfg.Hooks {
-		eng.RegisterHook(h)
-	}
-	if ctx := cfg.Context; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: simulation canceled: %w", err)
-		}
-		// Poll the context every 1024 dispatches: ctx.Err() is a mutex
-		// acquisition, too expensive per event, and cancellation latency of
-		// ~1k events is fine for sweep timeouts.
-		var dispatched uint64
-		eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
-			if hc.Pos != sim.HookPosAfterEvent {
-				return
-			}
-			dispatched++
-			if dispatched&1023 == 0 && ctx.Err() != nil {
-				eng.Terminate()
-			}
-		}))
 	}
 
 	makespan, err := x.Run()
@@ -456,10 +478,9 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 	out := &Result{
 		TotalTime:    makespan,
 		PerIteration: makespan / sim.VTime(cfg.Iterations),
-		ComputeTime:  tl.UnionTime(timeline.ByPhase("compute")),
-		CommTime:     tl.UnionTime(timeline.ByPhase("comm")),
-		HostLoadTime: tl.UnionTime(timeline.ByPhase("hostload")),
-		Timeline:     tl,
+		ComputeTime:  x.BusyTime(task.Compute),
+		CommTime:     x.BusyTime(task.Comm),
+		HostLoadTime: x.BusyTime(task.HostLoad),
 		Tasks:        res.Graph.Len(),
 		Events:       eng.EventCount(),
 		EventDigest:  digest.Sum64(),

@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"triosim/internal/spantrace"
+)
 
 func TestInferenceFasterThanTraining(t *testing.T) {
 	base := Config{Model: "resnet50", Platform: p2(), Parallelism: DDP,
@@ -63,19 +68,27 @@ func TestInferenceGroundTruthValidates(t *testing.T) {
 
 func TestInferenceOnlyForwardOps(t *testing.T) {
 	res, err := Simulate(Config{Model: "resnet18", Platform: p1(),
-		Parallelism: Single, TraceBatch: 32, InferenceOnly: true})
+		Parallelism: Single, TraceBatch: 32, InferenceOnly: true,
+		SpanTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, iv := range res.Timeline.Intervals {
-		if iv.Phase != "compute" {
+	computes := 0
+	for i := range res.Spans.Spans {
+		sp := &res.Spans.Spans[i]
+		if sp.Cat != spantrace.Compute {
 			continue
 		}
-		if len(iv.Label) > 4 && iv.Label[len(iv.Label)-4:] == "_bwd" {
-			t.Fatalf("backward op %q ran in inference mode", iv.Label)
+		computes++
+		label := res.Spans.Name(sp.Name)
+		if strings.HasSuffix(label, "_bwd") {
+			t.Fatalf("backward op %q ran in inference mode", label)
 		}
-		if len(iv.Label) >= 8 && iv.Label[:8] == "sgd_step" {
+		if strings.HasPrefix(label, "sgd_step") {
 			t.Fatalf("optimizer op ran in inference mode")
 		}
+	}
+	if computes == 0 {
+		t.Fatal("no compute spans recorded")
 	}
 }

@@ -95,13 +95,17 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		return nil, err
 	}
 
-	var rec *spantrace.Recorder
-	if cfg.SpanTrace {
-		rec = spantrace.NewRecorder(nil, topo)
-		cl.Observe(rec)
-		cl.Spans = rec
-		eng.RegisterHook(rec.EngineHook(eng.Pending))
+	rec, coll, err := observeConfig{
+		spanTrace: cfg.SpanTrace,
+		telemetry: cfg.Telemetry || cfg.Metrics != nil,
+		metrics:   cfg.Metrics,
+		hooks:     cfg.Hooks,
+		ctx:       cfg.Context,
+	}.attach(eng, net, topo, nil, nil, cl.Observe)
+	if err != nil {
+		return nil, err
 	}
+	cl.Spans = rec
 
 	var inj *faults.Injector
 	if cfg.Faults != nil {
@@ -125,43 +129,6 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 				rec.AddFault(w.Label(), w.Start, w.End)
 			}
 		}
-	}
-
-	var coll *telemetry.Collector
-	if cfg.Telemetry || cfg.Metrics != nil {
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		coll = telemetry.NewCollector(reg, topo, nil)
-		eng.RegisterHook(coll.EngineHook(eng.Pending))
-		cl.Observe(coll)
-	}
-	switch {
-	case coll != nil && rec != nil:
-		net.Observer = network.MultiFlowObserver{coll, rec}
-	case coll != nil:
-		net.Observer = coll
-	case rec != nil:
-		net.Observer = rec
-	}
-	for _, h := range cfg.Hooks {
-		eng.RegisterHook(h)
-	}
-	if ctx := cfg.Context; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: simulation canceled: %w", err)
-		}
-		var dispatched uint64
-		eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
-			if hc.Pos != sim.HookPosAfterEvent {
-				return
-			}
-			dispatched++
-			if dispatched&1023 == 0 && ctx.Err() != nil {
-				eng.Terminate()
-			}
-		}))
 	}
 
 	cl.Start()

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"triosim/internal/faults"
 	"triosim/internal/gpu"
 	"triosim/internal/spantrace"
+	"triosim/internal/telemetry"
 )
 
 // TestSpanTraceDoesNotPerturbSchedule pins the observation-only contract for
@@ -167,5 +170,39 @@ func TestSpanTraceChromeExport(t *testing.T) {
 	}
 	if err := spantrace.ValidateChromeTrace(data); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTimelineHTMLHighlightsEachCriticalStepOnce: under data parallelism
+// every GPU runs the same label at the same time, so the HTML view must
+// match critical steps by task id, not by label and time. It outlines
+// exactly one bar per critical compute, comm or host-load step.
+func TestTimelineHTMLHighlightsEachCriticalStepOnce(t *testing.T) {
+	res, err := Simulate(Config{
+		Model: "resnet18", Platform: p1(), Parallelism: DDP,
+		TraceBatch: 32, SpanTrace: true, Telemetry: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, st := range res.CriticalPath.Steps {
+		switch st.Category {
+		case "compute", "comm", "hostload":
+			want++
+		}
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteTimelineHTML(&buf, "ddp", res.Spans,
+		res.Report); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), `stroke="#222"`); got != want ||
+		want == 0 {
+		t.Fatalf("%d bars highlighted for %d critical resource steps",
+			got, want)
+	}
+	if got := strings.Count(buf.String(), "<tr><td>gpu"); got != 2 {
+		t.Fatalf("%d breakdown rows, want one per GPU (2)", got)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"triosim/internal/sim"
 	"triosim/internal/sweep"
 	"triosim/internal/task"
-	"triosim/internal/timeline"
 	"triosim/internal/trace"
 	"triosim/internal/tracecache"
 )
@@ -105,14 +104,13 @@ func runWafer(model string, topo *network.Topology, net network.Network,
 	if err != nil {
 		return 0, 0, err
 	}
-	tl := timeline.New()
-	makespan, err := task.NewExecutor(eng, net, res.Graph, tl).Run()
+	x := task.NewExecutor(eng, net, res.Graph, nil)
+	makespan, err := x.Run()
 	if err != nil {
 		return 0, 0, err
 	}
 	iters := sim.VTime(waferIterations)
-	return makespan / iters,
-		tl.UnionTime(timeline.ByPhase("comm")) / iters, nil
+	return makespan / iters, x.BusyTime(task.Comm) / iters, nil
 }
 
 // waferModels picks the case-study workloads.

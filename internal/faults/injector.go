@@ -103,9 +103,6 @@ func (in *Injector) Factor(gpu int, at sim.VTime) float64 {
 	return 1
 }
 
-// TimelineResource is the timeline lane fault windows are recorded on.
-const TimelineResource = "faults"
-
 // FailLabel renders a GPUFail marker label.
 func FailLabel(f Failure) string {
 	return fmt.Sprintf("gpu%d fail", f.GPU)

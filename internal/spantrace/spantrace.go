@@ -327,7 +327,7 @@ func (r *Recorder) gpuTrackSlow(gpu int) int32 {
 }
 
 func gpuName(gpu int) string {
-	// Matches the executor's timeline lane names.
+	// Matches the executor's interval-log lane names.
 	return "gpu" + itoa(gpu)
 }
 

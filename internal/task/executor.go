@@ -2,7 +2,6 @@ package task
 
 import (
 	"fmt"
-	"slices"
 
 	"triosim/internal/network"
 	"triosim/internal/sim"
@@ -35,13 +34,19 @@ func (os Observers) TaskDone(t *Task, start, end sim.VTime) {
 // Executor runs a task graph on the event engine: compute tasks occupy their
 // GPU's compute stream serially (in ready order), communication tasks go to
 // the network model (which shares bandwidth among concurrent transfers), and
-// barriers resolve instantly. It records every activity on a timeline.
+// barriers resolve instantly. It sums each resource kind's busy time as it
+// runs (BusyTime) and, when given an interval log, records every compute,
+// comm and host-load activity on it.
 type Executor struct {
 	eng   sim.Engine
 	net   network.Network
 	graph *Graph
 	tl    *timeline.Timeline
 	obs   Observers
+
+	// busy holds the Compute, Comm and HostLoad occupancy counters, indexed
+	// by Kind.
+	busy [HostLoad + 1]busyCounter
 
 	// Stretch optionally scales compute-task durations per GPU: a task
 	// starting at time at on gpu runs for Duration×Stretch(gpu, at). The
@@ -65,8 +70,8 @@ type Executor struct {
 }
 
 // laneState is one GPU's compute stream: a head-indexed FIFO whose backing
-// array is reused once drained, plus the busy flag and the cached timeline
-// lane name (formerly a fmt.Sprintf per task completion).
+// array is reused once drained, plus the busy flag and the interval log's
+// lane name (cached only when the executor records intervals).
 type laneState struct {
 	queue []*Task
 	head  int
@@ -87,13 +92,42 @@ type doneRec struct {
 	gpu   int
 	start sim.VTime
 	delay bool
-	phase string
 
 	onTimer func(now sim.VTime) error
 	onComm  func(end sim.VTime)
 }
 
-// NewExecutor prepares an executor; call Run to execute.
+// busyCounter sums the union of one kind's activity intervals in O(1) per
+// task. Tasks open and close it in dispatch order, which is nondecreasing in
+// virtual time, so it replays timeline.UnionTime's sorted sweep exactly:
+// when depth drops to zero the close is held, an open at the same instant
+// resumes the segment (touching intervals merge), and a later open first
+// adds close−open to the total, so segments are summed in time order and a
+// zero-length interval adds +0. The zero value holds the empty segment
+// [0, 0].
+type busyCounter struct {
+	depth       int
+	open, close sim.VTime
+	total       sim.VTime
+}
+
+func (b *busyCounter) start(now sim.VTime) {
+	if b.depth == 0 && now.After(b.close) {
+		b.total += b.close - b.open
+		b.open = now
+	}
+	b.depth++
+}
+
+func (b *busyCounter) end(now sim.VTime) {
+	b.depth--
+	if b.depth == 0 {
+		b.close = now
+	}
+}
+
+// NewExecutor prepares an executor; call Run to execute. tl is an optional
+// interval log: nil records nothing.
 func NewExecutor(eng sim.Engine, net network.Network, g *Graph,
 	tl *timeline.Timeline) *Executor {
 	return &Executor{
@@ -114,6 +148,15 @@ func (x *Executor) notify(t *Task, start, end sim.VTime) {
 	x.obs.TaskDone(t, start, end)
 }
 
+// BusyTime returns the union time during which at least one task of kind k
+// (Compute, Comm or HostLoad) was running: the value
+// timeline.UnionTime(timeline.ByPhase(k.String())) gives over the same run's
+// interval log, bit for bit. Read it after Run.
+func (x *Executor) BusyTime(k Kind) sim.VTime {
+	b := &x.busy[k]
+	return b.total + (b.close - b.open)
+}
+
 // lane returns gpu's lane, growing the lane table on first sight of the GPU.
 // The returned pointer is only valid until the next lane call — don't retain.
 func (x *Executor) lane(gpu int) *laneState {
@@ -121,7 +164,7 @@ func (x *Executor) lane(gpu int) *laneState {
 		x.lanes = append(x.lanes, laneState{})
 	}
 	l := &x.lanes[gpu]
-	if l.name == "" {
+	if l.name == "" && x.tl != nil {
 		l.name = fmt.Sprintf("gpu%d", gpu)
 	}
 	return l
@@ -146,7 +189,6 @@ func (x *Executor) getRec() *doneRec {
 // started later in the same completion.
 func (x *Executor) putRec(r *doneRec) {
 	r.t = nil
-	r.phase = ""
 	x.free = append(x.free, r)
 }
 
@@ -158,15 +200,9 @@ func (x *Executor) Run() (sim.VTime, error) {
 	}
 	x.indeg = make([]int, x.graph.Len())
 	x.remaining = x.graph.Len()
-	recorded := 0 // tasks that add a timeline interval when they finish
 	for _, t := range x.graph.Tasks {
 		x.indeg[t.ID] = len(t.deps)
-		if t.Kind == Compute || t.Kind == Comm || t.Kind == HostLoad {
-			recorded++
-		}
 	}
-	// Reserve the interval log once instead of letting append regrow it.
-	x.tl.Intervals = slices.Grow(x.tl.Intervals, recorded)
 	x.startTime = x.eng.CurrentTime()
 	x.lastEnd = x.startTime
 
@@ -205,12 +241,9 @@ func (x *Executor) ready(t *Task, now sim.VTime) {
 			x.startNextCompute(t.GPU, now)
 		}
 	case Comm, HostLoad:
-		phase := "comm"
-		if t.Kind == HostLoad {
-			phase = "hostload"
-		}
+		x.busy[t.Kind].start(now)
 		r := x.getRec()
-		r.t, r.start, r.phase = t, now, phase
+		r.t, r.start = t, now
 		x.net.Send(t.Src, t.Dst, t.Bytes, r.onComm)
 	case Barrier:
 		x.notify(t, now, now)
@@ -236,6 +269,7 @@ func (x *Executor) startNextCompute(gpu int, now sim.VTime) {
 		l.head = 0
 	}
 	l.busy = true
+	x.busy[Compute].start(now)
 	dur := t.Duration
 	if x.Stretch != nil {
 		if f := x.Stretch(gpu, now); f != 1 {
@@ -256,7 +290,10 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 		x.complete(t, done)
 		return nil
 	}
-	x.tl.Add(x.lane(gpu).name, t.Label, "compute", start, done)
+	x.busy[Compute].end(done)
+	if x.tl != nil {
+		x.tl.Add(x.lane(gpu).name, t.Label, "compute", start, done)
+	}
 	x.notify(t, start, done)
 	x.lane(gpu).busy = false
 	x.complete(t, done)
@@ -267,9 +304,12 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 // commDone completes a communication task when the network model reports the
 // transfer finished.
 func (r *doneRec) commDone(end sim.VTime) {
-	x, t, start, phase := r.x, r.t, r.start, r.phase
+	x, t, start := r.x, r.t, r.start
 	x.putRec(r)
-	x.tl.Add("net", t.Label, phase, start, end)
+	x.busy[t.Kind].end(end)
+	if x.tl != nil {
+		x.tl.Add("net", t.Label, t.Kind.String(), start, end)
+	}
 	x.notify(t, start, end)
 	x.complete(t, end)
 }

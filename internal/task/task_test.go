@@ -1,6 +1,7 @@
 package task
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -273,7 +274,7 @@ func TestExecutorNoComputeOverlapProperty(t *testing.T) {
 			g.AddCompute(rng.Intn(2), sim.VTime(1+rng.Intn(5)), "t")
 		}
 		_, tl := runGraph(t, g, 1e9, 0)
-		for _, res := range tl.Resources() {
+		for _, res := range []string{"gpu0", "gpu1"} {
 			sum := tl.SumTime(timeline.ByResource(res))
 			union := tl.UnionTime(timeline.ByResource(res))
 			if sum != union {
@@ -304,5 +305,104 @@ func TestExecutorWithFlowNetwork(t *testing.T) {
 	}
 	if makespan != 2 {
 		t.Fatalf("shared-link makespan = %v, want 2", makespan)
+	}
+}
+
+// randomBusyGraph builds a seeded random DAG over three GPUs mixing every
+// task kind: zero-duration computes, transfers that overlap (and local ones
+// that take no time), host loads, delays and barriers. Serial compute streams
+// and cross-GPU dependencies produce same-instant hand-offs, where one
+// interval ends at t and the next starts at t.
+func randomBusyGraph(rng *rand.Rand) *Graph {
+	g := NewGraph()
+	n := 5 + rng.Intn(40)
+	for i := 0; i < n; i++ {
+		var tk *Task
+		switch r := rng.Intn(10); {
+		case r < 5:
+			dur := sim.VTime(rng.Float64() * 1e-3)
+			if rng.Intn(5) == 0 {
+				dur = 0
+			}
+			tk = g.AddCompute(rng.Intn(3), dur, "c")
+		case r < 7:
+			tk = g.AddComm(network.NodeID(rng.Intn(3)),
+				network.NodeID(rng.Intn(3)), rng.Float64()*1e6, "x")
+		case r < 8:
+			tk = g.AddHostLoad(9, network.NodeID(rng.Intn(3)),
+				rng.Float64()*1e6, "h")
+		case r < 9:
+			tk = g.AddDelay(sim.VTime(rng.Float64()*1e-4), "d")
+		default:
+			tk = g.AddBarrier("b")
+		}
+		for j := 0; j < i; j++ {
+			if rng.Intn(6) == 0 {
+				g.AddDep(g.Tasks[j], tk)
+			}
+		}
+	}
+	return g
+}
+
+// TestBusyTimeMatchesUnionTime is the differential test for the executor's
+// busy counters: on seeded random graphs, with and without a straggler
+// Stretch hook, BusyTime of every resource kind equals the sorted-sweep
+// UnionTime over the same run's interval log, bit for bit.
+func TestBusyTimeMatchesUnionTime(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		g := randomBusyGraph(rng)
+		eng := sim.NewSerialEngine()
+		var lat sim.VTime
+		if trial%2 == 0 {
+			lat = 1e-6
+		}
+		tl := timeline.New()
+		x := NewExecutor(eng, network.NewIdealNetwork(eng, 1e9, lat), g, tl)
+		if trial%3 == 0 {
+			x.Stretch = func(gpu int, at sim.VTime) float64 {
+				if gpu == 1 && at.AtOrAfter(2e-4) {
+					return 1.7
+				}
+				return 1
+			}
+		}
+		if _, err := x.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []Kind{Compute, Comm, HostLoad} {
+			got := x.BusyTime(k)
+			want := tl.UnionTime(timeline.ByPhase(k.String()))
+			if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("trial %d: BusyTime(%s) = %v (%#x), UnionTime %v (%#x)",
+					trial, k, got, math.Float64bits(float64(got)), want,
+					math.Float64bits(float64(want)))
+			}
+		}
+	}
+}
+
+// TestBusyTimeWithoutLog: a nil interval log records nothing but the busy
+// counters still run.
+func TestBusyTimeWithoutLog(t *testing.T) {
+	g := NewGraph()
+	a := g.AddCompute(0, 2, "a")
+	c := g.AddComm(0, 1, 2e9, "xfer")
+	g.AddDep(a, c)
+	g.AddCompute(0, 3, "b")
+	eng := sim.NewSerialEngine()
+	x := NewExecutor(eng, network.NewIdealNetwork(eng, 1e9, 0), g, nil)
+	if _, err := x.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := x.BusyTime(Compute); got != 5 {
+		t.Fatalf("compute busy = %v, want 5", got)
+	}
+	if got := x.BusyTime(Comm); got != 2 {
+		t.Fatalf("comm busy = %v, want 2", got)
+	}
+	if got := x.BusyTime(HostLoad); got != 0 {
+		t.Fatalf("hostload busy = %v, want 0", got)
 	}
 }

@@ -2,7 +2,8 @@
 // virtual-time-aware registry of counters, gauges, and fixed-bucket
 // histograms, plus the collector that threads instrumentation through the
 // simulator (per-GPU compute/comm/idle accounting, per-link utilization,
-// collective bandwidths, and engine self-profiling).
+// collective bandwidths, and engine self-profiling). WriteTimelineHTML
+// renders a run's span log and RunReport as a self-contained HTML timeline.
 //
 // The package obeys the serial-engine determinism contract (triosimvet):
 // no locks, no goroutines, no wall-clock reads. All mutation happens on the

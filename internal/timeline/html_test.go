@@ -1,55 +1,43 @@
-package timeline
+package timeline_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"triosim/internal/network"
+	"triosim/internal/sim"
+	"triosim/internal/spantrace"
+	"triosim/internal/task"
+	"triosim/internal/telemetry"
+	"triosim/internal/timeline"
 )
 
-func TestExportHTML(t *testing.T) {
-	tl := New()
-	tl.Add("gpu0", "conv2d", "compute", 0, 2e-3)
-	tl.Add("gpu1", "allreduce-step0", "comm", 1e-3, 3e-3)
-	tl.Add("net", "stage-input", "hostload", 0, 5e-4)
+// TestExportHTMLEmptyTimeline: a run of an empty graph leaves the timeline
+// empty, and its HTML export is well formed with no rows or bars.
+func TestExportHTMLEmptyTimeline(t *testing.T) {
+	eng := sim.NewSerialEngine()
+	g := task.NewGraph()
+	tl := timeline.New()
+	x := task.NewExecutor(eng, network.NewIdealNetwork(eng, 1e9, 0), g, tl)
+	rec := spantrace.NewRecorder(g, nil)
+	x.Observe(rec)
+	if _, err := x.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tl.Intervals) != 0 {
+		t.Fatalf("empty run recorded %d intervals", len(tl.Intervals))
+	}
 	var buf bytes.Buffer
-	if err := tl.ExportHTML(&buf, "test timeline"); err != nil {
+	if err := telemetry.WriteTimelineHTML(&buf, "empty", rec.Finalize(),
+		&telemetry.RunReport{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{
-		"<!DOCTYPE html>", "<svg", "</svg>", "test timeline",
-		"gpu0", "gpu1", "net", "conv2d", "allreduce-step0",
-		"#4878cf", "#d65f5f", "#6acc65",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("HTML missing %q", want)
-		}
-	}
-	// One rect per interval plus one lane background per resource.
-	if got := strings.Count(out, "<rect"); got != 3+3 {
-		t.Fatalf("rect count = %d, want 6", got)
-	}
-}
-
-func TestExportHTMLEscapes(t *testing.T) {
-	tl := New()
-	tl.Add("gpu0", `<script>alert("x")</script>`, "compute", 0, 1)
-	var buf bytes.Buffer
-	if err := tl.ExportHTML(&buf, "<title>"); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "<script>") {
-		t.Fatal("labels not escaped")
-	}
-}
-
-func TestExportHTMLEmptyTimeline(t *testing.T) {
-	tl := New()
-	var buf bytes.Buffer
-	if err := tl.ExportHTML(&buf, "empty"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "</svg>") {
+	if !strings.Contains(out, "</svg>") {
 		t.Fatal("empty export malformed")
+	}
+	if strings.Contains(out, "<td>") || strings.Contains(out, "<rect") {
+		t.Fatal("empty export drew rows or bars")
 	}
 }

@@ -1,16 +1,12 @@
-// Package timeline records execution intervals produced by the simulator:
-// which resource (GPU compute stream, network) was doing what, from when to
-// when. It backs TrioSim's outputs beyond the total time: the per-layer and
-// per-stage communication/computation breakdown and the Daisen-style
-// timeline export.
+// Package timeline is an optional interval log for task.Executor: which
+// resource (GPU compute stream, network) was doing what, from when to when.
+// Its sorted-sweep UnionTime is the reference implementation of the busy
+// times the executor sums as it runs (task.Executor.BusyTime); tests use
+// the log to check schedules interval by interval.
 package timeline
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"slices"
-	"sort"
 
 	"triosim/internal/sim"
 )
@@ -44,24 +40,6 @@ func (tl *Timeline) Add(resource, label, phase string, start, end sim.VTime) {
 		Resource: resource, Label: label, Phase: phase,
 		Start: start, End: end,
 	})
-}
-
-// Span returns the earliest start and latest end across all intervals.
-func (tl *Timeline) Span() (start, end sim.VTime) {
-	if len(tl.Intervals) == 0 {
-		return 0, 0
-	}
-	start = sim.Infinity
-	for i := range tl.Intervals {
-		iv := &tl.Intervals[i]
-		if iv.Start.Before(start) {
-			start = iv.Start
-		}
-		if iv.End.After(end) {
-			end = iv.End
-		}
-	}
-	return start, end
 }
 
 // SumTime adds up interval durations matching the filter (overlaps counted
@@ -148,64 +126,4 @@ func And(fs ...func(*Interval) bool) func(*Interval) bool {
 		}
 		return true
 	}
-}
-
-// Resources returns the distinct resource names, sorted.
-func (tl *Timeline) Resources() []string {
-	seen := map[string]bool{}
-	for i := range tl.Intervals {
-		seen[tl.Intervals[i].Resource] = true
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// chromeEvent is the Chrome trace-viewer "complete" event format, which
-// Daisen-style visualizers (chrome://tracing, Perfetto) load directly.
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
-}
-
-// ExportChromeTrace writes the timeline as a Chrome trace-viewer JSON array.
-func (tl *Timeline) ExportChromeTrace(w io.Writer) error {
-	resources := tl.Resources()
-	tidOf := map[string]int{}
-	for i, r := range resources {
-		tidOf[r] = i
-	}
-	events := make([]chromeEvent, 0, len(tl.Intervals))
-	for i := range tl.Intervals {
-		iv := &tl.Intervals[i]
-		events = append(events, chromeEvent{
-			Name: iv.Label,
-			Cat:  iv.Phase,
-			Ph:   "X",
-			Ts:   iv.Start.Microseconds(),
-			Dur:  iv.Duration().Microseconds(),
-			PID:  0,
-			TID:  tidOf[iv.Resource],
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
-// Summary formats per-resource busy times for quick inspection.
-func (tl *Timeline) Summary() string {
-	out := ""
-	for _, r := range tl.Resources() {
-		busy := tl.UnionTime(ByResource(r))
-		out += fmt.Sprintf("%-8s busy %v\n", r, busy)
-	}
-	return out
 }

@@ -1,8 +1,6 @@
 package timeline
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"sort"
 	"testing"
@@ -30,19 +28,6 @@ func TestSumAndUnion(t *testing.T) {
 	}
 }
 
-func TestSpan(t *testing.T) {
-	tl := New()
-	if s, e := tl.Span(); s != 0 || e != 0 {
-		t.Fatal("empty span not zero")
-	}
-	tl.Add("x", "a", "p", 2, 4)
-	tl.Add("x", "b", "p", 1, 3)
-	s, e := tl.Span()
-	if s != 1 || e != 4 {
-		t.Fatalf("span = [%v, %v]", s, e)
-	}
-}
-
 func TestFilters(t *testing.T) {
 	tl := New()
 	tl.Add("gpu0", "a", "compute", 0, 1)
@@ -50,10 +35,6 @@ func TestFilters(t *testing.T) {
 	got := tl.SumTime(And(ByResource("gpu1"), ByPhase("compute")))
 	if got != 2 {
 		t.Fatalf("And filter = %v", got)
-	}
-	rs := tl.Resources()
-	if len(rs) != 2 || rs[0] != "gpu0" || rs[1] != "gpu1" {
-		t.Fatalf("Resources = %v", rs)
 	}
 }
 
@@ -131,37 +112,6 @@ func TestUnionMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestChromeTraceExport(t *testing.T) {
-	tl := New()
-	tl.Add("gpu0", "conv2d", "compute", 0, 1e-3)
-	tl.Add("net", "allreduce", "comm", 1e-3, 2e-3)
-	var buf bytes.Buffer
-	if err := tl.ExportChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("invalid chrome trace JSON: %v", err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("events = %d", len(events))
-	}
-	if events[0]["name"] != "conv2d" || events[0]["ph"] != "X" {
-		t.Fatalf("bad event: %v", events[0])
-	}
-	if events[0]["dur"].(float64) != 1000 {
-		t.Fatalf("duration should be in microseconds: %v", events[0]["dur"])
-	}
-}
-
-func TestSummary(t *testing.T) {
-	tl := New()
-	tl.Add("gpu0", "a", "compute", 0, 1)
-	if s := tl.Summary(); s == "" {
-		t.Fatal("empty summary")
-	}
-}
-
 // TestUnionTimeAllocs gates UnionTime at one allocation: the edge slice,
 // sized exactly from a counting pass and sorted in place.
 func TestUnionTimeAllocs(t *testing.T) {
@@ -183,5 +133,19 @@ func TestUnionTimeAllocs(t *testing.T) {
 	}
 	if got <= 0 {
 		t.Fatalf("UnionTime = %v over 500 intervals", got)
+	}
+}
+
+// TestBreakdownEmpty: an empty timeline breaks down to zero time in every
+// phase, whether overlaps are summed or merged.
+func TestBreakdownEmpty(t *testing.T) {
+	tl := New()
+	for _, phase := range []string{"compute", "comm", "hostload"} {
+		if s, u := tl.SumTime(ByPhase(phase)), tl.UnionTime(ByPhase(phase)); s != 0 || u != 0 {
+			t.Fatalf("empty timeline %s: sum %v union %v", phase, s, u)
+		}
+	}
+	if u := tl.UnionTime(func(*Interval) bool { return true }); u != 0 {
+		t.Fatalf("empty timeline busy time = %v", u)
 	}
 }

@@ -67,6 +67,16 @@ go run ./cmd/triosim -model resnet18 -platform P1 -parallelism ddp \
   -trace-batch 32 -trace-out "$trace_out" >/dev/null
 go run ./cmd/triosimvet -trace-check "$trace_out"
 
+echo "==> timeline-html smoke (-timeline-html: file written, SVG lanes, one breakdown row per GPU)"
+html_out="$tmpdir/timeline.html"
+go run ./cmd/triosim -model resnet18 -platform P1 -parallelism ddp \
+  -trace-batch 32 -fault-seed 7 -timeline-html "$html_out" >/dev/null
+[[ -s "$html_out" ]] || { echo "timeline-html: $html_out not written"; exit 1; }
+grep -q '<svg' "$html_out" || { echo "timeline-html: no <svg> in $html_out"; exit 1; }
+html_rows="$(grep -c '^<tr><td>gpu' "$html_out" || true)"
+[[ "$html_rows" == 2 ]] ||
+  { echo "timeline-html: $html_rows breakdown rows, want 2 (one per P1 GPU)"; exit 1; }
+
 echo "==> triosimd smoke (daemon + load harness + coalescing + CLI byte-identity gate)"
 go build -o "$tmpdir/triosimd" ./cmd/triosimd
 go build -o "$tmpdir/triosimload" ./cmd/triosimload

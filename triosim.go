@@ -42,8 +42,8 @@ import (
 type Config = core.Config
 
 // Result is the simulator's output: total/per-iteration time, the
-// communication/computation breakdown, the timeline, and the simulator's
-// own wall-clock cost.
+// communication/computation breakdown, the optional span log and RunReport,
+// and the simulator's own wall-clock cost.
 type Result = core.Result
 
 // Comparison is a predicted-vs-hardware validation pair.

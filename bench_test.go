@@ -618,6 +618,35 @@ func BenchmarkEngineQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkDigestHook times the replay digest's fold of one dispatched
+// event (time, label, secondary flag, count) over the flow network's event
+// mix: runs of primary deliveries broken by secondary re-solves. Each
+// (event, handler, secondary) fold table is built during warm-up, so the
+// loop must run at 0 allocs/op (gated via BENCH_*.json).
+func BenchmarkDigestHook(b *testing.B) {
+	events := make([]sim.Event, 8)
+	for i := range events {
+		if i%4 == 3 {
+			events[i] = sim.NewSecondaryFuncEvent(0, benchNop)
+		} else {
+			events[i] = sim.NewFuncEvent(0, benchNop)
+		}
+	}
+	d := sim.NewDigestHook()
+	fold := func(i int) {
+		d.Func(sim.HookCtx{Pos: sim.HookPosBeforeEvent,
+			Now: sim.VTime(i) * sim.NSec, Item: events[i%len(events)]})
+	}
+	for i := range events {
+		fold(i) // build the fold tables
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fold(i)
+	}
+}
+
 func BenchmarkFlowNetworkContention(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewSerialEngine()

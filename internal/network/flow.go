@@ -159,13 +159,11 @@ type FlowNetwork struct {
 	// sizes").
 	RampBytes float64
 
-	flows map[int]*flow
-	// ordered holds the in-flight flows in ascending id order. Anything that
-	// schedules events or produces output per flow must iterate this slice,
-	// not the flows map: same-timestamp events tie-break on scheduling
-	// sequence, so map iteration order would leak into the simulated
-	// schedule (triosimvet: map-range-order). ids are assigned
-	// monotonically, so appends keep it sorted without re-sorting.
+	// ordered holds the in-flight flows in ascending id order: it is the
+	// network's only flow set, and per-flow work iterates it in id order, so
+	// same-timestamp events (which tie-break on scheduling sequence) never
+	// depend on anything but ids. ids are assigned monotonically, so appends
+	// keep it sorted without re-sorting.
 	ordered    []*flow
 	nextID     int
 	lastUpdate sim.VTime
@@ -264,7 +262,6 @@ func NewFlowNetwork(eng sim.Engine, topo *Topology) *FlowNetwork {
 	n := &FlowNetwork{
 		eng:   eng,
 		topo:  topo,
-		flows: map[int]*flow{},
 		links: make([]*linkState, 2*len(topo.Links)),
 	}
 	n.reallocFn = n.onReallocate
@@ -277,7 +274,7 @@ var _ Network = (*FlowNetwork)(nil)
 func (n *FlowNetwork) Topology() *Topology { return n.topo }
 
 // InFlight returns the number of active flows.
-func (n *FlowNetwork) InFlight() int { return len(n.flows) }
+func (n *FlowNetwork) InFlight() int { return len(n.ordered) }
 
 // Send starts a transfer of bytes from src to dst. onDone fires at delivery.
 // Local transfers (src == dst) complete immediately.
@@ -314,7 +311,6 @@ func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 	f.schedRate = 0
 	f.lastAdv = now
 	n.advance(now)
-	n.flows[f.id] = f
 	n.ordered = append(n.ordered, f)
 	n.attachLinks(f)
 	n.scheduleReallocate(now)
@@ -459,7 +455,7 @@ func (n *FlowNetwork) onReallocate(t sim.VTime) error {
 	n.advance(t)
 	n.reallocate(t)
 	if n.Observer != nil {
-		n.Observer.RatesRecomputed(len(n.flows), t)
+		n.Observer.RatesRecomputed(len(n.ordered), t)
 	}
 	return nil
 }
@@ -564,14 +560,16 @@ func (n *FlowNetwork) rescheduleApprox(now sim.VTime) {
 }
 
 // completeFlow finalizes a flow when its delivery event fires, unless the
-// event was superseded by a reallocation.
+// event was superseded by a reallocation. The generation alone identifies
+// the live event: every scheduleFinish follows a gen bump, so each
+// generation value backs at most one event, and the live one is consumed
+// here before f can be recycled. An event from a flow's previous life, or
+// one a later solve superseded, carries an older gen.
 func (n *FlowNetwork) completeFlow(f *flow, gen int, now sim.VTime) {
-	cur, ok := n.flows[f.id]
-	if !ok || cur != f || f.gen != gen {
+	if f.gen != gen {
 		return // stale event
 	}
 	n.advance(now)
-	delete(n.flows, f.id)
 	n.detachLinks(f)
 	if n.Observer != nil {
 		n.Observer.FlowFinished(f.route, f.bytes, f.start, now)
@@ -810,8 +808,8 @@ func (n *FlowNetwork) RatesInto(dst map[int]float64) {
 	for id := range dst {
 		delete(dst, id)
 	}
-	for id, f := range n.flows {
-		dst[id] = f.rate
+	for _, f := range n.ordered {
+		dst[f.id] = f.rate
 	}
 }
 

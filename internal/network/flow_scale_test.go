@@ -177,9 +177,9 @@ func TestPartitionedSolveMatchesReferenceOnTieredTopo(t *testing.T) {
 
 		want := referenceRates(net)
 		net.computeRates()
-		if len(want) != len(net.flows) {
+		if len(want) != net.InFlight() {
 			t.Fatalf("trial %d: reference solved %d flows, have %d",
-				trial, len(want), len(net.flows))
+				trial, len(want), net.InFlight())
 		}
 		for _, f := range net.ordered {
 			if f.rate != want[f.id] {

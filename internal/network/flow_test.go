@@ -245,7 +245,7 @@ func TestMaxMinInvariantsProperty(t *testing.T) {
 		}
 		usage := map[DirLink]float64{}
 		flowsOn := map[DirLink][]*flow{}
-		for _, f := range net.flows {
+		for _, f := range net.ordered {
 			if f.rate <= 0 {
 				t.Fatalf("trial %d: flow starved", trial)
 			}
@@ -261,7 +261,7 @@ func TestMaxMinInvariantsProperty(t *testing.T) {
 					trial, dl, u, cap)
 			}
 		}
-		for _, f := range net.flows {
+		for _, f := range net.ordered {
 			bottlenecked := false
 			for _, dl := range f.route {
 				cap := topo.Links[dl.Link].Bandwidth
@@ -470,9 +470,9 @@ func TestMaxMinMatchesReferenceSolve(t *testing.T) {
 
 		want := referenceRates(net)
 		net.computeRates()
-		if len(want) != len(net.flows) {
+		if len(want) != net.InFlight() {
 			t.Fatalf("trial %d: reference solved %d flows, have %d",
-				trial, len(want), len(net.flows))
+				trial, len(want), net.InFlight())
 		}
 		for _, f := range net.ordered {
 			if f.rate != want[f.id] {

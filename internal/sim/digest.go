@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync" //triosim:nolint no-goroutine-in-sim -- guards the process-wide fold-table store that concurrent daemon workers' engines share; no engine state
 )
 
 // FNV-1a constants (64-bit).
@@ -26,17 +27,13 @@ type DigestHook struct {
 	digest uint64
 	count  uint64
 
-	// labels caches the default "%T/%T" label per (event type, handler
-	// type) pair, so fmt.Sprintf runs once per pair instead of once per
-	// event; last memoizes the most recent pair, which a run of same-kind
-	// events (a collective step's deliveries) hits without hashing.
-	labels   map[labelKey]string
-	last     labelKey
-	lastName string
+	// memo holds, per secondary bit, the most recent fold table and its
+	// key, so a run of same-kind events skips the shared table store.
+	memo [2]struct {
+		key foldKey
+		tab *foldTable
+	}
 }
-
-// labelKey identifies one (event, handler) dynamic-type pair.
-type labelKey struct{ event, handler reflect.Type }
 
 // NewDigestHook returns a hook with an empty digest.
 func NewDigestHook() *DigestHook {
@@ -45,44 +42,36 @@ func NewDigestHook() *DigestHook {
 
 var _ Hook = (*DigestHook)(nil)
 
-// Func implements Hook, folding each dispatch as it begins.
+// Func implements Hook, folding each dispatch as it begins: the time's
+// bytes, the event's label, the label length and the secondary flag, then
+// the dispatch count.
 func (d *DigestHook) Func(ctx HookCtx) {
 	if ctx.Pos != HookPosBeforeEvent {
 		return
 	}
 	d.foldUint64(math.Float64bits(float64(ctx.Now)))
 	if e, ok := ctx.Item.(Event); ok {
-		var name string
 		if d.NameOf != nil {
-			name = d.NameOf(e)
+			d.foldString(d.NameOf(e))
+			d.foldUint64(uint64(boolBit(e.IsSecondary())))
 		} else {
-			name = d.label(e)
+			d.digest = d.table(e).fold(d.digest)
 		}
-		d.foldString(name)
-		d.foldUint64(uint64(boolBit(e.IsSecondary())))
 	}
 	d.foldUint64(d.count)
 	d.count++
 }
 
-// label returns fmt.Sprintf("%T/%T", e, e.Handler()) from the per-pair
-// cache. The folded bytes are the same string, so the digest is unchanged.
-func (d *DigestHook) label(e Event) string {
+// table returns the fold table of e's default label and secondary flag,
+// from the hook's memo or the process-wide store.
+func (d *DigestHook) table(e Event) *foldTable {
 	h := e.Handler()
-	k := labelKey{reflect.TypeOf(e), reflect.TypeOf(h)}
-	if k == d.last { // never the zero key: e is non-nil
-		return d.lastName
+	k := foldKey{reflect.TypeOf(e), reflect.TypeOf(h), e.IsSecondary()}
+	m := &d.memo[boolBit(k.secondary)]
+	if m.key != k { // e is non-nil, so k is never the empty slot's zero key
+		m.key, m.tab = k, sharedFoldTable(k, e, h)
 	}
-	name, ok := d.labels[k]
-	if !ok {
-		if d.labels == nil {
-			d.labels = map[labelKey]string{}
-		}
-		name = fmt.Sprintf("%T/%T", e, h)
-		d.labels[k] = name
-	}
-	d.last, d.lastName = k, name
-	return name
+	return m.tab
 }
 
 // Sum64 returns the digest over all events folded so far.
@@ -110,6 +99,74 @@ func boolBit(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// foldTable folds one fixed byte string S — an event's label, the label
+// length and the secondary flag, exactly the bytes DigestHook folds per
+// event between the time and the count — into an FNV-1a state in constant
+// time.
+//
+// One FNV-1a step is d ↦ (d ^ b)·p. The xor changes only the low byte of
+// d, so it adds a correction, (d&0xff ^ b) − d&0xff, that depends on that
+// low byte alone, and the new low byte depends on the old one alone. By
+// induction, folding S of length k maps d ↦ d·pᵏ + C[d & 0xff] (mod 2⁶⁴).
+// add holds C for all 256 low bytes, each found by folding S byte-wise from
+// that low byte.
+type foldTable struct {
+	mul uint64 // pᵏ
+	add [256]uint64
+}
+
+// newFoldTable builds the table of label, len(label) and the secondary bit.
+func newFoldTable(label string, secondary bool) *foldTable {
+	t := &foldTable{mul: 1}
+	for k := len(label) + 8 + 8; k > 0; k-- { // label, length, secondary flag
+		t.mul *= fnvPrime
+	}
+	var h DigestHook
+	for x := range t.add {
+		h.digest = uint64(x)
+		h.foldString(label)
+		h.foldUint64(uint64(boolBit(secondary)))
+		t.add[x] = h.digest - uint64(x)*t.mul
+	}
+	return t
+}
+
+// fold returns the state after folding the table's string from d.
+func (t *foldTable) fold(d uint64) uint64 {
+	return d*t.mul + t.add[d&0xff]
+}
+
+// foldKey identifies one default-label fold table.
+type foldKey struct {
+	event, handler reflect.Type
+	secondary      bool
+}
+
+// foldTables is the process-wide fold-table store. Tables are pure
+// functions of their key, so every DigestHook — including the ones
+// concurrent daemon workers run on their own engines — shares them; each is
+// built once per process, on a key's first event.
+var foldTables struct {
+	mu   sync.Mutex
+	tabs map[foldKey]*foldTable
+}
+
+// sharedFoldTable returns the table of fmt.Sprintf("%T/%T", e, h) and k's
+// secondary bit, building it on first use.
+func sharedFoldTable(k foldKey, e Event, h Handler) *foldTable {
+	foldTables.mu.Lock()
+	defer foldTables.mu.Unlock()
+	t, ok := foldTables.tabs[k]
+	if !ok {
+		if foldTables.tabs == nil {
+			foldTables.tabs = map[foldKey]*foldTable{}
+		}
+		t = newFoldTable(fmt.Sprintf("%T/%T", e, h), k.secondary)
+		foldTables.tabs[k] = t
+	}
+	return t
 }
 
 // ReplayCheck runs the workload `runs` times, each on a fresh engine with a

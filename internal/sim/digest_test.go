@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -124,7 +128,7 @@ func TestMonitorHandlerCountsSorted(t *testing.T) {
 }
 
 // tickEvent embeds EventBase, so its handler type is whatever the scheduler
-// passes; the label cache must key on both types, not the event alone.
+// passes; the fold tables must key on both types, not the event alone.
 type tickEvent struct {
 	EventBase
 	n int
@@ -157,14 +161,34 @@ func labelMix(eng *SerialEngine) error {
 	return nil
 }
 
-// TestDigestLabelCacheMatchesSprintf checks the cached default labels fold
-// exactly the bytes of the historical per-event fmt.Sprintf("%T/%T").
+// TestDigestLabelCacheMatchesSprintf checks the default labels' fold tables
+// fold exactly the bytes of the historical per-event fmt.Sprintf("%T/%T"):
+// the table-folded digest equals the byte-wise digest of the Sprintf label,
+// and each shared table is the one built from that label.
 func TestDigestLabelCacheMatchesSprintf(t *testing.T) {
+	sprintf := func(e Event) string { return fmt.Sprintf("%T/%T", e, e.Handler()) }
+	type dispatched struct {
+		key   foldKey
+		e     Event
+		h     Handler
+		label string
+	}
+	var seen []dispatched
 	digestOf := func(nameOf func(Event) string) uint64 {
 		eng := NewSerialEngine()
 		d := NewDigestHook()
 		d.NameOf = nameOf
 		eng.RegisterHook(d)
+		eng.RegisterHook(HookFunc(func(ctx HookCtx) {
+			if ctx.Pos != HookPosBeforeEvent || nameOf != nil {
+				return
+			}
+			e := ctx.Item.(Event)
+			h := e.Handler()
+			seen = append(seen, dispatched{
+				foldKey{reflect.TypeOf(e), reflect.TypeOf(h), e.IsSecondary()},
+				e, h, sprintf(e)})
+		}))
 		if err := labelMix(eng); err != nil {
 			t.Fatal(err)
 		}
@@ -177,20 +201,113 @@ func TestDigestLabelCacheMatchesSprintf(t *testing.T) {
 		return d.Sum64()
 	}
 	cached := digestOf(nil)
-	want := digestOf(func(e Event) string {
-		return fmt.Sprintf("%T/%T", e, e.Handler())
-	})
+	want := digestOf(sprintf)
 	if cached != want {
 		t.Fatalf("cached-label digest %#x, Sprintf-label digest %#x", cached, want)
 	}
+	for _, s := range seen {
+		got := sharedFoldTable(s.key, s.e, s.h)
+		if ref := newFoldTable(s.label, s.key.secondary); *got != *ref {
+			t.Fatalf("%s (secondary %v): shared table differs from the %%T/%%T label's",
+				s.label, s.key.secondary)
+		}
+	}
+}
+
+// concEvent and concHandler appear only in TestDigestHookConcurrentEngines,
+// so their fold tables are built while its engines run side by side.
+type concEvent struct{ EventBase }
+
+type concHandler struct{}
+
+func (concHandler) Handle(Event) error { return nil }
+
+// TestDigestHookConcurrentEngines runs engines on several goroutines at
+// once, as the daemon's workers do, so they build and read the shared fold
+// tables concurrently (run under -race in CI); every run must produce the
+// digest a lone run does.
+func TestDigestHookConcurrentEngines(t *testing.T) {
+	workload := func(eng *SerialEngine) error {
+		for i := 0; i < 50; i++ {
+			at := VTime(i % 5)
+			eng.Schedule(&concEvent{NewEventBase(at, concHandler{})})
+			eng.Schedule(&concEvent{EventBase{EventTime: at, EventHdl: concHandler{}, Secondary: true}})
+			ScheduleFunc(eng, at, func(VTime) error { return nil })
+		}
+		return labelMix(eng)
+	}
+	const workers = 4
+	digests := make([]uint64, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			digests[w], errs[w] = ReplayCheck(2, workload)
+		}(w)
+	}
+	wg.Wait()
+	want, err := ReplayCheck(2, workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range digests {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if digests[w] != want {
+			t.Fatalf("worker %d digest %#x, lone run %#x", w, digests[w], want)
+		}
+	}
+}
+
+// fnv1aRef is the byte-wise FNV-1a reference for FuzzDigestFold: it folds
+// label, its length and the secondary bit from state d, one byte at a time.
+func fnv1aRef(d uint64, label []byte, secondary bool) uint64 {
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(len(label)))
+	if secondary {
+		buf[8] = 1
+	}
+	for _, b := range append(append([]byte(nil), label...), buf[:]...) {
+		d = (d ^ uint64(b)) * fnvPrime
+	}
+	return d
+}
+
+// FuzzDigestFold checks the constant-time table fold against the byte-wise
+// FNV-1a fold for arbitrary start states, labels and secondary bits,
+// including the empty label and labels longer than the table's 256 rows.
+func FuzzDigestFold(f *testing.F) {
+	f.Add(fnvOffset, []byte(nil), false)
+	f.Add(fnvOffset, []byte("*sim.funcEvent/sim.HandlerFunc"), true)
+	f.Add(uint64(0), []byte("x"), false)
+	f.Add(^uint64(0), []byte(strings.Repeat("long label/", 30)), true)
+	f.Add(uint64(0x1234567890abcdef), bytes.Repeat([]byte{0xff, 0}, 200), false)
+	f.Fuzz(func(t *testing.T, d uint64, label []byte, secondary bool) {
+		tab := newFoldTable(string(label), secondary)
+		if got, want := tab.fold(d), fnv1aRef(d, label, secondary); got != want {
+			t.Fatalf("fold(%#x, %q, %v) = %#x, byte-wise FNV-1a %#x",
+				d, label, secondary, got, want)
+		}
+		var h DigestHook
+		h.digest = d
+		h.foldString(string(label))
+		h.foldUint64(uint64(boolBit(secondary)))
+		if h.digest != tab.fold(d) {
+			t.Fatalf("fold(%#x, %q, %v) = %#x, DigestHook byte-wise fold %#x",
+				d, label, secondary, tab.fold(d), h.digest)
+		}
+	})
 }
 
 // TestDigestHookFuncAllocs gates the digest hook at zero allocations per
-// event once each (event, handler) pair has been labeled.
+// event once each (event, handler, secondary) fold table has been built.
 func TestDigestHookFuncAllocs(t *testing.T) {
 	eng := NewSerialEngine()
 	ScheduleFunc(eng, 1, func(VTime) error { return nil })
-	pooled := eng.queue.items[0].event // a funcEvent from the engine's pool
+	pooled := eng.queue.events[0] // a funcEvent from the engine's pool
 	events := []Event{
 		pooled,
 		NewFuncEvent(1, func(VTime) error { return nil }),

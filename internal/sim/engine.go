@@ -28,17 +28,6 @@ type Engine interface {
 	EventCount() uint64
 }
 
-// queuedEvent decorates an event with its ordering key — firing time and
-// secondary flag cached at enqueue so heap comparisons never call back into
-// the Event interface, plus an insertion sequence number that makes the heap
-// order a deterministic total order: (time, secondary flag, sequence).
-type queuedEvent struct {
-	event     Event
-	time      VTime
-	seq       uint64
-	secondary bool
-}
-
 // SerialEngine is a single-goroutine Engine. All simulated components run in
 // the goroutine that calls Run, so they need no internal locking.
 type SerialEngine struct {
@@ -72,12 +61,7 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 //triosim:hotpath
 func (eng *SerialEngine) Schedule(e Event) {
 	eng.seq++
-	eng.queue.push(queuedEvent{
-		event:     e,
-		time:      e.Time(),
-		seq:       eng.seq,
-		secondary: e.IsSecondary(),
-	})
+	eng.queue.push(newEventKey(e.Time(), eng.seq, e.IsSecondary()), e)
 	if p := eng.queue.len(); p > eng.highWater {
 		eng.highWater = p
 	}
@@ -141,16 +125,15 @@ func (eng *SerialEngine) RegisterHook(h Hook) {
 func (eng *SerialEngine) Run() error {
 	eng.terminated = false
 	for eng.queue.len() > 0 && !eng.terminated {
-		qe := eng.queue.pop()
-		if eng.started && qe.time < eng.now {
+		k, e := eng.queue.pop()
+		if eng.started && k.time < eng.now {
 			return fmt.Errorf("%w: event at %v, now %v", //triosim:nolint hotpath-alloc -- cold error path: a past-dated event aborts the run
-				ErrPastEvent, qe.time, eng.now)
+				ErrPastEvent, k.time, eng.now)
 		}
 		eng.started = true
-		eng.now = qe.time
+		eng.now = k.time
 		eng.dispatched++
 
-		e := qe.event
 		for _, h := range eng.hooks {
 			h.Func(HookCtx{Pos: HookPosBeforeEvent, Now: eng.now, Item: e})
 		}

@@ -29,6 +29,10 @@ go test -race -count=2 ./internal/sweep/... ./internal/monitor/... \
   ./internal/faults/... ./internal/tracecache/... ./internal/serving/... \
   ./internal/server/...
 
+echo "==> fuzz smoke (digest table fold vs byte-wise FNV-1a; event heap vs container/heap)"
+go test -run '^$' -fuzz '^FuzzDigestFold$' -fuzztime 5s ./internal/sim
+go test -run '^$' -fuzz '^FuzzEventQueueOrder$' -fuzztime 5s ./internal/sim
+
 echo "==> triosimvet (static determinism + concurrency-safety analyzers, baseline-gated)"
 # Gate on findings NOT in the committed baseline (new violations only); the
 # committed lint.baseline.json is empty, so today this is "tree must be

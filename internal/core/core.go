@@ -305,6 +305,10 @@ func extrapolate(cfg Config, tr *trace.Trace, topo *network.Topology,
 		ForwardOnly:  cfg.InferenceOnly,
 		Collectives:  collLog,
 	}
+	dp, tp, pp, err := gridPoint(cfg)
+	if err != nil {
+		return nil, err
+	}
 	switch cfg.Parallelism {
 	case Single:
 		ecfg.NumGPUs = 1
@@ -313,31 +317,56 @@ func extrapolate(cfg Config, tr *trace.Trace, topo *network.Topology,
 		return extrapolator.DataParallel(ecfg, false)
 	case DDP:
 		return extrapolator.DataParallel(ecfg, true)
+	case ZeRO1:
+		return extrapolator.DataParallelZeRO(ecfg)
 	case TP:
 		return extrapolator.TensorParallel(ecfg)
+	case DPTP:
+		return extrapolator.HybridDPTP(ecfg, dp)
 	case PP:
 		return extrapolator.PipelineParallel(ecfg)
 	case DPPP:
-		return extrapolator.HybridDPPP(ecfg, hybridGroups(cfg))
-	case DPTP:
-		return extrapolator.HybridDPTP(ecfg, hybridGroups(cfg))
-	case DPTPPP:
-		tp, pp := cfg.TPRanks, cfg.PPStages
-		if tp < 1 {
-			tp = 1
-		}
-		if pp < 1 {
-			pp = 1
-		}
-		if cfg.NumGPUs%(tp*pp) != 0 {
-			return nil, fmt.Errorf("core: %d GPUs not divisible by tp·pp = %d×%d",
-				cfg.NumGPUs, tp, pp)
-		}
-		return extrapolator.Hybrid3D(ecfg, cfg.NumGPUs/(tp*pp), tp, pp)
-	case ZeRO1:
-		return extrapolator.DataParallelZeRO(ecfg)
+		return extrapolator.HybridDPPP(ecfg, dp)
 	}
-	return nil, fmt.Errorf("core: unknown parallelism %q", cfg.Parallelism)
+	// dp+tp+pp: gridPoint has rejected every other strategy.
+	return extrapolator.Hybrid3D(ecfg, dp, tp, pp)
+}
+
+// gridPoint resolves the configured strategy to its (dp, tp, pp) point of
+// the DP×TP×PP grid: the data-parallel family and single-GPU runs are pure
+// replicas, TP and PP one replica, the two-way hybrids split NumGPUs into
+// DPGroups replicas, and dp+tp+pp takes TPRanks × PPStages (default 1 each)
+// with dp filling the rest.
+func gridPoint(cfg Config) (dp, tp, pp int, err error) {
+	n := cfg.NumGPUs
+	switch cfg.Parallelism {
+	case Single:
+		return 1, 1, 1, nil
+	case DP, DDP, ZeRO1:
+		return n, 1, 1, nil
+	case TP:
+		return 1, n, 1, nil
+	case PP:
+		return 1, 1, n, nil
+	case DPTP, DPPP:
+		g := hybridGroups(cfg)
+		if n%g != 0 {
+			return 0, 0, 0, fmt.Errorf("core: %d GPUs not divisible into %d groups",
+				n, g)
+		}
+		if cfg.Parallelism == DPTP {
+			return g, n / g, 1, nil
+		}
+		return g, 1, n / g, nil
+	case DPTPPP:
+		tp, pp := max(cfg.TPRanks, 1), max(cfg.PPStages, 1)
+		if n%(tp*pp) != 0 {
+			return 0, 0, 0, fmt.Errorf("core: %d GPUs not divisible by tp·pp = %d×%d",
+				n, tp, pp)
+		}
+		return n / (tp * pp), tp, pp, nil
+	}
+	return 0, 0, 0, fmt.Errorf("core: unknown parallelism %q", cfg.Parallelism)
 }
 
 // observeConfig is the observation half of Config and ServeConfig.
@@ -888,6 +917,10 @@ func MemoryFootprint(cfg Config) (*MemoryReport, error) {
 		batch = tr.BatchSize
 	}
 
+	dp, tp, pp, err := gridPoint(cfg)
+	if err != nil {
+		return nil, err
+	}
 	mcfg := memory.Config{Trace: tr, GlobalBatch: batch}
 	switch cfg.Parallelism {
 	case Single:
@@ -896,39 +929,16 @@ func MemoryFootprint(cfg Config) (*MemoryReport, error) {
 		mcfg.Strategy, mcfg.NumGPUs = memory.DP, cfg.NumGPUs
 	case ZeRO1:
 		mcfg.Strategy, mcfg.NumGPUs = memory.ZeRO1, cfg.NumGPUs
-	case TP:
-		mcfg.Strategy, mcfg.NumGPUs = memory.TP, cfg.NumGPUs
-	case PP:
-		mcfg.Strategy, mcfg.NumGPUs = memory.PP, cfg.NumGPUs
-		mcfg.StageOf = extrapolator.StageAssignment(tr, cfg.NumGPUs)
-	case DPPP:
-		groups := hybridGroups(cfg)
-		mcfg.Strategy = memory.PP
-		mcfg.NumGPUs = cfg.NumGPUs / groups
-		mcfg.GlobalBatch = batch / groups
-		mcfg.StageOf = extrapolator.StageAssignment(tr, mcfg.NumGPUs)
-	case DPTP:
-		groups := hybridGroups(cfg)
-		mcfg.Strategy = memory.TP
-		mcfg.NumGPUs = cfg.NumGPUs / groups
-		mcfg.GlobalBatch = batch / groups
-	case DPTPPP:
-		// Conservative per-GPU bound: price the pipeline dimension only
-		// (each stage further TP-shards its weights, so the true footprint
-		// is lower).
-		tp, pp := cfg.TPRanks, cfg.PPStages
-		if tp < 1 {
-			tp = 1
-		}
-		if pp < 1 {
-			pp = 1
-		}
-		mcfg.Strategy = memory.PP
-		mcfg.NumGPUs = pp
-		mcfg.GlobalBatch = batch * tp * pp / cfg.NumGPUs
-		mcfg.StageOf = extrapolator.StageAssignment(tr, pp)
+	case TP, DPTP:
+		// One replica over its batch share, batch·tp·pp/NumGPUs = batch/dp.
+		mcfg.Strategy, mcfg.NumGPUs, mcfg.GlobalBatch = memory.TP, tp, batch/dp
 	default:
-		return nil, fmt.Errorf("core: unknown parallelism %q", cfg.Parallelism)
+		// PP, dp+pp and dp+tp+pp: one pipeline replica. For dp+tp+pp this
+		// is a conservative per-GPU bound pricing the pipeline dimension
+		// only (each stage further TP-shards its weights, so the true
+		// footprint is lower).
+		mcfg.Strategy, mcfg.NumGPUs, mcfg.GlobalBatch = memory.PP, pp, batch/dp
+		mcfg.StageOf = extrapolator.StageAssignment(tr, pp)
 	}
 	fp, err := memory.Estimate(mcfg)
 	if err != nil {

@@ -145,7 +145,7 @@ type builder struct {
 	bwd  []int
 	opt  []int
 	// logMap maps logical GPU indices to physical ones (nil = identity).
-	// Hybrid parallelism runs the PP builder per data-parallel group with
+	// Hybrid parallelism runs tpLayers per replica or pipeline stage with
 	// a window into the physical GPU range.
 	logMap []int
 	// lastBuckets is the DDP gradient-bucket count of the most recently

@@ -21,10 +21,15 @@ import (
 // shard AllReduces across the dp replicas via builder.allReduce, which
 // selects the hierarchical schedule on tiered topologies.
 //
-// With cfg.FuseCompute set, each (stage, micro-batch, rank) op chain
-// collapses into one compute task and the per-layer TP syncs coalesce into
-// one FusedRingStep per chunk — the graph-size reduction that makes
-// 10,000-GPU steps simulable in seconds.
+// It is the one GPipe schedule in the package: PipelineParallel (1×1×N)
+// and HybridDPPP (g×1×N/g) are its tp = 1 presets. Unfused, each chunk
+// charges the hardware's per-micro-batch CPU scheduling delay, chained per
+// GPU, and runs its stage's ops through tpLayers, the one per-layer
+// tensor-parallel loop (which emits no sync for a single rank). With
+// cfg.FuseCompute set, each (stage, micro-batch, rank) op chain collapses
+// into one compute task and the per-layer TP syncs coalesce into one
+// FusedRingStep per chunk — the graph-size reduction that makes 10,000-GPU
+// steps simulable in seconds.
 func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 	b, err := newBuilder(cfg)
 	if err != nil {
@@ -65,15 +70,16 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 		optOps[s] = append(optOps[s], idx)
 	}
 
-	// Per-stage precomputation: fused durations, TP sync payloads, stage
-	// boundary bytes, owned gradient bytes. Identical across replicas and
-	// micro-batches, so pricing runs once, not dp·m times.
+	// Per-stage precomputation: layer runs, stage boundary bytes, owned
+	// gradient bytes and, for fused chunks, the summed durations and TP
+	// sync payloads. Identical across replicas and micro-batches, so pricing
+	// runs once, not dp·m times.
 	type stagePre struct {
-		fwdDur, bwdDur, optDur sim.VTime
 		fwdRuns, bwdRuns       []layerGroup
-		syncFwd, syncBwd       float64 // TP boundary bytes per chunk
 		boundary               float64 // activation bytes leaving the stage
 		gradBytes              float64
+		fwdDur, bwdDur, optDur sim.VTime // fused only
+		syncFwd, syncBwd       float64   // fused only: TP bytes per chunk
 	}
 	pre := make([]stagePre, pp)
 	sumDur := func(ops []int) sim.VTime {
@@ -109,10 +115,6 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 		p := &pre[s]
 		p.fwdRuns = b.groupByLayer(fwdOps[s])
 		p.bwdRuns = b.groupByLayer(bwdOps[s])
-		p.fwdDur = sumDur(fwdOps[s])
-		p.bwdDur = sumDur(bwdOps[s])
-		p.syncFwd = syncBytes(p.fwdRuns)
-		p.syncBwd = syncBytes(p.bwdRuns)
 		if len(fwdOps[s]) > 0 {
 			last := &b.tr.Ops[fwdOps[s][len(fwdOps[s])-1]]
 			p.boundary = b.outBytes(last, microScale)
@@ -120,9 +122,15 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 		for _, idx := range bwdOps[s] {
 			p.gradBytes += b.gradBytesOf(&b.tr.Ops[idx])
 		}
+		if !cfg.FuseCompute {
+			continue
+		}
+		p.fwdDur = sumDur(fwdOps[s])
+		p.bwdDur = sumDur(bwdOps[s])
+		p.syncFwd = syncBytes(p.fwdRuns)
+		p.syncBwd = syncBytes(p.bwdRuns)
 		for _, idx := range optOps[s] {
-			op := &b.tr.Ops[idx]
-			p.optDur += b.opDuration(op, 1, shard)
+			p.optDur += b.opDuration(&b.tr.Ops[idx], 1, shard)
 		}
 	}
 
@@ -135,19 +143,24 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 		return out
 	}
 
-	// emitChunk runs one (replica, stage, micro) chunk across the tp ranks:
-	// compute (fused or per-op) then the TP boundary sync. deps[r] gates
-	// rank r. Returns the per-rank completion tasks.
-	emitChunk := func(d, s int, deps [][]*task.Task, fwd bool,
-		label string) []*task.Task {
+	cpu := cfg.Effects.CPUSchedPerMicroBatch
+	prevCPU := make([]*task.Task, cfg.NumGPUs) // serializes each GPU's host dispatch
+	win := make([]int, tp)                     // the (d, s) window tpLayers runs on
+
+	// emitChunk runs one (replica, stage, micro-batch) chunk across the tp
+	// ranks: compute (fused or per-op) then the TP boundary syncs. deps[r]
+	// gates rank r. Returns the per-rank completion tasks.
+	emitChunk := func(d, s, mb int, deps [][]*task.Task, fwd bool,
+		dsuffix string) []*task.Task {
 
 		p := &pre[s]
-		dur, runs, sync := p.fwdDur, p.fwdRuns, p.syncFwd
+		phase, dur, runs, sync := "fwd", p.fwdDur, p.fwdRuns, p.syncFwd
 		if !fwd {
-			dur, runs, sync = p.bwdDur, p.bwdRuns, p.syncBwd
+			phase, dur, runs, sync = "bwd", p.bwdDur, p.bwdRuns, p.syncBwd
 		}
 		last := make([]*task.Task, tp)
 		if cfg.FuseCompute {
+			label := fmt.Sprintf("%s-s%d-mb%d%s", phase, s, mb, dsuffix)
 			for r := 0; r < tp; r++ {
 				t := b.g.AddCompute(gpuAt(d, s, r), dur, label)
 				for _, dep := range deps[r] {
@@ -173,58 +186,35 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 			return last
 		}
 
-		// Unfused: per-op chains with a ring collective at each
-		// parallelizable layer boundary, as in TensorParallel.
-		prev := make([]*task.Task, tp)
+		// Unfused: per rank an entry barrier and the host's per-micro-batch
+		// scheduling delay, then the per-layer tensor-parallel loop over the
+		// stage's ops on the chunk's rank window.
+		csuffix := fmt.Sprintf("-s%d-mb%d%s", s, mb, dsuffix)
+		label := phase + csuffix
 		for r := 0; r < tp; r++ {
 			entry := b.g.AddBarrier(label + "-entry")
 			for _, dep := range deps[r] {
 				b.g.AddDep(dep, entry)
 			}
-			prev[r] = entry
-		}
-		for _, grp := range runs {
-			hasPar := false
-			lastOps := make([]*task.Task, tp)
-			for _, idx := range grp.ops {
-				op := &b.tr.Ops[idx]
-				sh := 1.0
-				if op.Parallelizable {
-					sh = shard
-					hasPar = true
+			last[r] = entry
+			if cpu.After(0) {
+				gpu := gpuAt(d, s, r)
+				delay := b.g.AddDelay(cpu, label+"-cpusched")
+				b.g.AddDep(entry, delay)
+				if prevCPU[gpu] != nil {
+					b.g.AddDep(prevCPU[gpu], delay)
 				}
-				for r := 0; r < tp; r++ {
-					t := b.g.AddCompute(gpuAt(d, s, r),
-						b.opDuration(op, microScale, sh), b.label(op.Name, label))
-					t.Layer = op.Layer
-					b.g.AddDep(prev[r], t)
-					prev[r] = t
-					lastOps[r] = t
-				}
-			}
-			if !hasPar || tp == 1 || len(grp.ops) == 0 {
-				continue
-			}
-			lastOp := &b.tr.Ops[grp.ops[len(grp.ops)-1]]
-			bound := b.outBytes(lastOp, microScale)
-			opts := collective.Options{
-				StepDelay: b.cfg.Effects.CommStepLatency,
-				Label:     fmt.Sprintf("%s-tp-l%d", label, grp.layer),
-				Log:       b.cfg.Collectives,
-			}
-			var coll *task.Task
-			if fwd {
-				coll = collective.RingAllGather(b.g, tpNodes(d, s), bound,
-					lastOps, opts)
-			} else {
-				coll = collective.RingAllReduce(b.g, tpNodes(d, s), bound,
-					lastOps, opts)
-			}
-			for r := 0; r < tp; r++ {
-				prev[r] = coll
+				prevCPU[gpu] = delay
+				last[r] = delay
 			}
 		}
-		return prev
+		for r := range win {
+			win[r] = gpuAt(d, s, r)
+		}
+		b.logMap = win
+		last = b.tpLayers(runs, microScale, shard, last, csuffix, phase)
+		b.logMap = nil
+		return last
 	}
 
 	res := &Result{Graph: b.g,
@@ -264,8 +254,7 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 							deps[r] = append(deps[r], fwdLast[s][mb-1][r])
 						}
 					}
-					last := emitChunk(d, s, deps, true,
-						fmt.Sprintf("fwd-s%d-mb%d%s", s, mb, dsuffix))
+					last := emitChunk(d, s, mb, deps, true, dsuffix)
 					fwdLast[s][mb] = last
 					if s+1 < pp {
 						arrive[s+1][mb] = make([]*task.Task, tp)
@@ -312,8 +301,7 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 							deps[r] = append(deps[r], prevMicro[r])
 						}
 					}
-					last := emitChunk(d, s, deps, false,
-						fmt.Sprintf("bwd-s%d-mb%d%s", s, mb, dsuffix))
+					last := emitChunk(d, s, mb, deps, false, dsuffix)
 					prevMicro = last
 					if s > 0 {
 						gradArrive[s-1][mb] = make([]*task.Task, tp)
@@ -349,30 +337,34 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 
 		// Cross-replica gradient AllReduce per (stage, rank) shard; the
 		// dispatcher picks the hierarchical schedule on tiered topologies.
-		// Then the sharded optimizer, fused into one task per GPU.
+		// A single replica has nothing to synchronize. Then the sharded
+		// optimizer, fused into one task per GPU.
 		for s := 0; s < pp; s++ {
 			for r := 0; r < tp; r++ {
-				ring := make([]network.NodeID, dp)
-				gates := make([]*task.Task, dp)
-				for d := 0; d < dp; d++ {
-					ring[d] = b.gpus[gpuAt(d, s, r)]
-					gates[d] = bwdDone[d][s][r]
+				synced := bwdDone[0][s][r]
+				if dp > 1 {
+					ring := make([]network.NodeID, dp)
+					gates := make([]*task.Task, dp)
+					for d := 0; d < dp; d++ {
+						ring[d] = b.gpus[gpuAt(d, s, r)]
+						gates[d] = bwdDone[d][s][r]
+					}
+					synced = b.allReduce(ring, pre[s].gradBytes*shard, gates,
+						collective.Options{
+							StepDelay: b.cfg.Effects.CommStepLatency,
+							Label: fmt.Sprintf("3d-allreduce-s%d-r%d%s", s,
+								r, suffix),
+							Log: b.cfg.Collectives,
+						})
 				}
-				ar := b.allReduce(ring, pre[s].gradBytes*shard, gates,
-					collective.Options{
-						StepDelay: b.cfg.Effects.CommStepLatency,
-						Label: fmt.Sprintf("3d-allreduce-s%d-r%d%s", s, r,
-							suffix),
-						Log: b.cfg.Collectives,
-					})
 				for d := 0; d < dp; d++ {
 					var opt *task.Task
 					if cfg.FuseCompute {
 						opt = b.g.AddCompute(gpuAt(d, s, r), pre[s].optDur,
 							fmt.Sprintf("opt-s%d-r%d%s-d%d", s, r, suffix, d))
-						b.g.AddDep(ar, opt)
+						b.g.AddDep(synced, opt)
 					} else {
-						prev := ar
+						prev := synced
 						for _, idx := range optOps[s] {
 							op := &b.tr.Ops[idx]
 							t := b.g.AddCompute(gpuAt(d, s, r),

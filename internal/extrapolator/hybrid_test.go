@@ -1,10 +1,12 @@
 package extrapolator
 
 import (
+	"strings"
 	"testing"
 
 	"triosim/internal/sim"
 	"triosim/internal/task"
+	"triosim/internal/telemetry"
 	"triosim/internal/timeline"
 )
 
@@ -38,7 +40,7 @@ func TestHybridDPPPStructure(t *testing.T) {
 		if len(tk.Label) >= 4 && tk.Label[:4] == "act-" {
 			actSends++
 		}
-		if len(tk.Label) >= 12 && tk.Label[:12] == "hp-allreduce" {
+		if strings.HasPrefix(tk.Label, "3d-allreduce-s") {
 			hpSends++
 		}
 	}
@@ -163,4 +165,50 @@ func TestHybridGradTrafficMatchesShards(t *testing.T) {
 		t.Fatalf("hp traffic %g, want %g", hpBytes, want)
 	}
 	_ = sim.VTime(0)
+}
+
+// Inference synchronizes no gradients: neither hybrid may log an AllReduce
+// that its training counterpart logs, nor emit any AllReduce traffic.
+func TestHybridInferenceHasNoGradientAllReduce(t *testing.T) {
+	tr, m, topo := testSetup(t, "resnet18", 64, 4)
+	builds := []struct {
+		name  string
+		build func(Config, int) (*Result, error)
+	}{{"dp+pp", HybridDPPP}, {"dp+tp", HybridDPTP}}
+	for _, bc := range builds {
+		run := func(forwardOnly bool) (*Result, *telemetry.CollectiveLog) {
+			log := telemetry.NewCollectiveLog()
+			cfg := Config{Trace: tr, Topo: topo, NumGPUs: 4, Timer: m,
+				MicroBatches: 2, GlobalBatch: 64, ForwardOnly: forwardOnly,
+				Collectives: log}
+			res, err := bc.build(cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, log
+		}
+		allReduces := func(res *Result, log *telemetry.CollectiveLog) []string {
+			var out []string
+			for _, tk := range res.Graph.Tasks {
+				e := log.Get(tk.Collective)
+				if e != nil && strings.HasSuffix(e.Algo, "-allreduce") {
+					out = append(out, tk.Collective)
+				}
+			}
+			return out
+		}
+		train := allReduces(run(false))
+		if len(train) == 0 {
+			t.Fatalf("%s: training logged no allreduce", bc.name)
+		}
+		res, log := run(true)
+		if got := allReduces(res, log); len(got) > 0 {
+			t.Fatalf("%s: inference logged allreduce %q", bc.name, got[0])
+		}
+		for _, label := range train {
+			if log.Get(label) != nil {
+				t.Fatalf("%s: inference logged %q", bc.name, label)
+			}
+		}
+	}
 }

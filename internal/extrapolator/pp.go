@@ -1,9 +1,6 @@
 package extrapolator
 
 import (
-	"fmt"
-
-	"triosim/internal/task"
 	"triosim/internal/telemetry"
 	"triosim/internal/trace"
 )
@@ -70,232 +67,40 @@ func partitionStages(weights []float64, stages int) []int {
 // layers are auto-partitioned into NumGPUs balanced stages, the mini-batch
 // is divided into MicroBatches equal micro-batches, forward micro-batches
 // flow down the pipeline, and the backward pass runs after the stage's
-// forward flush, in reverse micro-batch order (paper §4.3, Fig 4).
+// forward flush, in reverse micro-batch order (paper §4.3, Fig 4). It is
+// the one-replica, one-rank point of the Hybrid3D grid.
 func PipelineParallel(cfg Config) (*Result, error) {
-	b, err := newBuilder(cfg)
+	res, err := Hybrid3D(cfg, 1, 1, cfg.NumGPUs)
 	if err != nil {
 		return nil, err
 	}
-	cfg = b.cfg
-	res := &Result{Graph: b.g,
-		Meta: telemetry.ParallelStat{Strategy: "pp", Stages: cfg.NumGPUs,
-			StageOfLayer: StageAssignment(b.tr, cfg.NumGPUs)}}
-	gate := b.g.AddBarrier("start")
-	for it := 0; it < cfg.Iterations; it++ {
-		suffix := fmt.Sprintf("-it%d", it)
-		end := b.ppIteration(gate, suffix)
-		res.IterationEnds = append(res.IterationEnds, end)
-		gate = end
-	}
+	res.Meta = telemetry.ParallelStat{Strategy: "pp", Stages: cfg.NumGPUs,
+		StageOfLayer: res.Meta.StageOfLayer}
 	return res, nil
 }
 
-// ppPhase is the reusable forward+backward pipeline schedule for one
-// pipeline group: per-stage drained backward tasks, the optimizer op
-// indices per stage, and the gradient bytes each stage owns (what a hybrid
-// data-parallel AllReduce must synchronize per stage).
-type ppPhase struct {
-	bwdDone   []*task.Task
-	optOps    [][]int
-	gradBytes []float64
-}
-
-func (b *builder) ppIteration(gate *task.Task, suffix string) *task.Task {
-	n := b.cfg.NumGPUs
-	ph := b.ppForwardBackward(gate, suffix, n, b.cfg.GlobalBatch)
-
-	// Optimizer per stage after its full backward drain.
-	end := b.g.AddBarrier("iter-done" + suffix)
-	for s := 0; s < n; s++ {
-		prev := ph.bwdDone[s]
-		if prev == nil {
-			prev = gate
-		}
-		for _, idx := range ph.optOps[s] {
-			op := &b.tr.Ops[idx]
-			t := b.g.AddCompute(b.phys(s), b.opDuration(op, 1, 1),
-				op.Name+suffix)
-			t.Layer = op.Layer
-			b.g.AddDep(prev, t)
-			prev = t
-		}
-		b.g.AddDep(prev, end)
+// HybridDPPP extrapolates the trace to hybrid data + pipeline parallelism
+// (the HP scheme the paper's Table 1 credits to DistSim/vTrain and lists as
+// an extension point for TrioSim): the GPUs form dpGroups pipeline replicas
+// of NumGPUs/dpGroups stages each. Every replica runs GPipe over its share
+// of the global batch; after the backward drain, corresponding stages of
+// all replicas AllReduce their gradient shards, then apply the optimizer.
+// It is the one-rank (tp = 1) row of the Hybrid3D grid.
+//
+// GPU layout: replica g owns physical GPUs [g·S, (g+1)·S) where
+// S = NumGPUs/dpGroups; stage s of replica g runs on GPU g·S+s.
+func HybridDPPP(cfg Config, dpGroups int) (*Result, error) {
+	if err := checkGroups(cfg, dpGroups); err != nil {
+		return nil, err
 	}
-	return end
-}
-
-// ppForwardBackward emits the GPipe forward and backward schedules over
-// `stages` logical GPUs processing groupBatch samples, and returns the
-// per-stage drain points without emitting the optimizer (callers decide
-// whether a hybrid gradient AllReduce comes first).
-func (b *builder) ppForwardBackward(gate *task.Task, suffix string,
-	stages, groupBatch int) *ppPhase {
-
-	n := stages
-	m := b.cfg.MicroBatches
-	nLayers := b.tr.NumLayers()
-	microScale := float64(groupBatch) / float64(m) /
-		float64(b.tr.BatchSize)
-
-	// Balance stages on traced forward time per layer.
-	layerTime := make([]float64, nLayers)
-	for _, idx := range b.fwd {
-		op := &b.tr.Ops[idx]
-		layerTime[op.Layer] += float64(op.Time)
+	stages := cfg.NumGPUs / dpGroups
+	res, err := Hybrid3D(cfg, dpGroups, 1, stages)
+	if err != nil {
+		return nil, err
 	}
-	stageOf := partitionStages(layerTime, n)
-
-	// Ops per stage, in phase order.
-	fwdOps := make([][]int, n)
-	bwdOps := make([][]int, n)
-	optOps := make([][]int, n)
-	for _, idx := range b.fwd {
-		s := stageOf[b.tr.Ops[idx].Layer]
-		fwdOps[s] = append(fwdOps[s], idx)
-	}
-	for _, idx := range b.bwd {
-		s := stageOf[b.tr.Ops[idx].Layer]
-		bwdOps[s] = append(bwdOps[s], idx)
-	}
-	for _, idx := range b.opt {
-		s := stageOf[b.tr.Ops[idx].Layer]
-		optOps[s] = append(optOps[s], idx)
-	}
-	// Boundary activation bytes leaving each stage (scaled per micro).
-	boundary := make([]float64, n)
-	for s := 0; s < n; s++ {
-		if len(fwdOps[s]) > 0 {
-			last := &b.tr.Ops[fwdOps[s][len(fwdOps[s])-1]]
-			boundary[s] = b.outBytes(last, microScale)
-		}
-	}
-
-	// emitChunk runs one stage's ops for one micro-batch, preceded by the
-	// hardware CPU-scheduling delay when configured.
-	cpu := b.cfg.Effects.CPUSchedPerMicroBatch
-	prevCPU := make([]*task.Task, n) // serializes per-stage host dispatch
-	emitChunk := func(stage int, ops []int, deps []*task.Task,
-		label string) (first, last *task.Task) {
-
-		entry := b.g.AddBarrier(label + "-entry")
-		for _, d := range deps {
-			b.g.AddDep(d, entry)
-		}
-		start := entry
-		if cpu.After(0) {
-			d := b.g.AddDelay(cpu, label+"-cpusched")
-			b.g.AddDep(entry, d)
-			if prevCPU[stage] != nil {
-				b.g.AddDep(prevCPU[stage], d)
-			}
-			prevCPU[stage] = d
-			start = d
-		}
-		prev := start
-		for _, idx := range ops {
-			op := &b.tr.Ops[idx]
-			t := b.g.AddCompute(b.phys(stage),
-				b.opDuration(op, microScale, 1), op.Name+suffix)
-			t.Layer = op.Layer
-			t.MicroBatch = -1
-			b.g.AddDep(prev, t)
-			prev = t
-		}
-		return entry, prev
-	}
-
-	// Forward pipeline.
-	fwdLast := make([][]*task.Task, n) // [stage][micro] last fwd task
-	arrive := make([][]*task.Task, n)  // [stage][micro] activation arrival
-	for s := 0; s < n; s++ {
-		fwdLast[s] = make([]*task.Task, m)
-		arrive[s] = make([]*task.Task, m)
-	}
-	for mb := 0; mb < m; mb++ {
-		load := b.stageInput(b.node(0), microScale, gate,
-			fmt.Sprintf("stage-input-mb%d%s", mb, suffix))
-		arrive[0][mb] = load
-	}
-	for s := 0; s < n; s++ {
-		for mb := 0; mb < m; mb++ {
-			deps := []*task.Task{arrive[s][mb]}
-			if mb > 0 {
-				deps = append(deps, fwdLast[s][mb-1])
-			}
-			_, last := emitChunk(s, fwdOps[s], deps,
-				fmt.Sprintf("fwd-s%d-mb%d%s", s, mb, suffix))
-			fwdLast[s][mb] = last
-			if s+1 < n {
-				send := b.g.AddComm(b.node(s), b.node(s+1), boundary[s],
-					fmt.Sprintf("act-s%d-mb%d%s", s, mb, suffix))
-				send.MicroBatch = mb
-				b.g.AddDep(last, send)
-				arrive[s+1][mb] = send
-			}
-		}
-	}
-
-	// Inference: the pipeline drains after the last forward micro-batch; no
-	// backward pass or gradient traffic exists.
-	if b.cfg.ForwardOnly {
-		ph := &ppPhase{
-			bwdDone:   make([]*task.Task, n),
-			optOps:    optOps,
-			gradBytes: make([]float64, n),
-		}
-		for s := 0; s < n; s++ {
-			ph.bwdDone[s] = fwdLast[s][m-1]
-		}
-		return ph
-	}
-
-	// Backward: GPipe flush — a stage starts backward only after its last
-	// forward micro-batch; micro-batches drain in reverse order.
-	bwdLast := make([][]*task.Task, n)
-	gradArrive := make([][]*task.Task, n)
-	for s := 0; s < n; s++ {
-		bwdLast[s] = make([]*task.Task, m)
-		gradArrive[s] = make([]*task.Task, m)
-	}
-	for s := n - 1; s >= 0; s-- {
-		prevMicro := (*task.Task)(nil)
-		for k := 0; k < m; k++ {
-			mb := m - 1 - k // reverse order
-			deps := []*task.Task{fwdLast[s][m-1]}
-			if gradArrive[s][mb] != nil {
-				deps = append(deps, gradArrive[s][mb])
-			}
-			if prevMicro != nil {
-				deps = append(deps, prevMicro)
-			}
-			_, last := emitChunk(s, bwdOps[s], deps,
-				fmt.Sprintf("bwd-s%d-mb%d%s", s, mb, suffix))
-			bwdLast[s][mb] = last
-			prevMicro = last
-			if s > 0 {
-				send := b.g.AddComm(b.node(s), b.node(s-1), boundary[s-1],
-					fmt.Sprintf("grad-s%d-mb%d%s", s, mb, suffix))
-				send.MicroBatch = mb
-				b.g.AddDep(last, send)
-				gradArrive[s-1][mb] = send
-			}
-		}
-	}
-
-	// Per-stage drain points (micro-batch 0 drains last) and the gradient
-	// bytes each stage owns.
-	ph := &ppPhase{
-		bwdDone:   make([]*task.Task, n),
-		optOps:    optOps,
-		gradBytes: make([]float64, n),
-	}
-	for s := 0; s < n; s++ {
-		ph.bwdDone[s] = bwdLast[s][0]
-		for _, idx := range bwdOps[s] {
-			ph.gradBytes[s] += b.gradBytesOf(&b.tr.Ops[idx])
-		}
-	}
-	return ph
+	res.Meta = telemetry.ParallelStat{Strategy: "dp+pp", Replicas: dpGroups,
+		Stages: stages, StageOfLayer: res.Meta.StageOfLayer}
+	return res, nil
 }
 
 // StageAssignment exposes the balanced layer→stage mapping for diagnostics

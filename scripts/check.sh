@@ -57,6 +57,12 @@ trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/triosim -model resnet50 -platform P2 -parallelism ddp \
   -trace-batch 32 -metrics-out "$tmpdir/report.json" >/dev/null
 go run ./cmd/triosimvet -report "$tmpdir/report.json"
+# The pipeline and tensor presets of the DP×TP×PP grid generator, end to end.
+for par in pp tp; do
+  go run ./cmd/triosim -model resnet18 -platform P2 -parallelism "$par" \
+    -trace-batch 32 -chunks 2 -metrics-out "$tmpdir/report-$par.json" >/dev/null
+  go run ./cmd/triosimvet -report "$tmpdir/report-$par.json"
+done
 
 echo "==> serving smoke (-serve-sim + RunReport schema validation)"
 go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 24 \

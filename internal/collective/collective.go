@@ -14,8 +14,6 @@
 package collective
 
 import (
-	"fmt"
-
 	"triosim/internal/network"
 	"triosim/internal/sim"
 	"triosim/internal/task"
@@ -34,6 +32,18 @@ type Options struct {
 	Log *telemetry.CollectiveLog
 }
 
+// Per-task label forms, rendered only when a label is read (see
+// task.NewLabelForm): a cluster-scale collective emits hundreds of thousands
+// of tasks whose labels nothing reads unless telemetry or tracing is on.
+var (
+	stepDoneLabel  = task.NewLabelForm("%s-step%d-done")
+	stepRankLabel  = task.NewLabelForm("%s-step%d-rank%d")
+	stepProtoLabel = task.NewLabelForm("%s-step%d-proto")
+	rankLabel      = task.NewLabelForm("%s-rank%d")
+	hopChunkLabel  = task.NewLabelForm("%s-hop%d-chunk%d")
+	hopProtoLabel  = task.NewLabelForm("%s-hop%d-proto")
+)
+
 // steps emits nSteps synchronized ring steps, each sending chunkBytes from
 // every rank to its right neighbor. after gates the first step (per-rank);
 // the returned barrier marks completion of the whole collective.
@@ -43,10 +53,11 @@ func steps(g *task.Graph, ring []network.NodeID, nSteps int,
 	n := len(ring)
 	prevBarrier := (*task.Task)(nil)
 	for s := 0; s < nSteps; s++ {
-		barrier := g.AddBarrier(fmt.Sprintf("%s-step%d-done", opt.Label, s))
+		barrier := g.AddBarrier("")
+		barrier.SetLabelf(stepDoneLabel, opt.Label, s)
 		for i := 0; i < n; i++ {
-			send := g.AddComm(ring[i], ring[(i+1)%n], chunkBytes,
-				fmt.Sprintf("%s-step%d-rank%d", opt.Label, s, i))
+			send := g.AddComm(ring[i], ring[(i+1)%n], chunkBytes, "")
+			send.SetLabelf(stepRankLabel, opt.Label, s, i)
 			send.Collective = opt.Label
 			if s == 0 {
 				// A rank cannot start until its local data is ready.
@@ -59,8 +70,8 @@ func steps(g *task.Graph, ring []network.NodeID, nSteps int,
 			g.AddDep(send, barrier)
 		}
 		if opt.StepDelay.After(0) {
-			d := g.AddDelay(opt.StepDelay,
-				fmt.Sprintf("%s-step%d-proto", opt.Label, s))
+			d := g.AddDelay(opt.StepDelay, "")
+			d.SetLabelf(stepProtoLabel, opt.Label, s)
 			g.AddDep(barrier, d)
 			barrier = d
 		}
@@ -152,8 +163,8 @@ func Broadcast(g *task.Graph, ring []network.NodeID, bytes float64,
 	for hop := 0; hop < n-1; hop++ {
 		var prevChunk *task.Task // serializes chunks on this hop's link
 		for c := 0; c < chunks; c++ {
-			send := g.AddComm(ring[hop], ring[hop+1], chunkBytes,
-				fmt.Sprintf("%s-hop%d-chunk%d", opt.Label, hop, c))
+			send := g.AddComm(ring[hop], ring[hop+1], chunkBytes, "")
+			send.SetLabelf(hopChunkLabel, opt.Label, hop, c)
 			send.Collective = opt.Label
 			if hop == 0 {
 				if after != nil {
@@ -166,8 +177,8 @@ func Broadcast(g *task.Graph, ring []network.NodeID, bytes float64,
 				g.AddDep(prevChunk, send) // one chunk at a time per link
 			}
 			if opt.StepDelay.After(0) && c == 0 {
-				d := g.AddDelay(opt.StepDelay,
-					fmt.Sprintf("%s-hop%d-proto", opt.Label, hop))
+				d := g.AddDelay(opt.StepDelay, "")
+				d.SetLabelf(hopProtoLabel, opt.Label, hop)
 				g.AddDep(d, send)
 				if hop > 0 {
 					g.AddDep(prevHop[0], d)
@@ -196,8 +207,8 @@ func GatherToRoot(g *task.Graph, ring []network.NodeID, shardBytes float64,
 			shardBytes*float64(len(ring)-1), 1)
 	}
 	for i := 1; i < len(ring); i++ {
-		send := g.AddComm(ring[i], ring[0], shardBytes,
-			fmt.Sprintf("%s-rank%d", opt.Label, i))
+		send := g.AddComm(ring[i], ring[0], shardBytes, "")
+		send.SetLabelf(rankLabel, opt.Label, i)
 		send.Collective = opt.Label
 		if after != nil && after[i] != nil {
 			g.AddDep(after[i], send)
@@ -223,8 +234,8 @@ func ScatterFromRoot(g *task.Graph, ring []network.NodeID, shardBytes float64,
 			shardBytes*float64(len(ring)-1), 1)
 	}
 	for i := 1; i < len(ring); i++ {
-		send := g.AddComm(ring[0], ring[i], shardBytes,
-			fmt.Sprintf("%s-rank%d", opt.Label, i))
+		send := g.AddComm(ring[0], ring[i], shardBytes, "")
+		send.SetLabelf(rankLabel, opt.Label, i)
 		send.Collective = opt.Label
 		if after != nil {
 			g.AddDep(after, send)

@@ -71,11 +71,12 @@ func HierAllReduce(g *task.Graph, topo *network.Topology,
 		2*float64(machines-1)/float64(machines)/float64(local))
 
 	// Phase 1: intra-machine reduce-scatter. Each local rank ends with the
-	// machine-reduced 1/local shard.
+	// machine-reduced 1/local shard. The generators read their ring and
+	// gates only while emitting, so one pair of buffers serves every call.
 	rsDone := make([]*task.Task, machines)
+	nodes := make([]network.NodeID, local)
+	gates := make([]*task.Task, local)
 	for m, grp := range groups {
-		nodes := make([]network.NodeID, local)
-		gates := make([]*task.Task, local)
 		for i, ri := range grp {
 			nodes[i] = ring[ri]
 			if after != nil {
@@ -96,12 +97,10 @@ func HierAllReduce(g *task.Graph, topo *network.Topology,
 	const treeThreshold = 16
 	shard := bytes / float64(local)
 	railDone := make([]*task.Task, local)
+	railNodes := make([]network.NodeID, machines)
 	for r := 0; r < local; r++ {
-		nodes := make([]network.NodeID, machines)
-		gates := make([]*task.Task, machines)
 		for m, grp := range groups {
-			nodes[m] = ring[grp[r]]
-			gates[m] = rsDone[m]
+			railNodes[m] = ring[grp[r]]
 		}
 		railOpt := Options{
 			StepDelay: opt.StepDelay,
@@ -109,22 +108,19 @@ func HierAllReduce(g *task.Graph, topo *network.Topology,
 			Log:       opt.Log,
 		}
 		if machines > treeThreshold {
-			railDone[r] = TreeAllReduce(g, nodes, shard, gates, railOpt)
+			railDone[r] = TreeAllReduce(g, railNodes, shard, rsDone, railOpt)
 		} else {
-			railDone[r] = RingAllReduce(g, nodes, shard, gates, railOpt)
+			railDone[r] = RingAllReduce(g, railNodes, shard, rsDone, railOpt)
 		}
 	}
 
 	// Phase 3: intra-machine all-gather of the globally reduced shards.
 	done := g.AddBarrier(opt.Label + "-done")
 	for m, grp := range groups {
-		nodes := make([]network.NodeID, local)
-		gates := make([]*task.Task, local)
 		for i, ri := range grp {
 			nodes[i] = ring[ri]
-			gates[i] = railDone[i]
 		}
-		ag := RingAllGather(g, nodes, bytes, gates, Options{
+		ag := RingAllGather(g, nodes, bytes, railDone, Options{
 			StepDelay: opt.StepDelay,
 			Label:     fmt.Sprintf("%s-intra-ag-m%d", opt.Label, m),
 			Log:       opt.Log,
@@ -162,9 +158,9 @@ func HierAllGather(g *task.Graph, topo *network.Topology,
 	// Rail r moves the machines' r-th shards: machines·(bytes/n) payload.
 	railDone := make([]*task.Task, local)
 	railBytes := bytes * float64(machines) / float64(n)
+	nodes := make([]network.NodeID, machines)
+	gates := make([]*task.Task, machines)
 	for r := 0; r < local; r++ {
-		nodes := make([]network.NodeID, machines)
-		gates := make([]*task.Task, machines)
 		for m, grp := range groups {
 			nodes[m] = ring[grp[r]]
 			if after != nil {
@@ -180,14 +176,12 @@ func HierAllGather(g *task.Graph, topo *network.Topology,
 
 	// Phase 2: intra-machine all-gather of the rail blocks over NVLink.
 	done := g.AddBarrier(opt.Label + "-done")
+	machineNodes := make([]network.NodeID, local)
 	for m, grp := range groups {
-		nodes := make([]network.NodeID, local)
-		gates := make([]*task.Task, local)
 		for i, ri := range grp {
-			nodes[i] = ring[ri]
-			gates[i] = railDone[i]
+			machineNodes[i] = ring[ri]
 		}
-		ag := RingAllGather(g, nodes, bytes, gates, Options{
+		ag := RingAllGather(g, machineNodes, bytes, railDone, Options{
 			StepDelay: opt.StepDelay,
 			Label:     fmt.Sprintf("%s-intra-ag-m%d", opt.Label, m),
 			Log:       opt.Log,
@@ -217,8 +211,8 @@ func FusedRingStep(g *task.Graph, ring []network.NodeID, bytes float64,
 	perRank := bytes * busFactor
 	done := g.AddBarrier(opt.Label + "-done")
 	for i := 0; i < n; i++ {
-		send := g.AddComm(ring[i], ring[(i+1)%n], perRank,
-			fmt.Sprintf("%s-rank%d", opt.Label, i))
+		send := g.AddComm(ring[i], ring[(i+1)%n], perRank, "")
+		send.SetLabelf(rankLabel, opt.Label, i)
 		send.Collective = opt.Label
 		if after != nil && after[i] != nil {
 			g.AddDep(after[i], send)

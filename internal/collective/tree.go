@@ -1,10 +1,17 @@
 package collective
 
 import (
-	"fmt"
-
 	"triosim/internal/network"
 	"triosim/internal/task"
+)
+
+// Tree AllReduce task label forms (see the ring forms in collective.go).
+var (
+	upLabel        = task.NewLabelForm("%s-up-n%d-c%d")
+	upProtoLabel   = task.NewLabelForm("%s-up-n%d-proto")
+	rootLabel      = task.NewLabelForm("%s-root-c%d")
+	downLabel      = task.NewLabelForm("%s-down-n%d-c%d")
+	downProtoLabel = task.NewLabelForm("%s-down-n%d-proto")
 )
 
 // TreeAllReduce emits a binary-tree AllReduce: chunk-pipelined reduction up
@@ -49,8 +56,8 @@ func TreeAllReduce(g *task.Graph, ranks []network.NodeID, bytes float64,
 		parent := (i - 1) / 2
 		var prevChunk *task.Task
 		for c := 0; c < chunks; c++ {
-			send := g.AddComm(ranks[i], ranks[parent], chunkBytes,
-				fmt.Sprintf("%s-up-n%d-c%d", opt.Label, i, c))
+			send := g.AddComm(ranks[i], ranks[parent], chunkBytes, "")
+			send.SetLabelf(upLabel, opt.Label, i, c)
 			send.Collective = opt.Label
 			if gt := gateOf(i); gt != nil {
 				g.AddDep(gt, send)
@@ -64,8 +71,8 @@ func TreeAllReduce(g *task.Graph, ranks []network.NodeID, bytes float64,
 				g.AddDep(prevChunk, send) // link serialization
 			}
 			if opt.StepDelay.After(0) && c == 0 {
-				d := g.AddDelay(opt.StepDelay,
-					fmt.Sprintf("%s-up-n%d-proto", opt.Label, i))
+				d := g.AddDelay(opt.StepDelay, "")
+				d.SetLabelf(upProtoLabel, opt.Label, i)
 				g.AddDep(d, send)
 			}
 			prevChunk = send
@@ -75,7 +82,8 @@ func TreeAllReduce(g *task.Graph, ranks []network.NodeID, bytes float64,
 	// The root's chunk c is fully reduced when both its children delivered.
 	rootReady := make([]*task.Task, chunks)
 	for c := 0; c < chunks; c++ {
-		br := g.AddBarrier(fmt.Sprintf("%s-root-c%d", opt.Label, c))
+		br := g.AddBarrier("")
+		br.SetLabelf(rootLabel, opt.Label, c)
 		if gt := gateOf(0); gt != nil {
 			g.AddDep(gt, br)
 		}
@@ -102,16 +110,16 @@ func TreeAllReduce(g *task.Graph, ranks []network.NodeID, bytes float64,
 				if ch >= n {
 					continue
 				}
-				send := g.AddComm(ranks[i], ranks[ch], chunkBytes,
-					fmt.Sprintf("%s-down-n%d-c%d", opt.Label, ch, c))
+				send := g.AddComm(ranks[i], ranks[ch], chunkBytes, "")
+				send.SetLabelf(downLabel, opt.Label, ch, c)
 				send.Collective = opt.Label
 				g.AddDep(haveChunk[i][c], send)
 				if prevSendOf[i] != nil {
 					g.AddDep(prevSendOf[i], send)
 				}
 				if opt.StepDelay.After(0) && c == 0 {
-					d := g.AddDelay(opt.StepDelay,
-						fmt.Sprintf("%s-down-n%d-proto", opt.Label, ch))
+					d := g.AddDelay(opt.StepDelay, "")
+					d.SetLabelf(downProtoLabel, opt.Label, ch)
 					g.AddDep(d, send)
 				}
 				prevSendOf[i] = send

@@ -624,6 +624,38 @@ func faultReport(inj *faults.Injector, rr *faults.ResilienceResult,
 // hardware protocol overheads, and execute over the lightweight network
 // model.
 func Simulate(cfg Config) (*Result, error) {
+	p, err := planSimulate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.run()
+}
+
+// plan is a run whose task graph is built and ready to execute: the
+// resolved configuration, its topology and extrapolated graph, and what
+// execute needs besides.
+type plan struct {
+	cfg       Config
+	topo      *network.Topology
+	graph     *extrapolator.Result
+	rampBytes float64
+	collLog   *telemetry.CollectiveLog
+	ckptCost  sim.VTime
+}
+
+// run executes the plan's graph and attaches the trace-cache counters.
+func (p *plan) run() (*Result, error) {
+	res, err := execute(p.cfg, p.topo, p.graph, p.rampBytes, p.collLog,
+		p.ckptCost)
+	if err != nil {
+		return nil, err
+	}
+	attachCacheStats(p.cfg, res)
+	return res, nil
+}
+
+// planSimulate builds Simulate's task graph.
+func planSimulate(cfg Config) (*plan, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -648,12 +680,8 @@ func Simulate(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := execute(cfg, topo, eres, 0, collLog, checkpointCost(cfg, tr))
-	if err != nil {
-		return nil, err
-	}
-	attachCacheStats(cfg, res)
-	return res, nil
+	return &plan{cfg: cfg, topo: topo, graph: eres, collLog: collLog,
+		ckptCost: checkpointCost(cfg, tr)}, nil
 }
 
 // fitTimer fits the configured operator performance model on the trace,
@@ -787,6 +815,15 @@ func checkpointCost(cfg Config, tr *trace.Trace) sim.VTime {
 // sizes with hwsim's nonlinear operator timer and the platform's protocol
 // overheads. TrioSim's predictions are validated against this.
 func GroundTruth(cfg Config) (*Result, error) {
+	p, err := planGroundTruth(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.run()
+}
+
+// planGroundTruth builds GroundTruth's task graph.
+func planGroundTruth(cfg Config) (*plan, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -829,13 +866,9 @@ func GroundTruth(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := execute(gcfg, topo, eres, effects.CommRampBytes, collLog,
-		checkpointCost(gcfg, tr))
-	if err != nil {
-		return nil, err
-	}
-	attachCacheStats(gcfg, res)
-	return res, nil
+	return &plan{cfg: gcfg, topo: topo, graph: eres,
+		rampBytes: effects.CommRampBytes, collLog: collLog,
+		ckptCost: checkpointCost(gcfg, tr)}, nil
 }
 
 func hybridGroups(cfg Config) int {

@@ -182,15 +182,16 @@ func TestDDPBucketCount(t *testing.T) {
 	}
 	// Count distinct allreduce buckets via comm task labels.
 	buckets := map[string]bool{}
-	for _, tk := range res.Graph.Tasks {
-		if tk.Kind == task.Comm && len(tk.Label) > 11 &&
-			tk.Label[:11] == "allreduce-b" {
+	for id := 0; id < res.Graph.Len(); id++ {
+		tk := res.Graph.Task(id)
+		if label := tk.Label(); tk.Kind == task.Comm && len(label) > 11 &&
+			label[:11] == "allreduce-b" {
 			// label: allreduce-b<k>-it0-step...
 			end := 11
-			for end < len(tk.Label) && tk.Label[end] != '-' {
+			for end < len(label) && label[end] != '-' {
 				end++
 			}
-			buckets[tk.Label[:end]] = true
+			buckets[label[:end]] = true
 		}
 	}
 	// ResNet-18 has ~46.7 MB of gradients; with 5 MB buckets (and single
@@ -206,14 +207,15 @@ func TestDDPBucketCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	bigBuckets := map[string]bool{}
-	for _, tk := range resBig.Graph.Tasks {
-		if tk.Kind == task.Comm && len(tk.Label) > 11 &&
-			tk.Label[:11] == "allreduce-b" {
+	for id := 0; id < resBig.Graph.Len(); id++ {
+		tk := resBig.Graph.Task(id)
+		if label := tk.Label(); tk.Kind == task.Comm && len(label) > 11 &&
+			label[:11] == "allreduce-b" {
 			end := 11
-			for end < len(tk.Label) && tk.Label[end] != '-' {
+			for end < len(label) && label[end] != '-' {
 				end++
 			}
-			bigBuckets[tk.Label[:end]] = true
+			bigBuckets[label[:end]] = true
 		}
 	}
 	if len(bigBuckets) != 1 {
@@ -270,7 +272,8 @@ func TestPipelineParallelStructure(t *testing.T) {
 		// Boundary traffic: m micro-batches × (act fwd + grad bwd).
 		wantTransfers := chunks * 2
 		gotComm := 0
-		for _, tk := range res.Graph.Tasks {
+		for id := 0; id < res.Graph.Len(); id++ {
+			tk := res.Graph.Task(id)
 			if tk.Kind == task.Comm {
 				gotComm++
 			}

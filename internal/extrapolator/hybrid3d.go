@@ -10,6 +10,16 @@ import (
 	"triosim/internal/telemetry"
 )
 
+// Hybrid3D's per-task label forms, rendered only when a label is read (see
+// task.NewLabelForm). The string operand is the iteration/replica suffix.
+var (
+	fusedFwdLabel = task.NewLabelForm("fwd-s%d-mb%d%s")
+	fusedBwdLabel = task.NewLabelForm("bwd-s%d-mb%d%s")
+	actLabel      = task.NewLabelForm("act-s%d-mb%d-r%d%s")
+	gradLabel     = task.NewLabelForm("grad-s%d-mb%d-r%d%s")
+	optLabel      = task.NewLabelForm("opt-s%d-r%d%s-d%d")
+)
+
 // Hybrid3D extrapolates the trace to full 3D parallelism — DP×TP×PP, the
 // cluster-scale Megatron-style layout: dp pipeline replicas, each a GPipe
 // pipeline of pp stages, each stage tensor-parallel across tp ranks.
@@ -135,13 +145,6 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 	}
 
 	gpuAt := func(d, s, r int) int { return d*tp*pp + s*tp + r }
-	tpNodes := func(d, s int) []network.NodeID {
-		out := make([]network.NodeID, tp)
-		for r := 0; r < tp; r++ {
-			out[r] = b.gpus[gpuAt(d, s, r)]
-		}
-		return out
-	}
 
 	cpu := cfg.Effects.CPUSchedPerMicroBatch
 	prevCPU := make([]*task.Task, cfg.NumGPUs) // serializes each GPU's host dispatch
@@ -149,20 +152,24 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 
 	// emitChunk runs one (replica, stage, micro-batch) chunk across the tp
 	// ranks: compute (fused or per-op) then the TP boundary syncs. deps[r]
-	// gates rank r. Returns the per-rank completion tasks.
-	emitChunk := func(d, s, mb int, deps [][]*task.Task, fwd bool,
+	// gates rank r; nil entries gate nothing. Returns the per-rank
+	// completion tasks.
+	ring := make([]network.NodeID, tp) // the fused TP sync's ring, reused
+	emitChunk := func(d, s, mb int, deps [][3]*task.Task, fwd bool,
 		dsuffix string) []*task.Task {
 
 		p := &pre[s]
 		phase, dur, runs, sync := "fwd", p.fwdDur, p.fwdRuns, p.syncFwd
+		form := fusedFwdLabel
 		if !fwd {
 			phase, dur, runs, sync = "bwd", p.bwdDur, p.bwdRuns, p.syncBwd
+			form = fusedBwdLabel
 		}
 		last := make([]*task.Task, tp)
 		if cfg.FuseCompute {
-			label := fmt.Sprintf("%s-s%d-mb%d%s", phase, s, mb, dsuffix)
 			for r := 0; r < tp; r++ {
-				t := b.g.AddCompute(gpuAt(d, s, r), dur, label)
+				t := b.g.AddCompute(gpuAt(d, s, r), dur, "")
+				t.SetLabelf(form, dsuffix, s, mb)
 				for _, dep := range deps[r] {
 					b.g.AddDep(dep, t)
 				}
@@ -173,11 +180,15 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 				if !fwd {
 					bus *= 2 // allreduce, not allgather
 				}
-				coll := collective.FusedRingStep(b.g, tpNodes(d, s), sync,
+				for r := range ring {
+					ring[r] = b.gpus[gpuAt(d, s, r)]
+				}
+				coll := collective.FusedRingStep(b.g, ring, sync,
 					bus, last, collective.Options{
 						StepDelay: b.cfg.Effects.CommStepLatency,
-						Label:     label + "-tpsync",
-						Log:       b.cfg.Collectives,
+						Label: fmt.Sprintf("%s-s%d-mb%d%s-tpsync", phase,
+							s, mb, dsuffix),
+						Log: b.cfg.Collectives,
 					})
 				for r := 0; r < tp; r++ {
 					last[r] = coll
@@ -221,6 +232,7 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 		Meta: telemetry.ParallelStat{Strategy: "dp+tp+pp", Replicas: dp,
 			Stages: pp, TPRanks: tp, StageOfLayer: stageOf}}
 	gate := b.g.AddBarrier("start")
+	deps := make([][3]*task.Task, tp) // the gates of the chunk being emitted
 	for it := 0; it < cfg.Iterations; it++ {
 		suffix := fmt.Sprintf("-it%d", it)
 		bwdDone := make([][][]*task.Task, dp) // [d][s][r]
@@ -247,11 +259,10 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 			}
 			for s := 0; s < pp; s++ {
 				for mb := 0; mb < m; mb++ {
-					deps := make([][]*task.Task, tp)
 					for r := 0; r < tp; r++ {
-						deps[r] = []*task.Task{arrive[s][mb][r]}
+						deps[r] = [3]*task.Task{arrive[s][mb][r]}
 						if mb > 0 {
-							deps[r] = append(deps[r], fwdLast[s][mb-1][r])
+							deps[r][1] = fwdLast[s][mb-1][r]
 						}
 					}
 					last := emitChunk(d, s, mb, deps, true, dsuffix)
@@ -261,9 +272,8 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 						for r := 0; r < tp; r++ {
 							send := b.g.AddComm(b.gpus[gpuAt(d, s, r)],
 								b.gpus[gpuAt(d, s+1, r)],
-								pre[s].boundary*shard,
-								fmt.Sprintf("act-s%d-mb%d-r%d%s", s, mb, r,
-									dsuffix))
+								pre[s].boundary*shard, "")
+							send.SetLabelf(actLabel, dsuffix, s, mb, r)
 							send.MicroBatch = mb
 							b.g.AddDep(last[r], send)
 							arrive[s+1][mb][r] = send
@@ -291,14 +301,13 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 				var prevMicro []*task.Task
 				for k := 0; k < m; k++ {
 					mb := m - 1 - k
-					deps := make([][]*task.Task, tp)
 					for r := 0; r < tp; r++ {
-						deps[r] = []*task.Task{fwdLast[s][m-1][r]}
+						deps[r] = [3]*task.Task{fwdLast[s][m-1][r]}
 						if gradArrive[s][mb] != nil {
-							deps[r] = append(deps[r], gradArrive[s][mb][r])
+							deps[r][1] = gradArrive[s][mb][r]
 						}
 						if prevMicro != nil {
-							deps[r] = append(deps[r], prevMicro[r])
+							deps[r][2] = prevMicro[r]
 						}
 					}
 					last := emitChunk(d, s, mb, deps, false, dsuffix)
@@ -308,9 +317,8 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 						for r := 0; r < tp; r++ {
 							send := b.g.AddComm(b.gpus[gpuAt(d, s, r)],
 								b.gpus[gpuAt(d, s-1, r)],
-								pre[s-1].boundary*shard,
-								fmt.Sprintf("grad-s%d-mb%d-r%d%s", s, mb, r,
-									dsuffix))
+								pre[s-1].boundary*shard, "")
+							send.SetLabelf(gradLabel, dsuffix, s, mb, r)
 							send.MicroBatch = mb
 							b.g.AddDep(last[r], send)
 							gradArrive[s-1][mb][r] = send
@@ -361,7 +369,8 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 					var opt *task.Task
 					if cfg.FuseCompute {
 						opt = b.g.AddCompute(gpuAt(d, s, r), pre[s].optDur,
-							fmt.Sprintf("opt-s%d-r%d%s-d%d", s, r, suffix, d))
+							"")
+						opt.SetLabelf(optLabel, suffix, s, r, d)
 						b.g.AddDep(synced, opt)
 					} else {
 						prev := synced

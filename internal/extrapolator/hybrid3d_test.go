@@ -45,14 +45,15 @@ func TestHybrid3DStructure(t *testing.T) {
 	_ = tl
 	// Sharded pipeline activations, TP syncs, and DP allreduce all exist.
 	var act, tp3, ar int
-	for _, tk := range res.Graph.Tasks {
+	for id := 0; id < res.Graph.Len(); id++ {
+		tk := res.Graph.Task(id)
 		switch {
-		case strings.HasPrefix(tk.Label, "act-"):
+		case strings.HasPrefix(tk.Label(), "act-"):
 			act++
-		case strings.HasPrefix(tk.Label, "tp-fwd-l"),
-			strings.HasPrefix(tk.Label, "tp-bwd-l"):
+		case strings.HasPrefix(tk.Label(), "tp-fwd-l"),
+			strings.HasPrefix(tk.Label(), "tp-bwd-l"):
 			tp3++
-		case strings.HasPrefix(tk.Label, "3d-allreduce"):
+		case strings.HasPrefix(tk.Label(), "3d-allreduce"):
 			ar++
 		}
 	}
@@ -88,9 +89,9 @@ func TestHybrid3DFusedMatchesUnfused(t *testing.T) {
 	if rel > 0.02 || tFused > tPlain {
 		t.Fatalf("fused %v vs unfused %v (rel %g)", tFused, tPlain, rel)
 	}
-	if len(fused.Graph.Tasks)*4 > len(plain.Graph.Tasks) {
+	if fused.Graph.Len()*4 > plain.Graph.Len() {
 		t.Fatalf("fusion barely shrank the graph: %d vs %d tasks",
-			len(fused.Graph.Tasks), len(plain.Graph.Tasks))
+			fused.Graph.Len(), plain.Graph.Len())
 	}
 }
 
@@ -118,10 +119,11 @@ func TestHybrid3DAutoSelectsHierCollective(t *testing.T) {
 		t.Fatal("no traffic")
 	}
 	found := false
-	for _, tk := range res.Graph.Tasks {
+	for id := 0; id < res.Graph.Len(); id++ {
+		tk := res.Graph.Task(id)
 		if tk.Kind == task.Comm &&
-			strings.HasPrefix(tk.Label, "3d-allreduce") &&
-			strings.Contains(tk.Label, "rail") {
+			strings.HasPrefix(tk.Label(), "3d-allreduce") &&
+			strings.Contains(tk.Label(), "rail") {
 			found = true
 			break
 		}
@@ -133,4 +135,38 @@ func TestHybrid3DAutoSelectsHierCollective(t *testing.T) {
 		e.Algo != "hier-allreduce" {
 		t.Fatalf("collective log %+v", e)
 	}
+}
+
+// TestGraphBuildAllocs gates the allocation count of a 64-GPU fused
+// DP×TP×PP build, Validate's freeze included. Tasks live in chunks, edges in
+// a chunked log frozen once into CSR lists, and the per-task labels are
+// stored unrendered, so the build allocates per chunk and per collective,
+// not per task: about 1,400 allocations for 2,050 tasks, where a single
+// allocation per task would add 2,050.
+func TestGraphBuildAllocs(t *testing.T) {
+	tr, m, _ := testSetup(t, "gpt2", 16, 1)
+	topo := network.RailFatTree(network.ClusterConfig{
+		Machines: 8, GPUsPerMachine: 8,
+		NVLinkBandwidth: 300e9, NICBandwidth: 50e9, FabricBandwidth: 100e9,
+		HostBandwidth: 20e9, HostLatency: 5 * sim.USec,
+	}, 8, 2)
+	cfg := Config{Trace: tr, Topo: topo, NumGPUs: 64, Timer: m,
+		MicroBatches: 4, GlobalBatch: 64, FuseCompute: true}
+	const ceiling = 2000
+	tasks := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := Hybrid3D(cfg, 4, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Graph.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		tasks = res.Graph.Len()
+	})
+	if allocs > ceiling {
+		t.Fatalf("%d-task build: %.0f allocations, ceiling %d", tasks, allocs,
+			ceiling)
+	}
+	t.Logf("%d-task build: %.0f allocations", tasks, allocs)
 }

@@ -33,14 +33,15 @@ func TestHybridDPPPStructure(t *testing.T) {
 	}
 	// Both pipeline activations and hybrid AllReduce traffic exist.
 	var actSends, hpSends int
-	for _, tk := range res.Graph.Tasks {
+	for id := 0; id < res.Graph.Len(); id++ {
+		tk := res.Graph.Task(id)
 		if tk.Kind != task.Comm {
 			continue
 		}
-		if len(tk.Label) >= 4 && tk.Label[:4] == "act-" {
+		if len(tk.Label()) >= 4 && tk.Label()[:4] == "act-" {
 			actSends++
 		}
-		if strings.HasPrefix(tk.Label, "3d-allreduce-s") {
+		if strings.HasPrefix(tk.Label(), "3d-allreduce-s") {
 			hpSends++
 		}
 	}
@@ -152,9 +153,10 @@ func TestHybridGradTrafficMatchesShards(t *testing.T) {
 	}
 	shard := float64(tr.GradientBytes()) / 2 // 2 TP ranks per replica
 	var hpBytes float64
-	for _, tk := range res.Graph.Tasks {
-		if tk.Kind == task.Comm && len(tk.Label) >= 12 &&
-			tk.Label[:12] == "hp-allreduce" {
+	for id := 0; id < res.Graph.Len(); id++ {
+		tk := res.Graph.Task(id)
+		if tk.Kind == task.Comm && len(tk.Label()) >= 12 &&
+			tk.Label()[:12] == "hp-allreduce" {
 			hpBytes += tk.Bytes
 		}
 	}
@@ -189,7 +191,8 @@ func TestHybridInferenceHasNoGradientAllReduce(t *testing.T) {
 		}
 		allReduces := func(res *Result, log *telemetry.CollectiveLog) []string {
 			var out []string
-			for _, tk := range res.Graph.Tasks {
+			for id := 0; id < res.Graph.Len(); id++ {
+				tk := res.Graph.Task(id)
 				e := log.Get(tk.Collective)
 				if e != nil && strings.HasSuffix(e.Algo, "-allreduce") {
 					out = append(out, tk.Collective)

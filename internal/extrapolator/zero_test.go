@@ -46,9 +46,10 @@ func TestZeROShardsOptimizer(t *testing.T) {
 	// The sgd_step compute per GPU shrinks substantially (the FLOPs/bytes
 	// quarter, while the fitted per-kernel overhead does not shard).
 	sumSGD := func(g *task.Graph) (total float64) {
-		for _, tk := range g.Tasks {
-			if tk.Kind == task.Compute && len(tk.Label) >= 8 &&
-				tk.Label[:8] == "sgd_step" {
+		for id := 0; id < g.Len(); id++ {
+			tk := g.Task(id)
+			if tk.Kind == task.Compute && len(tk.Label()) >= 8 &&
+				tk.Label()[:8] == "sgd_step" {
 				total += float64(tk.Duration)
 			}
 		}
@@ -73,9 +74,10 @@ func TestZeROForwardOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tk := range res.Graph.Tasks {
+	for id := 0; id < res.Graph.Len(); id++ {
+		tk := res.Graph.Task(id)
 		if tk.Kind == task.Comm {
-			t.Fatalf("inference ZeRO emitted comm task %q", tk.Label)
+			t.Fatalf("inference ZeRO emitted comm task %q", tk.Label())
 		}
 	}
 	ms, _, _ := runCfg(t, cfg.defaults(), res)

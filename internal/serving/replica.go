@@ -182,6 +182,9 @@ func (c *Cluster) ship(r *replica, id int, now sim.VTime) {
 	})
 }
 
+// serveStepLabel labels a synthesized per-step task by its batch size.
+var serveStepLabel = task.NewLabelForm("serve-step-b%d")
+
 // notify reports a synthesized per-step task to the registered observers:
 // the telemetry collector sees it as compute occupancy on the replica's
 // GPU, the span recorder as a span on that GPU's track.
@@ -192,9 +195,9 @@ func (c *Cluster) observeStep(idx, batch int, start, end, nominal sim.VTime) {
 	t := task.Task{
 		ID:       -1,
 		Kind:     task.Compute,
-		Label:    fmt.Sprintf("serve-step-b%d", batch),
 		GPU:      idx,
 		Duration: nominal,
 	}
+	t.SetLabelf(serveStepLabel, "", batch)
 	c.obs.TaskDone(&t, start, end)
 }

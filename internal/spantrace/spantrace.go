@@ -154,6 +154,8 @@ type Recorder struct {
 	// String interning: every Span.Name/Track/Coll indexes names.
 	strs  map[string]int32
 	names []string
+	// label is the scratch buffer task labels are rendered into for lookup.
+	label []byte
 
 	// gpuTracks caches interned "gpu<N>" track ids (+1) by GPU index;
 	// routeTracks caches interned "a->b" track ids (+1) by packed
@@ -230,7 +232,8 @@ func (r *Recorder) TaskDone(t *task.Task, start, end sim.VTime) {
 	sp.TaskID = int32(t.ID)
 	sp.Start = start
 	sp.End = end
-	sp.Name = r.intern(t.Label)
+	r.label = t.AppendLabel(r.label[:0])
+	sp.Name = r.internBytes(r.label)
 	sp.Coll = -1
 	switch t.Kind {
 	case task.Compute:
@@ -292,6 +295,17 @@ func (r *Recorder) intern(s string) int32 {
 		return id
 	}
 	return r.internSlow(s)
+}
+
+// internBytes is intern for a label rendered into a scratch buffer: the
+// lookup does not allocate, only a first-sight label is copied.
+//
+//triosim:hotpath
+func (r *Recorder) internBytes(b []byte) int32 {
+	if id, ok := r.strs[string(b)]; ok {
+		return id
+	}
+	return r.internSlow(string(b))
 }
 
 // internSlow registers a first-sight string (cold path).
@@ -546,9 +560,8 @@ func (l *Log) Deps(fn func(from, to int)) {
 		if sp.TaskID < 0 {
 			continue
 		}
-		t := l.graph.Tasks[sp.TaskID]
-		for _, d := range t.Deps() {
-			if j := l.SpanOf(d); j >= 0 {
+		for _, d := range l.graph.Deps(int(sp.TaskID)) {
+			if j := l.SpanOf(int(d)); j >= 0 {
 				fn(j, i)
 			}
 		}

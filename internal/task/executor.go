@@ -55,11 +55,12 @@ type Executor struct {
 	// untouched — bit-identical to Stretch being nil. Set before Run.
 	Stretch func(gpu int, at sim.VTime) float64
 
-	indeg     []int
+	indeg     []int32
 	remaining int
-	// lanes holds per-GPU compute state, indexed by GPU. A slice instead of a
-	// map: GPU indices are small and dense, and the reusable deque keeps the
-	// steady-state ready/complete cycle allocation-free.
+	// lanes holds per-GPU compute state, indexed by GPU and sized once by Run
+	// from the largest compute GPU. A slice instead of a map: GPU indices are
+	// small and dense, and the reusable deque keeps the steady-state
+	// ready/complete cycle allocation-free.
 	lanes []laneState
 	// free recycles completion records (see doneRec). Single-goroutine by the
 	// engine contract, so a plain slice suffices.
@@ -157,12 +158,9 @@ func (x *Executor) BusyTime(k Kind) sim.VTime {
 	return b.total + (b.close - b.open)
 }
 
-// lane returns gpu's lane, growing the lane table on first sight of the GPU.
-// The returned pointer is only valid until the next lane call — don't retain.
+// lane returns gpu's lane, naming it on first use when the executor records
+// intervals.
 func (x *Executor) lane(gpu int) *laneState {
-	for gpu >= len(x.lanes) {
-		x.lanes = append(x.lanes, laneState{})
-	}
 	l := &x.lanes[gpu]
 	if l.name == "" && x.tl != nil {
 		l.name = fmt.Sprintf("gpu%d", gpu)
@@ -195,29 +193,34 @@ func (x *Executor) putRec(r *doneRec) {
 // Run executes the whole graph and returns the makespan (the virtual time
 // from start to the last task's completion).
 func (x *Executor) Run() (sim.VTime, error) {
-	if err := x.graph.Validate(); err != nil {
+	g := x.graph
+	indeg, err := g.validate()
+	if err != nil {
 		return 0, err
 	}
-	x.indeg = make([]int, x.graph.Len())
-	x.remaining = x.graph.Len()
-	for _, t := range x.graph.Tasks {
-		x.indeg[t.ID] = len(t.deps)
+	x.indeg = g.indegrees(indeg)
+	x.remaining = g.Len()
+	maxGPU := -1
+	for _, chunk := range g.chunks {
+		for i := range chunk {
+			if t := &chunk[i]; t.Kind == Compute && t.GPU > maxGPU {
+				maxGPU = t.GPU
+			}
+		}
 	}
+	x.lanes = make([]laneState, maxGPU+1)
 	x.startTime = x.eng.CurrentTime()
 	x.lastEnd = x.startTime
 
 	sim.ScheduleFunc(x.eng, x.startTime, func(now sim.VTime) error {
-		// Snapshot the initial ready set first: instantaneous tasks (e.g.
-		// barriers) completing inside ready() may zero further indegrees,
-		// and those tasks are dispatched by complete(), not this loop.
-		var initial []*Task
-		for _, t := range x.graph.Tasks {
-			if x.indeg[t.ID] == 0 {
-				initial = append(initial, t)
+		// The initial ready set is read off the frozen dependency lists, not
+		// the live indegrees: instantaneous tasks (e.g. barriers) completing
+		// inside ready() may zero further indegrees, and those tasks are
+		// dispatched by complete(), not this loop.
+		for id := 0; id < g.Len(); id++ {
+			if len(g.deps.row(id)) == 0 {
+				x.ready(g.Task(id), now)
 			}
-		}
-		for _, t := range initial {
-			x.ready(t, now)
 		}
 		return nil
 	})
@@ -292,7 +295,7 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 	}
 	x.busy[Compute].end(done)
 	if x.tl != nil {
-		x.tl.Add(x.lane(gpu).name, t.Label, "compute", start, done)
+		x.tl.Add(x.lane(gpu).name, t.Label(), "compute", start, done)
 	}
 	x.notify(t, start, done)
 	x.lane(gpu).busy = false
@@ -308,7 +311,7 @@ func (r *doneRec) commDone(end sim.VTime) {
 	x.putRec(r)
 	x.busy[t.Kind].end(end)
 	if x.tl != nil {
-		x.tl.Add("net", t.Label, t.Kind.String(), start, end)
+		x.tl.Add("net", t.Label(), t.Kind.String(), start, end)
 	}
 	x.notify(t, start, end)
 	x.complete(t, end)
@@ -320,10 +323,10 @@ func (x *Executor) complete(t *Task, now sim.VTime) {
 	if now.After(x.lastEnd) {
 		x.lastEnd = now
 	}
-	for _, depID := range t.dependents {
+	for _, depID := range x.graph.dependents.row(t.ID) {
 		x.indeg[depID]--
 		if x.indeg[depID] == 0 {
-			x.ready(x.graph.Tasks[depID], now)
+			x.ready(x.graph.Task(int(depID)), now)
 		}
 	}
 }

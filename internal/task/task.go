@@ -12,6 +12,8 @@ package task
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"triosim/internal/network"
 	"triosim/internal/sim"
@@ -45,11 +47,11 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Task is one node of the execution graph.
+// Task is one node of the execution graph. Tasks live inside their Graph:
+// the Add methods return a pointer that stays valid for the graph's life.
 type Task struct {
-	ID    int
-	Kind  Kind
-	Label string
+	ID   int
+	Kind Kind
 
 	// GPU is the executing GPU index for Compute tasks.
 	GPU int
@@ -68,135 +70,324 @@ type Task struct {
 	// collective instance's label, so telemetry can aggregate per collective.
 	Collective string
 
-	deps       []int
-	dependents []int
+	// label is the static label, or a formatted label's string operand; form
+	// and args hold the rest of a formatted label (see SetLabelf).
+	label string
+	form  LabelForm
+	args  [maxLabelInts]int32
 }
 
-// Deps returns the IDs of tasks that must finish before this one starts.
-func (t *Task) Deps() []int { return t.deps }
+// maxLabelInts bounds a formatted label's integer operands.
+const maxLabelInts = 3
 
-// Dependents returns the IDs of tasks waiting on this one.
-func (t *Task) Dependents() []int { return t.dependents }
+// Storage chunks hold 8 KiB, then 16 KiB, then 32 KiB of elements each, so
+// small graphs stay small and large ones never copy what they hold: a chunk
+// is allocated whole and never reallocated, which keeps task pointers
+// stable. The sizes are allocator size classes (32 KiB is the largest small
+// one), so every chunk fills its allocation.
+const (
+	taskSize = int(unsafe.Sizeof(Task{}))
+	// Tasks in the first, second and every later chunk.
+	taskChunk0 = (8 << 10) / taskSize
+	taskChunk1 = (16 << 10) / taskSize
+	taskChunkN = (32 << 10) / taskSize
+)
 
-// Graph is a DAG of tasks.
+// chunkCap is the capacity of the c-th storage chunk of size-byte elements.
+func chunkCap(c, size int) int { return (8 << 10 << min(c, 2)) / size }
+
+// edge is one logged dependency: before must finish before after starts.
+type edge struct{ before, after int32 }
+
+// adjacency is a frozen compressed-sparse-row list: row v is
+// idx[off[v]:off[v+1]].
+type adjacency struct {
+	off []int32
+	idx []int32
+}
+
+func (a *adjacency) row(v int) []int32 { return a.idx[a.off[v]:a.off[v+1]] }
+
+// Graph is a DAG of tasks. Tasks are stored by value in graph-owned chunks.
+// AddDep appends to a chunked edge log; the first read of the adjacency
+// (Validate, Deps, Dependents, the executor) freezes the log into CSR deps
+// and dependents lists, and a later AddDep is folded in by the next read.
 type Graph struct {
-	Tasks []*Task
+	chunks [][]Task
+	n      int
+
+	log [][]edge
+	// dangling is the first AddDep whose endpoint is not a task of this
+	// graph; Validate reports it.
+	dangling *edge
+
+	deps, dependents adjacency
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
 
-// add appends t, assigning its ID.
-func (g *Graph) add(t *Task) *Task {
-	t.ID = len(g.Tasks)
-	g.Tasks = append(g.Tasks, t)
+// add appends a zero task of kind k, assigning its ID.
+func (g *Graph) add(k Kind, label string) *Task {
+	last := len(g.chunks) - 1
+	if last < 0 || len(g.chunks[last]) == cap(g.chunks[last]) {
+		if g.n == math.MaxInt32 {
+			panic("task: graph exceeds 2^31-1 tasks")
+		}
+		g.chunks = append(g.chunks, make([]Task, 0, chunkCap(last+1,
+			taskSize)))
+		last++
+	}
+	c := &g.chunks[last]
+	*c = (*c)[:len(*c)+1]
+	t := &(*c)[len(*c)-1]
+	t.ID, t.Kind, t.label = g.n, k, label
+	g.n++
 	return t
+}
+
+// Task returns the task with the given ID.
+func (g *Graph) Task(id int) *Task {
+	switch {
+	case id < taskChunk0:
+		return &g.chunks[0][id]
+	case id < taskChunk0+taskChunk1:
+		return &g.chunks[1][id-taskChunk0]
+	}
+	id -= taskChunk0 + taskChunk1
+	return &g.chunks[2+id/taskChunkN][id%taskChunkN]
 }
 
 // AddCompute adds a compute task on gpu lasting dur.
 func (g *Graph) AddCompute(gpu int, dur sim.VTime, label string) *Task {
-	return g.add(&Task{Kind: Compute, GPU: gpu, Duration: dur, Label: label})
+	t := g.add(Compute, label)
+	t.GPU, t.Duration = gpu, dur
+	return t
 }
 
 // AddComm adds a network transfer task.
 func (g *Graph) AddComm(src, dst network.NodeID, bytes float64,
 	label string) *Task {
-	return g.add(&Task{Kind: Comm, Src: src, Dst: dst, Bytes: bytes,
-		Label: label})
+	t := g.add(Comm, label)
+	t.Src, t.Dst, t.Bytes = src, dst, bytes
+	return t
 }
 
 // AddHostLoad adds a host→GPU staging transfer.
 func (g *Graph) AddHostLoad(host, dst network.NodeID, bytes float64,
 	label string) *Task {
-	return g.add(&Task{Kind: HostLoad, Src: host, Dst: dst, Bytes: bytes,
-		Label: label})
+	t := g.add(HostLoad, label)
+	t.Src, t.Dst, t.Bytes = host, dst, bytes
+	return t
 }
 
 // AddBarrier adds an instantaneous barrier task.
 func (g *Graph) AddBarrier(label string) *Task {
-	return g.add(&Task{Kind: Barrier, Label: label})
+	return g.add(Barrier, label)
 }
 
 // AddDelay adds a resource-free task taking dur (protocol/CPU overheads).
 func (g *Graph) AddDelay(dur sim.VTime, label string) *Task {
-	return g.add(&Task{Kind: Delay, Duration: dur, Label: label})
+	t := g.add(Delay, label)
+	t.Duration = dur
+	return t
 }
 
 // AddDep records that before must finish before after starts. Self- and
-// duplicate dependencies are ignored.
+// duplicate dependencies are ignored: the adjacency keeps each edge once,
+// in the order of its first AddDep.
 func (g *Graph) AddDep(before, after *Task) {
 	if before == nil || after == nil || before.ID == after.ID {
 		return
 	}
-	for _, d := range after.deps {
-		if d == before.ID {
-			return
+	if before.ID < 0 || before.ID >= g.n || after.ID < 0 ||
+		after.ID >= g.n {
+		if g.dangling == nil {
+			g.dangling = &edge{int32(before.ID), int32(after.ID)}
 		}
+		return
 	}
-	after.deps = append(after.deps, before.ID)
-	before.dependents = append(before.dependents, after.ID)
+	last := len(g.log) - 1
+	if last < 0 || len(g.log[last]) == cap(g.log[last]) {
+		g.log = append(g.log, make([]edge, 0,
+			chunkCap(last+1, int(unsafe.Sizeof(edge{})))))
+		last++
+	}
+	g.log[last] = append(g.log[last], edge{int32(before.ID), int32(after.ID)})
 }
 
 // Len returns the number of tasks.
-func (g *Graph) Len() int { return len(g.Tasks) }
+func (g *Graph) Len() int { return g.n }
+
+// Deps returns the IDs of the tasks that must finish before task id starts,
+// in first-AddDep order. The slice is shared: do not modify it.
+func (g *Graph) Deps(id int) []int32 {
+	g.freeze()
+	return g.deps.row(id)
+}
+
+// Dependents returns the IDs of the tasks waiting on task id, in first-AddDep
+// order. The slice is shared: do not modify it.
+func (g *Graph) Dependents(id int) []int32 {
+	g.freeze()
+	return g.dependents.row(id)
+}
+
+// freeze folds the edge log into the CSR deps and dependents lists. Each row
+// holds the previously frozen row followed by the logged edges in AddDep
+// order, with repeats of an edge dropped, so every row lists its edges in
+// first-insertion order.
+func (g *Graph) freeze() {
+	if len(g.deps.off) == g.n+1 && g.log == nil {
+		return
+	}
+	seen := make([]int32, g.n)
+	g.deps = g.fold(g.deps, true, seen)
+	clear(seen)
+	g.dependents = g.fold(g.dependents, false, seen)
+	g.log = nil
+}
+
+// fold returns old (frozen over a prefix of the tasks) extended by the edge
+// log: rows are keyed by each edge's after task (deps) when byAfter is set,
+// else by its before task (dependents). seen is zeroed scratch of one entry
+// per task.
+func (g *Graph) fold(old adjacency, byAfter bool, seen []int32) adjacency {
+	key := func(e edge) (row, entry int32) {
+		if byAfter {
+			return e.after, e.before
+		}
+		return e.before, e.after
+	}
+	oldN := max(len(old.off)-1, 0)
+	// Count row lengths into off[v], then turn them into row ends.
+	off := make([]int32, g.n+1)
+	for v := 0; v < oldN; v++ {
+		off[v] = old.off[v+1] - old.off[v]
+	}
+	for _, chunk := range g.log {
+		for _, e := range chunk {
+			v, _ := key(e)
+			off[v]++
+		}
+	}
+	var total int32
+	for v := 0; v < g.n; v++ {
+		total += off[v]
+		off[v] = total
+	}
+	off[g.n] = total
+	// Scatter back to front, so each row fills from its end and off[v] ends
+	// at the row's start: the log in reverse, then the frozen prefix.
+	idx := make([]int32, total)
+	for c := len(g.log) - 1; c >= 0; c-- {
+		chunk := g.log[c]
+		for k := len(chunk) - 1; k >= 0; k-- {
+			v, x := key(chunk[k])
+			off[v]--
+			idx[off[v]] = x
+		}
+	}
+	for v := 0; v < oldN; v++ {
+		row := old.row(v)
+		off[v] -= int32(len(row))
+		copy(idx[off[v]:], row)
+	}
+	// Drop repeats, keeping each entry's first occurrence in its row:
+	// seen[x] == v+1 marks x as already listed in row v.
+	var w int32
+	start := off[0]
+	for v := 0; v < g.n; v++ {
+		end := off[v+1]
+		off[v] = w
+		for _, x := range idx[start:end] {
+			if seen[x] != int32(v)+1 {
+				seen[x] = int32(v) + 1
+				idx[w] = x
+				w++
+			}
+		}
+		start = end
+	}
+	off[g.n] = w
+	return adjacency{off: off, idx: idx[:w]}
+}
 
 // Validate checks that the graph is a DAG with resolvable dependencies and
-// well-formed task fields.
+// well-formed task fields, freezing the adjacency.
 func (g *Graph) Validate() error {
-	for _, t := range g.Tasks {
-		switch t.Kind {
-		case Compute:
-			if t.Duration.Before(0) {
-				return fmt.Errorf("task %d (%s): negative duration",
-					t.ID, t.Label)
-			}
-			if t.GPU < 0 {
-				return fmt.Errorf("task %d (%s): no GPU", t.ID, t.Label)
-			}
-		case Delay:
-			if t.Duration.Before(0) {
-				return fmt.Errorf("task %d (%s): negative delay",
-					t.ID, t.Label)
-			}
-		case Comm, HostLoad:
-			if t.Bytes < 0 {
-				return fmt.Errorf("task %d (%s): negative bytes",
-					t.ID, t.Label)
-			}
-		}
-		for _, d := range t.deps {
-			if d < 0 || d >= len(g.Tasks) {
-				return fmt.Errorf("task %d (%s): dangling dep %d",
-					t.ID, t.Label, d)
+	_, err := g.validate()
+	return err
+}
+
+// validate is Validate, also handing back its in-degree buffer (all zeros
+// once the graph checks out) for the executor to refill.
+func (g *Graph) validate() ([]int32, error) {
+	for _, chunk := range g.chunks {
+		for i := range chunk {
+			if err := chunk[i].check(); err != nil {
+				return nil, err
 			}
 		}
 	}
-	// Kahn's algorithm: all tasks must be reachable at indegree 0.
-	indeg := make([]int, len(g.Tasks))
-	for _, t := range g.Tasks {
-		indeg[t.ID] = len(t.deps)
+	if e := g.dangling; e != nil {
+		return nil, fmt.Errorf("task %d: dangling dep %d", e.after, e.before)
 	}
-	var queue []int
+	g.freeze()
+	// Kahn's algorithm: all tasks must be reachable at indegree 0. Each task
+	// enters the queue once, so it never outgrows n.
+	indeg := g.indegrees(make([]int32, g.n))
+	queue := make([]int32, 0, g.n)
 	for id, d := range indeg {
 		if d == 0 {
-			queue = append(queue, id)
+			queue = append(queue, int32(id))
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, dep := range g.Tasks[id].dependents {
+	for head := 0; head < len(queue); head++ {
+		for _, dep := range g.dependents.row(int(queue[head])) {
 			indeg[dep]--
 			if indeg[dep] == 0 {
 				queue = append(queue, dep)
 			}
 		}
 	}
-	if seen != len(g.Tasks) {
-		return fmt.Errorf("task: graph has a cycle (%d of %d reachable)",
-			seen, len(g.Tasks))
+	if len(queue) != g.n {
+		return nil, fmt.Errorf("task: graph has a cycle (%d of %d reachable)",
+			len(queue), g.n)
+	}
+	return indeg, nil
+}
+
+// indegrees fills indeg (one entry per task) with every task's dependency
+// count, read off the frozen CSR offsets.
+func (g *Graph) indegrees(indeg []int32) []int32 {
+	for v := range indeg {
+		indeg[v] = g.deps.off[v+1] - g.deps.off[v]
+	}
+	return indeg
+}
+
+// check validates one task's fields.
+func (t *Task) check() error {
+	switch t.Kind {
+	case Compute:
+		if t.Duration.Before(0) {
+			return fmt.Errorf("task %d (%s): negative duration",
+				t.ID, t.Label())
+		}
+		if t.GPU < 0 {
+			return fmt.Errorf("task %d (%s): no GPU", t.ID, t.Label())
+		}
+	case Delay:
+		if t.Duration.Before(0) {
+			return fmt.Errorf("task %d (%s): negative delay",
+				t.ID, t.Label())
+		}
+	case Comm, HostLoad:
+		if t.Bytes < 0 {
+			return fmt.Errorf("task %d (%s): negative bytes",
+				t.ID, t.Label())
+		}
 	}
 	return nil
 }
@@ -205,26 +396,26 @@ func (g *Graph) Validate() error {
 // duration, ignoring communication (a lower bound on makespan and a useful
 // diagnostic for stage balancing).
 func (g *Graph) CriticalPathLength() sim.VTime {
-	memo := make([]sim.VTime, len(g.Tasks))
-	done := make([]bool, len(g.Tasks))
+	g.freeze()
+	memo := make([]sim.VTime, g.n)
+	done := make([]bool, g.n)
 	var longest func(id int) sim.VTime
 	longest = func(id int) sim.VTime {
 		if done[id] {
 			return memo[id]
 		}
 		done[id] = true
-		t := g.Tasks[id]
 		var best sim.VTime
-		for _, d := range t.deps {
-			if v := longest(d); v.After(best) {
+		for _, d := range g.deps.row(id) {
+			if v := longest(int(d)); v.After(best) {
 				best = v
 			}
 		}
-		memo[id] = best + t.Duration
+		memo[id] = best + g.Task(id).Duration
 		return memo[id]
 	}
 	var best sim.VTime
-	for id := range g.Tasks {
+	for id := 0; id < g.n; id++ {
 		if v := longest(id); v.After(best) {
 			best = v
 		}
@@ -242,7 +433,8 @@ type Stats struct {
 // Summarize counts tasks by kind.
 func (g *Graph) Summarize() Stats {
 	var s Stats
-	for _, t := range g.Tasks {
+	for id := 0; id < g.n; id++ {
+		t := g.Task(id)
 		switch t.Kind {
 		case Compute:
 			s.Compute++

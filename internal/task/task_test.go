@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,11 +24,11 @@ func TestGraphBuildAndValidate(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if len(b.Deps()) != 1 || b.Deps()[0] != a.ID {
-		t.Fatalf("deps of b: %v", b.Deps())
+	if deps := g.Deps(b.ID); len(deps) != 1 || int(deps[0]) != a.ID {
+		t.Fatalf("deps of b: %v", deps)
 	}
-	if len(a.Dependents()) != 1 || a.Dependents()[0] != b.ID {
-		t.Fatalf("dependents of a: %v", a.Dependents())
+	if dnts := g.Dependents(a.ID); len(dnts) != 1 || int(dnts[0]) != b.ID {
+		t.Fatalf("dependents of a: %v", dnts)
 	}
 }
 
@@ -40,11 +41,11 @@ func TestDuplicateAndSelfDepsIgnored(t *testing.T) {
 	g.AddDep(a, a)
 	g.AddDep(nil, b)
 	g.AddDep(a, nil)
-	if len(b.Deps()) != 1 {
-		t.Fatalf("duplicate dep recorded: %v", b.Deps())
+	if len(g.Deps(b.ID)) != 1 {
+		t.Fatalf("duplicate dep recorded: %v", g.Deps(b.ID))
 	}
-	if len(a.Deps()) != 0 {
-		t.Fatalf("self dep recorded: %v", a.Deps())
+	if len(g.Deps(a.ID)) != 0 {
+		t.Fatalf("self dep recorded: %v", g.Deps(a.ID))
 	}
 }
 
@@ -241,7 +242,7 @@ func TestExecutorRandomDAGsProperty(t *testing.T) {
 			// Edges only to earlier tasks: guaranteed acyclic.
 			for j := 0; j < i; j++ {
 				if rng.Intn(5) == 0 {
-					g.AddDep(g.Tasks[j], tk)
+					g.AddDep(g.Task(j), tk)
 				}
 			}
 		}
@@ -338,7 +339,7 @@ func randomBusyGraph(rng *rand.Rand) *Graph {
 		}
 		for j := 0; j < i; j++ {
 			if rng.Intn(6) == 0 {
-				g.AddDep(g.Tasks[j], tk)
+				g.AddDep(g.Task(j), tk)
 			}
 		}
 	}
@@ -404,5 +405,38 @@ func TestBusyTimeWithoutLog(t *testing.T) {
 	}
 	if got := x.BusyTime(HostLoad); got != 0 {
 		t.Fatalf("hostload busy = %v, want 0", got)
+	}
+}
+
+// TestLabelFormMatchesSprintf: a formatted label renders what fmt.Sprintf
+// renders for the same format and operands, including operands outside
+// int32, which are rendered at once into a static label.
+func TestLabelFormMatchesSprintf(t *testing.T) {
+	cases := []struct {
+		format string
+		ints   []int
+		args   []any // the Sprintf operands, in verb order
+	}{
+		{"%s-step%d-rank%d", []int{3, 7}, []any{"ring", 3, 7}},
+		{"act-s%d-mb%d-r%d%s", []int{0, -3, math.MaxInt32},
+			[]any{0, -3, math.MaxInt32, "ring"}},
+		{"opt-s%d-r%d%s-d%d", []int{math.MinInt32, 1, 2},
+			[]any{math.MinInt32, 1, "ring", 2}},
+		{"%d", []int{math.MaxInt32 + 1}, []any{math.MaxInt32 + 1}},
+		{"%s-rank%d", []int{math.MinInt64}, []any{"ring", math.MinInt64}},
+		{"x%s", nil, []any{"ring"}},
+	}
+	g := NewGraph()
+	for _, c := range cases {
+		want := fmt.Sprintf(c.format, c.args...)
+		tk := g.AddBarrier("")
+		tk.SetLabelf(NewLabelForm(c.format), "ring", c.ints...)
+		if got := tk.Label(); got != want {
+			t.Errorf("%q: Label() = %q, want %q", c.format, got, want)
+		}
+		if got := string(tk.AppendLabel([]byte("p:"))); got != "p:"+want {
+			t.Errorf("%q: AppendLabel = %q, want %q", c.format, got,
+				"p:"+want)
+		}
 	}
 }

@@ -223,7 +223,7 @@ func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 			fmt.Sprintf("gpu%d", g),
 			"Serial compute-stream occupancy per GPU.").Add(e - s)
 		c.reg.Histogram("triosim_op_duration_seconds", "category",
-			OpCategory(t.Label),
+			OpCategory(t.Label()),
 			"Per-operator compute durations by category.",
 			DurationBuckets).Observe(e - s)
 	case task.Comm:

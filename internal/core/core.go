@@ -383,7 +383,8 @@ type observeConfig struct {
 // hooks, then the context poll. observe registers a task observer with the
 // executor or the serving cluster; g may be nil. Observation never
 // schedules events, so the replay digest is the same with or without it.
-// The recorder and the collector are nil when off.
+// The recorder and the collector are nil when off; with the collector on,
+// the caller feeds a task.GPUTime and hands it to Finalize.
 func (oc observeConfig) attach(eng *sim.SerialEngine, net *network.FlowNetwork,
 	topo *network.Topology, g *task.Graph, collLog *telemetry.CollectiveLog,
 	observe func(task.Observer)) (*spantrace.Recorder, *telemetry.Collector,
@@ -393,6 +394,7 @@ func (oc observeConfig) attach(eng *sim.SerialEngine, net *network.FlowNetwork,
 	if oc.spanTrace {
 		rec = spantrace.NewRecorder(g, topo)
 		observe(rec)
+		net.Observe(rec)
 		eng.RegisterHook(rec.EngineHook(eng.Pending))
 	}
 	var coll *telemetry.Collector
@@ -404,14 +406,7 @@ func (oc observeConfig) attach(eng *sim.SerialEngine, net *network.FlowNetwork,
 		coll = telemetry.NewCollector(reg, topo, collLog)
 		eng.RegisterHook(coll.EngineHook(eng.Pending))
 		observe(coll)
-	}
-	switch {
-	case coll != nil && rec != nil:
-		net.Observer = network.MultiFlowObserver{coll, rec}
-	case coll != nil:
-		net.Observer = coll
-	case rec != nil:
-		net.Observer = rec
+		net.Observe(coll)
 	}
 	for _, h := range oc.hooks {
 		eng.RegisterHook(h)
@@ -470,6 +465,9 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 	}.attach(eng, net, topo, res.Graph, collLog, x.Observe)
 	if err != nil {
 		return nil, err
+	}
+	if coll != nil {
+		x.GPUTime = task.NewGPUTime(topo)
 	}
 
 	var inj *faults.Injector
@@ -566,6 +564,7 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 			NetTransfers:    net.TotalTransfers,
 			NetSolveSeconds: net.SolveWall.Seconds(),
 			Parallel:        res.Meta,
+			GPUTime:         x.GPUTime,
 		})
 		out.Report.CriticalPath = out.CriticalPath
 		out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)

@@ -11,6 +11,7 @@ import (
 	"triosim/internal/serving"
 	"triosim/internal/sim"
 	"triosim/internal/spantrace"
+	"triosim/internal/task"
 	"triosim/internal/telemetry"
 )
 
@@ -106,6 +107,9 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		return nil, err
 	}
 	cl.Spans = rec
+	if coll != nil {
+		cl.GPUTime = task.NewGPUTime(topo)
+	}
 
 	var inj *faults.Injector
 	if cfg.Faults != nil {
@@ -176,6 +180,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 				Strategy: "serving-" + m.Scheduler,
 				Replicas: m.Replicas,
 			},
+			GPUTime: cl.GPUTime,
 		})
 		out.Report.Serving = servingStat(m)
 		out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)

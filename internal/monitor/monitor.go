@@ -1,8 +1,8 @@
 // Package monitor provides an AkitaRTM-style real-time monitoring surface
 // for running simulations: an engine hook collects progress (virtual-time
-// frontier, events dispatched, per-kind counts), and an HTTP handler exposes
-// it as JSON so a dashboard — or plain curl — can watch a long simulation
-// from outside, the way AkitaRTM watches Akita simulations.
+// frontier, events dispatched), and an HTTP handler exposes it as JSON so a
+// dashboard — or plain curl — can watch a long simulation from outside, the
+// way AkitaRTM watches Akita simulations.
 //
 // When a telemetry.Registry is attached, the same handler also serves a
 // Prometheus text-format /metrics endpoint: the engine hook renders the
@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,9 +27,8 @@ import (
 
 // Snapshot is one observation of a running simulation.
 type Snapshot struct {
-	VirtualTimeSec float64           `json:"virtual_time_sec"`
-	Events         uint64            `json:"events"`
-	EventsByKind   map[string]uint64 `json:"events_by_kind,omitempty"`
+	VirtualTimeSec float64 `json:"virtual_time_sec"`
+	Events         uint64  `json:"events"`
 	// EventsPerSecond is the wall-clock dispatch rate over the last sampling
 	// window (zero unless Clock is set).
 	EventsPerSecond float64 `json:"events_per_second,omitempty"`
@@ -51,8 +49,6 @@ type RTM struct {
 	lastWall   time.Time
 	lastEvents uint64
 
-	// KindOf optionally classifies events for per-kind counts.
-	KindOf func(e sim.Event) string
 	// Registry optionally attaches a telemetry registry; when set, /metrics
 	// serves its Prometheus rendering. Set before Run; the hook reads it on
 	// the engine goroutine.
@@ -67,7 +63,7 @@ type RTM struct {
 
 // New returns an empty monitor.
 func New() *RTM {
-	return &RTM{snapshot: Snapshot{EventsByKind: map[string]uint64{}}}
+	return &RTM{}
 }
 
 // Hook returns the engine hook feeding this monitor.
@@ -79,11 +75,6 @@ func (m *RTM) Hook() sim.Hook {
 		m.mu.Lock()
 		m.snapshot.Events++
 		m.snapshot.VirtualTimeSec = float64(ctx.Now)
-		if m.KindOf != nil {
-			if e, ok := ctx.Item.(sim.Event); ok {
-				m.snapshot.EventsByKind[m.KindOf(e)]++
-			}
-		}
 		events := m.snapshot.Events
 		m.mu.Unlock()
 
@@ -142,28 +133,20 @@ func (m *RTM) MarkDone() {
 func (m *RTM) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := m.snapshot
-	out.EventsByKind = map[string]uint64{}
-	for k, v := range m.snapshot.EventsByKind {
-		out.EventsByKind[k] = v
-	}
-	return out
+	return m.snapshot
 }
 
 // writeMetrics renders the Prometheus text response: the cached registry
 // rendering (when attached) followed by the monitor's own gauges. With no
 // registry it falls back to a minimal rendering of the snapshot so /metrics
-// stays useful on bare monitors. All families register through a shared
-// telemetry.PromText, so a registry that already exports one of the
-// monitor's family names cannot duplicate it in the exposition.
+// stays useful on bare monitors; per-kind event counts come only from the
+// registry's triosim_events_total{kind} series. All families register
+// through a shared telemetry.PromText, so a registry that already exports
+// one of the monitor's family names cannot duplicate it in the exposition.
 func (m *RTM) writeMetrics(w http.ResponseWriter) {
 	m.mu.Lock()
 	cache := m.promCache
 	snap := m.snapshot
-	kinds := make(map[string]uint64, len(m.snapshot.EventsByKind))
-	for k, v := range m.snapshot.EventsByKind {
-		kinds[k] = v
-	}
 	m.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -172,19 +155,7 @@ func (m *RTM) writeMetrics(w http.ResponseWriter) {
 		p.Raw(cache)
 	} else if p.Header("triosim_events_total", "counter",
 		"Events dispatched by the engine.") {
-		// Fallback: events by kind from the monitor's own counts.
-		if len(kinds) == 0 {
-			p.Samplef("triosim_events_total %d", snap.Events)
-		} else {
-			names := make([]string, 0, len(kinds))
-			for k := range kinds {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			for _, k := range names {
-				p.Samplef("triosim_events_total{kind=%q} %d", k, kinds[k])
-			}
-		}
+		p.Samplef("triosim_events_total %d", snap.Events)
 	}
 	p.Gauge("triosim_monitor_virtual_time_seconds",
 		"Virtual-time frontier seen by the monitor.", snap.VirtualTimeSec)

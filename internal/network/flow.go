@@ -28,28 +28,6 @@ type FlowObserver interface {
 	RatesRecomputed(flows int, now sim.VTime)
 }
 
-// MultiFlowObserver fans every notification out to each member in order,
-// letting several observers (telemetry collector, span recorder) share the
-// network's single Observer slot.
-type MultiFlowObserver []FlowObserver
-
-var _ FlowObserver = MultiFlowObserver(nil)
-
-// FlowFinished implements FlowObserver.
-func (m MultiFlowObserver) FlowFinished(route []DirLink, bytes float64,
-	start, end sim.VTime) {
-	for _, o := range m {
-		o.FlowFinished(route, bytes, start, end)
-	}
-}
-
-// RatesRecomputed implements FlowObserver.
-func (m MultiFlowObserver) RatesRecomputed(flows int, now sim.VTime) {
-	for _, o := range m {
-		o.RatesRecomputed(flows, now)
-	}
-}
-
 // flow is one in-flight message in the flow network. Completed flows are
 // recycled through FlowNetwork.freeFlows (releaseFlow/acquireFlow); after
 // releaseFlow, only the monotonic gen field distinguishes a stale delivery
@@ -226,9 +204,9 @@ type FlowNetwork struct {
 	TotalBytes     float64
 	TotalTransfers int
 
-	// Observer optionally receives flow-completion and rate-recompute
-	// notifications (telemetry). Set before the first Send.
-	Observer FlowObserver
+	// obs receive flow-completion and rate-recompute notifications, in
+	// registration order (see Observe).
+	obs []FlowObserver
 
 	// SolveClock, when set, times each max-min solve on the host clock for
 	// self-profiling (ROADMAP: profile the solver at scale). It is an
@@ -269,6 +247,11 @@ func NewFlowNetwork(eng sim.Engine, topo *Topology) *FlowNetwork {
 }
 
 var _ Network = (*FlowNetwork)(nil)
+
+// Observe registers a flow observer; call before the first Send.
+func (n *FlowNetwork) Observe(o FlowObserver) {
+	n.obs = append(n.obs, o)
+}
 
 // Topology returns the underlying topology.
 func (n *FlowNetwork) Topology() *Topology { return n.topo }
@@ -454,8 +437,8 @@ func (n *FlowNetwork) onReallocate(t sim.VTime) error {
 	n.recomputePending = false
 	n.advance(t)
 	n.reallocate(t)
-	if n.Observer != nil {
-		n.Observer.RatesRecomputed(len(n.ordered), t)
+	for _, o := range n.obs {
+		o.RatesRecomputed(len(n.ordered), t)
 	}
 	return nil
 }
@@ -571,8 +554,8 @@ func (n *FlowNetwork) completeFlow(f *flow, gen int, now sim.VTime) {
 	}
 	n.advance(now)
 	n.detachLinks(f)
-	if n.Observer != nil {
-		n.Observer.FlowFinished(f.route, f.bytes, f.start, now)
+	for _, o := range n.obs {
+		o.FlowFinished(f.route, f.bytes, f.start, now)
 	}
 	n.scheduleReallocate(now)
 	// The receiver observes the data one route-latency later. The record

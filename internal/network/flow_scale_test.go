@@ -130,7 +130,7 @@ func TestPartitionedSolveMatchesReferenceOnTieredTopo(t *testing.T) {
 		gpus := topo.GPUs()
 		net := NewFlowNetwork(eng, topo)
 		checker := newSolveChecker(t, net, true)
-		net.Observer = checker
+		net.Observe(checker)
 
 		n := 8 + rng.Intn(24)
 		for i := 0; i < n; i++ {
@@ -294,7 +294,7 @@ type tieredRun struct {
 }
 
 // runTieredWorkload replays a deterministic random workload on a rail
-// fat-tree. observe, when non-nil, supplies the network's Observer.
+// fat-tree. observe, when non-nil, supplies the network's observer.
 func runTieredWorkload(t *testing.T, seed int64, tol float64,
 	observe func(*FlowNetwork) FlowObserver) tieredRun {
 	t.Helper()
@@ -305,7 +305,7 @@ func runTieredWorkload(t *testing.T, seed int64, tol float64,
 	net := NewFlowNetwork(eng, topo)
 	net.ApproxTol = tol
 	if observe != nil {
-		net.Observer = observe(net)
+		net.Observe(observe(net))
 	}
 
 	const n = 60

@@ -94,6 +94,13 @@ type Topology struct {
 	// and fall back to a full re-solve (preserving the historical
 	// "capacities are re-read every solve" semantics).
 	capGen int
+
+	// LinkID's table, extended on first use after links are added: the
+	// name id of link l's forward direction at 2l and reverse at 2l+1,
+	// each id's name, and each name's id.
+	linkIDs    []int32
+	linkNames  []string
+	linkByName map[string]int32
 }
 
 // NewTopology returns an empty topology.
@@ -320,6 +327,43 @@ func (t *Topology) Host() NodeID {
 	}
 	return -1
 }
+
+// PairName renders the direction from a to b as "a->b" in node names: the
+// name of a directed link, and of a transfer's route between its endpoints.
+func (t *Topology) PairName(a, b NodeID) string {
+	return t.Nodes[a].Name + "->" + t.Nodes[b].Name
+}
+
+// LinkID returns the dense id of dl's direction name: PairName of its ends
+// in the direction of travel. Parallel links between one node pair share
+// ids, so statistics kept per id add up per name. Ids count from 0 in link
+// order; LinkName renders one.
+func (t *Topology) LinkID(dl DirLink) int {
+	for l := len(t.linkIDs) / 2; l < len(t.Links); l++ {
+		lk := &t.Links[l]
+		for _, name := range [2]string{t.PairName(lk.A, lk.B),
+			t.PairName(lk.B, lk.A)} {
+			id, ok := t.linkByName[name]
+			if !ok {
+				if t.linkByName == nil {
+					t.linkByName = map[string]int32{}
+				}
+				id = int32(len(t.linkNames))
+				t.linkNames = append(t.linkNames, name)
+				t.linkByName[name] = id
+			}
+			t.linkIDs = append(t.linkIDs, id)
+		}
+	}
+	i := 2 * dl.Link
+	if !dl.Forward {
+		i++
+	}
+	return int(t.linkIDs[i])
+}
+
+// LinkName returns the direction name of a LinkID id.
+func (t *Topology) LinkName(id int) string { return t.linkNames[id] }
 
 // ---- Builders ----
 

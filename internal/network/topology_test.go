@@ -196,3 +196,45 @@ func TestSetLinkBandwidth(t *testing.T) {
 		t.Fatal("SetLinkBandwidth did not apply")
 	}
 }
+
+// TestLinkIDSharesNames: each link direction gets the id of its "a->b"
+// name; a parallel link between the same nodes shares its directions' ids
+// (reversed when its endpoints are), and ids handed out before a link is
+// added stay valid after.
+func TestLinkIDSharesNames(t *testing.T) {
+	topo := Ring(cfg(4))
+	gpus := topo.GPUs()
+	fwd := topo.LinkID(DirLink{Link: 0, Forward: true})
+	rev := topo.LinkID(DirLink{Link: 0, Forward: false})
+	if got := topo.LinkName(fwd); got != "gpu0->gpu1" {
+		t.Fatalf("forward name %q", got)
+	}
+	if got := topo.LinkName(rev); got != "gpu1->gpu0" {
+		t.Fatalf("reverse name %q", got)
+	}
+	if got := topo.PairName(gpus[3], topo.Host()); got != "gpu3->host" {
+		t.Fatalf("pair name %q", got)
+	}
+	dup := topo.AddLink(gpus[1], gpus[0], 1e9, 0)
+	if got := topo.LinkID(DirLink{Link: dup, Forward: true}); got != rev {
+		t.Fatalf("duplicate forward id %d, want %d", got, rev)
+	}
+	if got := topo.LinkID(DirLink{Link: dup, Forward: false}); got != fwd {
+		t.Fatalf("duplicate reverse id %d, want %d", got, fwd)
+	}
+	seen := map[string]int{}
+	for l := range topo.Links {
+		for _, f := range []bool{true, false} {
+			id := topo.LinkID(DirLink{Link: l, Forward: f})
+			name := topo.LinkName(id)
+			if prev, ok := seen[name]; ok && prev != id {
+				t.Fatalf("name %q has ids %d and %d", name, prev, id)
+			}
+			seen[name] = id
+		}
+	}
+	if len(seen) != 2*(len(topo.Links)-1) {
+		t.Fatalf("%d names for %d links with one duplicate", len(seen),
+			len(topo.Links))
+	}
+}

@@ -120,6 +120,7 @@ func (r *replica) maybeStart(now sim.VTime) error {
 		}
 	}
 	r.busy = true
+	r.c.GPUTime.Start(&task.Task{Kind: task.Compute, GPU: r.idx}, now)
 	start := now
 	sim.ScheduleFunc(r.c.eng, now+dur, func(end sim.VTime) error {
 		return r.stepDone(start, end, nominal)
@@ -132,6 +133,7 @@ func (r *replica) maybeStart(now sim.VTime) error {
 // their KV reservation and ship their response to the host.
 func (r *replica) stepDone(start, end sim.VTime, nominal sim.VTime) error {
 	r.busy = false
+	r.c.GPUTime.Finish(&task.Task{Kind: task.Compute, GPU: r.idx}, end)
 	r.steps++
 	r.batchOccupancy += len(r.batch)
 	r.busySec += (end - start).Seconds()

@@ -73,6 +73,10 @@ type Cluster struct {
 	// step start (fault injection's straggler model). Nil means factor 1.
 	Stretch func(gpu int, at sim.VTime) float64
 
+	// GPUTime, when set, is told each batched step's start and finish as
+	// compute on the replica's GPU. Set before Start.
+	GPUTime *task.GPUTime
+
 	// Spans, when set, receives one request-lifetime span per completed
 	// request on a per-replica "requests.gpuN" track.
 	Spans *spantrace.Recorder

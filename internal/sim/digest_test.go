@@ -109,24 +109,6 @@ func TestDigestDiffersAcrossSchedules(t *testing.T) {
 	}
 }
 
-func TestMonitorHandlerCountsSorted(t *testing.T) {
-	m := NewMonitor(nil)
-	m.ByHandler = map[string]uint64{"zeta": 3, "alpha": 1, "mid": 2}
-	counts := m.HandlerCounts()
-	if len(counts) != 3 {
-		t.Fatalf("len = %d", len(counts))
-	}
-	want := []string{"alpha", "mid", "zeta"}
-	for i, hc := range counts {
-		if hc.Name != want[i] {
-			t.Fatalf("order %v, want %v", counts, want)
-		}
-	}
-	if counts[0].Count != 1 || counts[2].Count != 3 {
-		t.Fatalf("counts wrong: %v", counts)
-	}
-}
-
 // tickEvent embeds EventBase, so its handler type is whatever the scheduler
 // passes; the fold tables must key on both types, not the event alone.
 type tickEvent struct {

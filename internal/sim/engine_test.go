@@ -139,30 +139,6 @@ func TestTerminateAndResume(t *testing.T) {
 	}
 }
 
-func TestMonitorHook(t *testing.T) {
-	eng := NewSerialEngine()
-	mon := NewMonitor(func(Event) string { return "func" })
-	eng.RegisterHook(mon)
-	for i := 1; i <= 4; i++ {
-		eng.Schedule(NewFuncEvent(VTime(i), func(VTime) error { return nil }))
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if mon.Events != 4 {
-		t.Fatalf("monitor counted %d events, want 4", mon.Events)
-	}
-	if mon.LastTime != 4 {
-		t.Fatalf("monitor last time %v, want 4", mon.LastTime)
-	}
-	if mon.ByHandler["func"] != 4 {
-		t.Fatalf("by-handler count = %v", mon.ByHandler)
-	}
-	if eng.EventCount() != 4 {
-		t.Fatalf("EventCount = %d", eng.EventCount())
-	}
-}
-
 // Property: for any set of non-negative event times, the engine dispatches
 // them in sorted order.
 func TestDispatchOrderProperty(t *testing.T) {

@@ -1,7 +1,5 @@
 package sim
 
-import "sort"
-
 // HookPos identifies where in the engine's dispatch loop a hook fires.
 type HookPos int
 
@@ -29,56 +27,3 @@ type HookFunc func(ctx HookCtx)
 
 // Func calls f(ctx).
 func (f HookFunc) Func(ctx HookCtx) { f(ctx) }
-
-// Monitor is a built-in hook that counts dispatched events and tracks the
-// virtual-time frontier. It stands in for the AkitaRTM monitoring surface:
-// callers can poll it from another goroutine-free context (e.g., between Run
-// segments) to report progress.
-type Monitor struct {
-	Events       uint64
-	LastTime     VTime
-	ByHandler    map[string]uint64
-	NameOf       func(e Event) string
-	sampleEveryN uint64
-}
-
-// NewMonitor returns a Monitor that tags events using nameOf (may be nil).
-func NewMonitor(nameOf func(e Event) string) *Monitor {
-	return &Monitor{ByHandler: map[string]uint64{}, NameOf: nameOf}
-}
-
-// HandlerCount is one named event-count entry of a Monitor report.
-type HandlerCount struct {
-	Name  string
-	Count uint64
-}
-
-// HandlerCounts returns the per-handler event counts in sorted name order.
-// ByHandler is a map; any code emitting it (reports, digests, logs) must go
-// through this accessor so output order does not depend on map iteration.
-func (m *Monitor) HandlerCounts() []HandlerCount {
-	names := make([]string, 0, len(m.ByHandler))
-	for name := range m.ByHandler {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]HandlerCount, 0, len(names))
-	for _, name := range names {
-		out = append(out, HandlerCount{Name: name, Count: m.ByHandler[name]})
-	}
-	return out
-}
-
-// Func implements Hook.
-func (m *Monitor) Func(ctx HookCtx) {
-	if ctx.Pos != HookPosAfterEvent {
-		return
-	}
-	m.Events++
-	m.LastTime = ctx.Now
-	if m.NameOf != nil {
-		if e, ok := ctx.Item.(Event); ok {
-			m.ByHandler[m.NameOf(e)]++
-		}
-	}
-}

@@ -13,6 +13,8 @@
 package spantrace
 
 import (
+	"strconv"
+
 	"triosim/internal/network"
 	"triosim/internal/sim"
 	"triosim/internal/task"
@@ -167,6 +169,9 @@ type Recorder struct {
 	// Counter series, in first-touch order (export sorts).
 	counters   []*CounterSeries
 	counterIdx map[string]int
+	// links caches each link direction's bytes series by the topology's
+	// direction-name id.
+	links []*CounterSeries
 
 	// Queue-depth sampling state: the engine hook tracks the running max
 	// within the current timestamp and flushes one sample when virtual time
@@ -199,9 +204,9 @@ const (
 	faultTrackName = "faults"
 )
 
-// NewRecorder builds a recorder for one run of g. topo supplies node names
-// for communication track labels and may be nil (tracks fall back to raw
-// node ids).
+// NewRecorder builds a recorder for one run of g. topo names the
+// communication tracks and link series (network.Topology.PairName and
+// LinkName) and may be nil (names fall back to raw node and link ids).
 func NewRecorder(g *task.Graph, topo *network.Topology) *Recorder {
 	r := &Recorder{
 		graph:       g,
@@ -335,30 +340,9 @@ func (r *Recorder) gpuTrackSlow(gpu int) int32 {
 	for gpu >= len(r.gpuTracks) {
 		r.gpuTracks = append(r.gpuTracks, 0)
 	}
-	id := r.intern(gpuName(gpu))
+	id := r.intern("gpu" + strconv.Itoa(gpu))
 	r.gpuTracks[gpu] = id + 1
 	return id
-}
-
-func gpuName(gpu int) string {
-	// Matches the executor's interval-log lane names.
-	return "gpu" + itoa(gpu)
-}
-
-// itoa is a minimal non-negative integer formatter (avoids fmt on cold paths
-// that still run once per GPU/link).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // routeTrack returns the interned "src->dst" track id for a transfer,
@@ -374,19 +358,13 @@ func (r *Recorder) routeTrack(src, dst network.NodeID) int32 {
 }
 
 func (r *Recorder) routeTrackSlow(key uint64, src, dst network.NodeID) int32 {
-	id := r.intern(r.nodeName(src) + "->" + r.nodeName(dst))
+	name := "node" + strconv.Itoa(int(src)) + "->node" + strconv.Itoa(int(dst))
+	if r.topo != nil {
+		name = r.topo.PairName(src, dst)
+	}
+	id := r.intern(name)
 	r.routeTracks[key] = id + 1
 	return id
-}
-
-// nodeName resolves a topology node's display name.
-func (r *Recorder) nodeName(n network.NodeID) string {
-	if r.topo != nil && int(n) >= 0 && int(n) < len(r.topo.Nodes) {
-		if name := r.topo.Nodes[n].Name; name != "" {
-			return name
-		}
-	}
-	return "node" + itoa(int(n))
 }
 
 // syncTrack returns the interned barrier/delay lane id.
@@ -449,21 +427,20 @@ func (r *Recorder) FlowFinished(route []network.DirLink, bytes float64,
 	}
 }
 
-// linkSeries returns the cumulative-bytes series for one link direction.
+// linkSeries returns the cumulative-bytes series "link.<name>.bytes" of one
+// link direction, cached by the topology's direction-name id.
 func (r *Recorder) linkSeries(dl network.DirLink) *CounterSeries {
-	return r.series("link." + r.linkName(dl) + ".bytes")
-}
-
-// linkName renders one link direction as "a->b" via topology node names.
-func (r *Recorder) linkName(dl network.DirLink) string {
-	if r.topo == nil || dl.Link < 0 || dl.Link >= len(r.topo.Links) {
-		return "link" + itoa(dl.Link)
+	if r.topo == nil {
+		return r.series("link.link" + strconv.Itoa(dl.Link) + ".bytes")
 	}
-	lk := r.topo.Links[dl.Link]
-	if dl.Forward {
-		return r.nodeName(lk.A) + "->" + r.nodeName(lk.B)
+	id := r.topo.LinkID(dl)
+	for id >= len(r.links) {
+		r.links = append(r.links, nil)
 	}
-	return r.nodeName(lk.B) + "->" + r.nodeName(lk.A)
+	if r.links[id] == nil {
+		r.links[id] = r.series("link." + r.topo.LinkName(id) + ".bytes")
+	}
+	return r.links[id]
 }
 
 // RatesRecomputed implements network.FlowObserver: in-flight flow count and

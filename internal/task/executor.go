@@ -48,6 +48,10 @@ type Executor struct {
 	// by Kind.
 	busy [HostLoad + 1]busyCounter
 
+	// GPUTime, when set, is told every task's start and finish, and so
+	// keeps each GPU's time partition. Set before Run.
+	GPUTime *GPUTime
+
 	// Stretch optionally scales compute-task durations per GPU: a task
 	// starting at time at on gpu runs for Duration×Stretch(gpu, at). The
 	// factor is sampled once at task start and applies to the whole task
@@ -98,35 +102,6 @@ type doneRec struct {
 	onComm  func(end sim.VTime)
 }
 
-// busyCounter sums the union of one kind's activity intervals in O(1) per
-// task. Tasks open and close it in dispatch order, which is nondecreasing in
-// virtual time, so it replays timeline.UnionTime's sorted sweep exactly:
-// when depth drops to zero the close is held, an open at the same instant
-// resumes the segment (touching intervals merge), and a later open first
-// adds close−open to the total, so segments are summed in time order and a
-// zero-length interval adds +0. The zero value holds the empty segment
-// [0, 0].
-type busyCounter struct {
-	depth       int
-	open, close sim.VTime
-	total       sim.VTime
-}
-
-func (b *busyCounter) start(now sim.VTime) {
-	if b.depth == 0 && now.After(b.close) {
-		b.total += b.close - b.open
-		b.open = now
-	}
-	b.depth++
-}
-
-func (b *busyCounter) end(now sim.VTime) {
-	b.depth--
-	if b.depth == 0 {
-		b.close = now
-	}
-}
-
 // NewExecutor prepares an executor; call Run to execute. tl is an optional
 // interval log: nil records nothing.
 func NewExecutor(eng sim.Engine, net network.Network, g *Graph,
@@ -154,8 +129,7 @@ func (x *Executor) notify(t *Task, start, end sim.VTime) {
 // timeline.UnionTime(timeline.ByPhase(k.String())) gives over the same run's
 // interval log, bit for bit. Read it after Run.
 func (x *Executor) BusyTime(k Kind) sim.VTime {
-	b := &x.busy[k]
-	return b.total + (b.close - b.open)
+	return x.busy[k].sum()
 }
 
 // lane returns gpu's lane, naming it on first use when the executor records
@@ -245,6 +219,7 @@ func (x *Executor) ready(t *Task, now sim.VTime) {
 		}
 	case Comm, HostLoad:
 		x.busy[t.Kind].start(now)
+		x.GPUTime.Start(t, now)
 		r := x.getRec()
 		r.t, r.start = t, now
 		x.net.Send(t.Src, t.Dst, t.Bytes, r.onComm)
@@ -273,6 +248,7 @@ func (x *Executor) startNextCompute(gpu int, now sim.VTime) {
 	}
 	l.busy = true
 	x.busy[Compute].start(now)
+	x.GPUTime.Start(t, now)
 	dur := t.Duration
 	if x.Stretch != nil {
 		if f := x.Stretch(gpu, now); f != 1 {
@@ -294,6 +270,7 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 		return nil
 	}
 	x.busy[Compute].end(done)
+	x.GPUTime.Finish(t, done)
 	if x.tl != nil {
 		x.tl.Add(x.lane(gpu).name, t.Label(), "compute", start, done)
 	}
@@ -310,6 +287,7 @@ func (r *doneRec) commDone(end sim.VTime) {
 	x, t, start := r.x, r.t, r.start
 	x.putRec(r)
 	x.busy[t.Kind].end(end)
+	x.GPUTime.Finish(t, end)
 	if x.tl != nil {
 		x.tl.Add("net", t.Label(), t.Kind.String(), start, end)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,74 +59,6 @@ func (l *CollectiveLog) Get(label string) *CollectiveEntry {
 	return l.entries[label]
 }
 
-// span is a half-open [s, e) interval in seconds; the collector's interval
-// algebra works on plain float64 so virtual-time comparison rules stay inside
-// internal/sim.
-type span struct{ s, e float64 }
-
-// unionSpans merges overlapping/adjacent spans into a sorted disjoint set.
-func unionSpans(in []span) []span {
-	if len(in) == 0 {
-		return nil
-	}
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].s != in[j].s {
-			return in[i].s < in[j].s
-		}
-		return in[i].e < in[j].e
-	})
-	out := []span{in[0]}
-	for _, sp := range in[1:] {
-		last := &out[len(out)-1]
-		if sp.s <= last.e {
-			if sp.e > last.e {
-				last.e = sp.e
-			}
-			continue
-		}
-		out = append(out, sp)
-	}
-	return out
-}
-
-// spansLen sums a disjoint span set's total length.
-func spansLen(in []span) float64 {
-	var total float64
-	for _, sp := range in {
-		total += sp.e - sp.s
-	}
-	return total
-}
-
-// subtractSpans returns a minus b; both must be sorted disjoint sets.
-func subtractSpans(a, b []span) []span {
-	var out []span
-	j := 0
-	for _, sp := range a {
-		cur := sp
-		for j < len(b) && b[j].e <= cur.s {
-			j++
-		}
-		k := j
-		for k < len(b) && b[k].s < cur.e {
-			if b[k].s > cur.s {
-				out = append(out, span{cur.s, b[k].s})
-			}
-			if b[k].e > cur.s {
-				cur.s = b[k].e
-			}
-			if cur.s >= cur.e {
-				break
-			}
-			k++
-		}
-		if cur.s < cur.e {
-			out = append(out, cur)
-		}
-	}
-	return out
-}
-
 // collAgg accumulates the runtime side of one collective instance.
 type collAgg struct {
 	moved      float64
@@ -137,7 +70,10 @@ type collAgg struct {
 // Collector is the run-wide telemetry sink: it observes completed tasks
 // (task.Observer), finished flows and rate recomputations
 // (network.FlowObserver), and engine dispatches (EngineHook), feeding a
-// Registry and accumulating the state Finalize turns into a RunReport.
+// Registry and accumulating the state Finalize turns into a RunReport. It
+// keeps no per-task state: per-link statistics are indexed by the
+// topology's direction-name ids, and the per-GPU time partition comes from
+// a task.GPUTime the executor or the serving cluster feeds.
 //
 // All methods are invoked on the engine goroutine; the Collector never
 // schedules events, so the dispatched event schedule — and therefore the
@@ -147,24 +83,15 @@ type Collector struct {
 	topo *network.Topology
 	log  *CollectiveLog
 
-	gpuIndex map[network.NodeID]int
-	nGPUs    int
-
-	computeIvl   map[int][]span
-	commIvl      map[int][]span
-	hostIvl      map[int][]span
-	computeTasks map[int]int
-
-	linkBytes map[string]float64
-	linkFlows map[string]int
-	linkBw    map[string]float64
+	// links holds per-direction statistics, indexed by the topology's
+	// direction-name id (network.Topology.LinkID).
+	links []linkAgg
 
 	tierBytes map[string]float64
 	tierFlows map[string]int
 
 	coll map[string]*collAgg
 
-	kinds map[string]uint64
 	// kindCache maps an event's (dynamic type, secondary flag) to its kind
 	// label and triosim_events_total series, so the per-event hook neither
 	// formats a type name nor looks the counter up in the registry;
@@ -181,32 +108,16 @@ type Collector struct {
 // the workload has no collectives (or they were generated without a log).
 func NewCollector(reg *Registry, topo *network.Topology,
 	log *CollectiveLog) *Collector {
-	c := &Collector{
-		reg:          reg,
-		topo:         topo,
-		log:          log,
-		gpuIndex:     map[network.NodeID]int{},
-		computeIvl:   map[int][]span{},
-		commIvl:      map[int][]span{},
-		hostIvl:      map[int][]span{},
-		computeTasks: map[int]int{},
-		linkBytes:    map[string]float64{},
-		linkFlows:    map[string]int{},
-		linkBw:       map[string]float64{},
-		tierBytes:    map[string]float64{},
-		tierFlows:    map[string]int{},
-		coll:         map[string]*collAgg{},
-		kinds:        map[string]uint64{},
-		kindCache:    map[kindKey]kindEntry{},
+	return &Collector{
+		reg:       reg,
+		topo:      topo,
+		log:       log,
+		tierBytes: map[string]float64{},
+		tierFlows: map[string]int{},
+		coll:      map[string]*collAgg{},
+		kindCache: map[kindKey]kindEntry{},
 	}
-	for i, id := range topo.GPUs() {
-		c.gpuIndex[id] = i
-	}
-	return c
 }
-
-// Registry returns the backing metrics registry.
-func (c *Collector) Registry() *Registry { return c.reg }
 
 var _ task.Observer = (*Collector)(nil)
 var _ network.FlowObserver = (*Collector)(nil)
@@ -216,31 +127,16 @@ func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 	s, e := start.Seconds(), end.Seconds()
 	switch t.Kind {
 	case task.Compute:
-		g := t.GPU
-		c.computeIvl[g] = append(c.computeIvl[g], span{s, e})
-		c.computeTasks[g]++
 		c.reg.Counter("triosim_gpu_compute_seconds_total", "gpu",
-			fmt.Sprintf("gpu%d", g),
+			fmt.Sprintf("gpu%d", t.GPU),
 			"Serial compute-stream occupancy per GPU.").Add(e - s)
 		c.reg.Histogram("triosim_op_duration_seconds", "category",
 			OpCategory(t.Label()),
 			"Per-operator compute durations by category.",
 			DurationBuckets).Observe(e - s)
 	case task.Comm:
-		for _, nid := range []network.NodeID{t.Src, t.Dst} {
-			if g, ok := c.gpuIndex[nid]; ok {
-				c.commIvl[g] = append(c.commIvl[g], span{s, e})
-			}
-			if t.Src == t.Dst {
-				break // local transfer: attribute once
-			}
-		}
 		if t.Collective != "" {
 			c.observeCollective(t, s, e)
-		}
-	case task.HostLoad:
-		if g, ok := c.gpuIndex[t.Dst]; ok {
-			c.hostIvl[g] = append(c.hostIvl[g], span{s, e})
 		}
 	}
 }
@@ -276,16 +172,16 @@ func (c *Collector) observeCollective(t *task.Task, s, e float64) {
 		"Bytes moved by collective communication, per algorithm.").Add(t.Bytes)
 }
 
-// linkName renders one link direction as "src->dst" using topology node
-// names.
-func (c *Collector) linkName(dl network.DirLink) string {
-	lk := c.topo.Links[dl.Link]
-	a := c.topo.Nodes[lk.A].Name
-	b := c.topo.Nodes[lk.B].Name
-	if dl.Forward {
-		return a + "->" + b
-	}
-	return b + "->" + a
+const linkUtilHelp = "Fraction of link capacity used over the run so far."
+
+// linkAgg accumulates one link direction's traffic: bytes and flows, the
+// bandwidth its last flow saw, and its cached metric series.
+type linkAgg struct {
+	bytes float64
+	flows int
+	bw    float64
+	total *Counter
+	util  *Gauge
 }
 
 // FlowFinished implements network.FlowObserver.
@@ -293,22 +189,31 @@ func (c *Collector) FlowFinished(route []network.DirLink, bytes float64,
 	start, end sim.VTime) {
 	s, e := start.Seconds(), end.Seconds()
 	for _, dl := range route {
-		name := c.linkName(dl)
-		c.linkBytes[name] += bytes
-		c.linkFlows[name]++
+		id := c.topo.LinkID(dl)
+		for id >= len(c.links) {
+			c.links = append(c.links, linkAgg{})
+		}
+		la := &c.links[id]
+		la.bytes += bytes
+		la.flows++
 		lk := &c.topo.Links[dl.Link]
 		bw := lk.Bandwidth
-		c.linkBw[name] = bw
+		la.bw = bw
 		if lk.Tier != "" {
 			c.tierBytes[lk.Tier] += bytes
 			c.tierFlows[lk.Tier]++
 		}
-		c.reg.Counter("triosim_link_bytes_total", "link", name,
-			"Bytes carried per directed link.").Add(bytes)
+		if la.total == nil {
+			la.total = c.reg.Counter("triosim_link_bytes_total", "link",
+				c.topo.LinkName(id), "Bytes carried per directed link.")
+		}
+		la.total.Add(bytes)
 		if bw > 0 && e > 0 {
-			c.reg.Gauge("triosim_link_utilization_ratio", "link", name,
-				"Fraction of link capacity used over the run so far.").
-				Set(c.linkBytes[name] / (bw * e))
+			if la.util == nil {
+				la.util = c.reg.Gauge("triosim_link_utilization_ratio", "link",
+					c.topo.LinkName(id), linkUtilHelp)
+			}
+			la.util.Set(la.bytes / (bw * e))
 		}
 	}
 	c.reg.Histogram("triosim_flow_duration_seconds", "", "",
@@ -378,9 +283,7 @@ func (c *Collector) EngineHook(pending func() int) sim.Hook {
 		if !ok {
 			return
 		}
-		kind := c.kindOf(e)
-		c.kinds[kind.name]++
-		kind.events.Inc()
+		c.kindOf(e).events.Inc()
 		if pending != nil {
 			if d := pending(); d > c.queuePeak {
 				c.queuePeak = d
@@ -415,11 +318,14 @@ type RunInfo struct {
 	// network.FlowNetwork.SolveClock).
 	NetSolveSeconds float64
 	Parallel        ParallelStat
+	// GPUTime is the run's per-GPU time partition, fed by the executor or
+	// the serving cluster; nil reads every GPU as idle.
+	GPUTime *task.GPUTime
 }
 
-// Finalize computes the per-GPU exposed-time partition, final link
-// utilizations, and collective bandwidths, and assembles the RunReport. Call
-// it once, after the engine has drained.
+// Finalize reads the per-GPU time partition off info.GPUTime, computes final
+// link utilizations and collective bandwidths, and assembles the RunReport.
+// Call it once, after the engine has drained.
 func (c *Collector) Finalize(info RunInfo) *RunReport {
 	rep := &RunReport{
 		Schema:          ReportSchema,
@@ -438,13 +344,10 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 	// only where it is not hidden under compute; host staging only where
 	// neither compute nor comm runs; idle is the exact remainder.
 	for g := 0; g < info.NumGPUs; g++ {
-		compute := unionSpans(c.computeIvl[g])
-		comm := unionSpans(c.commIvl[g])
-		host := unionSpans(c.hostIvl[g])
-		busy := spansLen(compute)
-		exposedComm := spansLen(subtractSpans(comm, compute))
-		notIdle := unionSpans(append(append([]span{}, compute...), comm...))
-		exposedHost := spansLen(subtractSpans(host, notIdle))
+		sh := info.GPUTime.Share(g)
+		busy := sh.Compute.Seconds()
+		exposedComm := sh.ExposedComm.Seconds()
+		exposedHost := sh.ExposedHost.Seconds()
 		idle := total - busy - exposedComm - exposedHost
 		rep.GPUs = append(rep.GPUs, GPUStat{
 			GPU:            g,
@@ -452,7 +355,7 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 			ExposedCommSec: exposedComm,
 			ExposedHostSec: exposedHost,
 			IdleSec:        idle,
-			ComputeTasks:   c.computeTasks[g],
+			ComputeTasks:   sh.ComputeTasks,
 		})
 		label := fmt.Sprintf("gpu%d", g)
 		c.reg.Gauge("triosim_gpu_exposed_comm_seconds", "gpu", label,
@@ -463,25 +366,30 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 			Set(idle)
 	}
 
-	// Links, sorted by direction name.
-	names := make([]string, 0, len(c.linkBytes))
-	for name := range c.linkBytes {
-		names = append(names, name)
+	// Links that carried a flow, sorted by direction name.
+	var ids []int
+	for id := range c.links {
+		if c.links[id].flows > 0 {
+			ids = append(ids, id)
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	slices.SortFunc(ids, func(a, b int) int {
+		return strings.Compare(c.topo.LinkName(a), c.topo.LinkName(b))
+	})
+	for _, id := range ids {
+		la := &c.links[id]
 		util := 0.0
-		if bw := c.linkBw[name]; bw > 0 && total > 0 {
-			util = c.linkBytes[name] / (bw * total)
+		if la.bw > 0 && total > 0 {
+			util = la.bytes / (la.bw * total)
 		}
 		rep.Links = append(rep.Links, LinkStat{
-			Link:        name,
-			Bytes:       c.linkBytes[name],
+			Link:        c.topo.LinkName(id),
+			Bytes:       la.bytes,
 			Utilization: util,
-			Flows:       c.linkFlows[name],
+			Flows:       la.flows,
 		})
-		c.reg.Gauge("triosim_link_utilization_ratio", "link", name,
-			"Fraction of link capacity used over the run so far.").Set(util)
+		c.reg.Gauge("triosim_link_utilization_ratio", "link",
+			c.topo.LinkName(id), linkUtilHelp).Set(util)
 		if util > rep.Network.MaxLinkUtilization {
 			rep.Network.MaxLinkUtilization = util
 		}
@@ -571,15 +479,16 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 	if info.QueueHighWater > rep.Engine.QueueHighWater {
 		rep.Engine.QueueHighWater = info.QueueHighWater
 	}
-	kinds := make([]string, 0, len(c.kinds))
-	for k := range c.kinds {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
+	// Per-kind counts, read off the cached triosim_events_total series
+	// (types whose names render alike share one series and one row).
+	for _, ent := range c.kindCache {
 		rep.Engine.ByKind = append(rep.Engine.ByKind,
-			KindCount{Kind: k, Count: c.kinds[k]})
+			KindCount{Kind: ent.name, Count: uint64(ent.events.Value())})
 	}
+	slices.SortFunc(rep.Engine.ByKind, func(a, b KindCount) int {
+		return strings.Compare(a.Kind, b.Kind)
+	})
+	rep.Engine.ByKind = slices.Compact(rep.Engine.ByKind)
 	c.reg.Gauge("triosim_event_queue_depth_peak", "", "",
 		"High-water mark of the engine's pending-event queue.").
 		Set(float64(c.queuePeak))

@@ -13,7 +13,8 @@ type markEvent struct{ sim.EventBase }
 
 // TestEngineHookKindCache drives the engine hook with primary and secondary
 // events of two types, interleaved, and checks every per-kind count — in the
-// collector and in triosim_events_total — against uncached eventKind labels.
+// report's engine section and in triosim_events_total — against uncached
+// eventKind labels.
 // The hook must not allocate once each kind has been seen.
 func TestEngineHookKindCache(t *testing.T) {
 	noop := func(sim.VTime) error { return nil }
@@ -41,13 +42,20 @@ func TestEngineHookKindCache(t *testing.T) {
 	for _, e := range events {
 		want[eventKind(e)] += passes
 	}
-	if len(want) != 4 || len(c.kinds) != len(want) {
-		t.Fatalf("kinds %v, want %v", c.kinds, want)
+	byKind := c.Finalize(RunInfo{}).Engine.ByKind
+	if len(want) != 4 || len(byKind) != len(want) {
+		t.Fatalf("kinds %v, want %v", byKind, want)
+	}
+	for i, kc := range byKind {
+		if i > 0 && byKind[i-1].Kind >= kc.Kind {
+			t.Errorf("kinds not sorted: %v", byKind)
+		}
+		if want[kc.Kind] != kc.Count {
+			t.Errorf("kind %q counted %d, want %d", kc.Kind, kc.Count,
+				want[kc.Kind])
+		}
 	}
 	for kind, n := range want {
-		if c.kinds[kind] != n {
-			t.Errorf("kind %q counted %d, want %d", kind, c.kinds[kind], n)
-		}
 		got := reg.Counter("triosim_events_total", "kind", kind, "").Value()
 		if got != float64(n) {
 			t.Errorf("triosim_events_total{kind=%q} = %v, want %d", kind, got, n)
@@ -61,20 +69,42 @@ func TestEngineHookKindCache(t *testing.T) {
 // TestCollectorGPUPartitionOverlapAware pins the per-GPU partition on a hand
 // built overlap: gpu0 computes [0,4), has a transfer in flight [2,6) (2s
 // hidden under compute, 2s exposed) and stages input [5,7) (1s under the
-// transfer, 1s exposed); the run lasts 10s. gpu1 computes throughout.
+// transfer, 1s exposed); the run lasts 10s. gpu1 computes throughout. The
+// tasks start and finish in dispatch order on a task.GPUTime, which the
+// collector reads through RunInfo.
 func TestCollectorGPUPartitionOverlapAware(t *testing.T) {
 	topo := network.Switch(network.Config{
 		NumGPUs: 3, LinkBandwidth: 1e9, HostBandwidth: 1e9,
 	})
 	gpus := topo.GPUs()
 	g := task.NewGraph()
+	op0 := g.AddCompute(0, 4, "op")
+	op1 := g.AddCompute(1, 10, "op")
+	xfer := g.AddComm(gpus[0], gpus[2], 1e9, "xfer")
+	stage := g.AddHostLoad(topo.Host(), gpus[0], 1e9, "stage")
+	gt := task.NewGPUTime(topo)
 	c := NewCollector(NewRegistry(), topo, nil)
-	c.TaskDone(g.AddCompute(0, 4, "op"), 0, 4)
-	c.TaskDone(g.AddComm(gpus[0], gpus[2], 1e9, "xfer"), 2, 6)
-	c.TaskDone(g.AddHostLoad(topo.Host(), gpus[0], 1e9, "stage"), 5, 7)
-	c.TaskDone(g.AddCompute(1, 10, "op"), 0, 10)
+	for _, ev := range []struct {
+		t      *task.Task
+		at     sim.VTime
+		finish bool
+	}{
+		{op0, 0, false}, {op1, 0, false}, {xfer, 2, false},
+		{op0, 4, true}, {stage, 5, false}, {xfer, 6, true},
+		{stage, 7, true}, {op1, 10, true},
+	} {
+		if ev.finish {
+			gt.Finish(ev.t, ev.at)
+		} else {
+			gt.Start(ev.t, ev.at)
+		}
+	}
+	c.TaskDone(op0, 0, 4)
+	c.TaskDone(xfer, 2, 6)
+	c.TaskDone(stage, 5, 7)
+	c.TaskDone(op1, 0, 10)
 
-	rep := c.Finalize(RunInfo{NumGPUs: 3, TotalSec: 10})
+	rep := c.Finalize(RunInfo{NumGPUs: 3, TotalSec: 10, GPUTime: gt})
 	if len(rep.GPUs) != 3 {
 		t.Fatalf("%d GPU rows, want 3", len(rep.GPUs))
 	}

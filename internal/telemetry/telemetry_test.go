@@ -135,23 +135,6 @@ func TestOpCategory(t *testing.T) {
 	}
 }
 
-func TestSpanAlgebra(t *testing.T) {
-	u := unionSpans([]span{{5, 7}, {1, 3}, {2, 4}})
-	if len(u) != 2 || u[0] != (span{1, 4}) || u[1] != (span{5, 7}) {
-		t.Fatalf("union = %v", u)
-	}
-	if got := spansLen(u); got != 5 {
-		t.Fatalf("len = %v", got)
-	}
-	d := subtractSpans(u, []span{{2, 6}})
-	if len(d) != 2 || d[0] != (span{1, 2}) || d[1] != (span{6, 7}) {
-		t.Fatalf("subtract = %v", d)
-	}
-	if got := subtractSpans([]span{{0, 10}}, u); spansLen(got) != 5 {
-		t.Fatalf("complement = %v", got)
-	}
-}
-
 func TestCollectiveLogNilSafe(t *testing.T) {
 	var log *CollectiveLog
 	log.Record("x", "ring-allreduce", 4, 100, 1.5) // must not panic

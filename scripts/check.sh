@@ -29,10 +29,11 @@ go test -race -count=2 ./internal/sweep/... ./internal/monitor/... \
   ./internal/faults/... ./internal/tracecache/... ./internal/serving/... \
   ./internal/server/...
 
-echo "==> fuzz smoke (digest table fold vs byte-wise FNV-1a; event heap vs container/heap; CSR graph freeze vs per-task slices)"
+echo "==> fuzz smoke (digest table fold vs byte-wise FNV-1a; event heap vs container/heap; CSR graph freeze vs per-task slices; per-GPU time partition vs sorted interval algebra)"
 go test -run '^$' -fuzz '^FuzzDigestFold$' -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz '^FuzzEventQueueOrder$' -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz '^FuzzGraphFreeze$' -fuzztime 5s ./internal/task
+go test -run '^$' -fuzz '^FuzzGPUPartition$' -fuzztime 5s ./internal/task
 
 echo "==> bench module (vet + tests; bench/ is a module of its own, so go test ./... above does not reach it)"
 (cd bench && go vet ./... && go test ./...)

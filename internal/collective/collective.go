@@ -35,12 +35,14 @@ type Options struct {
 // Per-task label forms, rendered only when a label is read (see
 // task.NewLabelForm): a cluster-scale collective emits hundreds of thousands
 // of tasks whose labels nothing reads unless telemetry or tracing is on.
+// The forms of the transfers are collective forms: their %s operand, the
+// instance label, is what Task.Collective reports to telemetry.
 var (
 	stepDoneLabel  = task.NewLabelForm("%s-step%d-done")
-	stepRankLabel  = task.NewLabelForm("%s-step%d-rank%d")
+	stepRankLabel  = task.NewCollectiveLabelForm("%s-step%d-rank%d")
 	stepProtoLabel = task.NewLabelForm("%s-step%d-proto")
-	rankLabel      = task.NewLabelForm("%s-rank%d")
-	hopChunkLabel  = task.NewLabelForm("%s-hop%d-chunk%d")
+	rankLabel      = task.NewCollectiveLabelForm("%s-rank%d")
+	hopChunkLabel  = task.NewCollectiveLabelForm("%s-hop%d-chunk%d")
 	hopProtoLabel  = task.NewLabelForm("%s-hop%d-proto")
 )
 
@@ -58,7 +60,6 @@ func steps(g *task.Graph, ring []network.NodeID, nSteps int,
 		for i := 0; i < n; i++ {
 			send := g.AddComm(ring[i], ring[(i+1)%n], chunkBytes, "")
 			send.SetLabelf(stepRankLabel, opt.Label, s, i)
-			send.Collective = opt.Label
 			if s == 0 {
 				// A rank cannot start until its local data is ready.
 				if after != nil && after[i] != nil {
@@ -165,7 +166,6 @@ func Broadcast(g *task.Graph, ring []network.NodeID, bytes float64,
 		for c := 0; c < chunks; c++ {
 			send := g.AddComm(ring[hop], ring[hop+1], chunkBytes, "")
 			send.SetLabelf(hopChunkLabel, opt.Label, hop, c)
-			send.Collective = opt.Label
 			if hop == 0 {
 				if after != nil {
 					g.AddDep(after, send)
@@ -209,7 +209,6 @@ func GatherToRoot(g *task.Graph, ring []network.NodeID, shardBytes float64,
 	for i := 1; i < len(ring); i++ {
 		send := g.AddComm(ring[i], ring[0], shardBytes, "")
 		send.SetLabelf(rankLabel, opt.Label, i)
-		send.Collective = opt.Label
 		if after != nil && after[i] != nil {
 			g.AddDep(after[i], send)
 		}
@@ -236,7 +235,6 @@ func ScatterFromRoot(g *task.Graph, ring []network.NodeID, shardBytes float64,
 	for i := 1; i < len(ring); i++ {
 		send := g.AddComm(ring[0], ring[i], shardBytes, "")
 		send.SetLabelf(rankLabel, opt.Label, i)
-		send.Collective = opt.Label
 		if after != nil {
 			g.AddDep(after, send)
 		}

@@ -213,7 +213,6 @@ func FusedRingStep(g *task.Graph, ring []network.NodeID, bytes float64,
 	for i := 0; i < n; i++ {
 		send := g.AddComm(ring[i], ring[(i+1)%n], perRank, "")
 		send.SetLabelf(rankLabel, opt.Label, i)
-		send.Collective = opt.Label
 		if after != nil && after[i] != nil {
 			g.AddDep(after[i], send)
 		}

@@ -7,10 +7,10 @@ import (
 
 // Tree AllReduce task label forms (see the ring forms in collective.go).
 var (
-	upLabel        = task.NewLabelForm("%s-up-n%d-c%d")
+	upLabel        = task.NewCollectiveLabelForm("%s-up-n%d-c%d")
 	upProtoLabel   = task.NewLabelForm("%s-up-n%d-proto")
 	rootLabel      = task.NewLabelForm("%s-root-c%d")
-	downLabel      = task.NewLabelForm("%s-down-n%d-c%d")
+	downLabel      = task.NewCollectiveLabelForm("%s-down-n%d-c%d")
 	downProtoLabel = task.NewLabelForm("%s-down-n%d-proto")
 )
 
@@ -58,7 +58,6 @@ func TreeAllReduce(g *task.Graph, ranks []network.NodeID, bytes float64,
 		for c := 0; c < chunks; c++ {
 			send := g.AddComm(ranks[i], ranks[parent], chunkBytes, "")
 			send.SetLabelf(upLabel, opt.Label, i, c)
-			send.Collective = opt.Label
 			if gt := gateOf(i); gt != nil {
 				g.AddDep(gt, send)
 			}
@@ -112,7 +111,6 @@ func TreeAllReduce(g *task.Graph, ranks []network.NodeID, bytes float64,
 				}
 				send := g.AddComm(ranks[i], ranks[ch], chunkBytes, "")
 				send.SetLabelf(downLabel, opt.Label, ch, c)
-				send.Collective = opt.Label
 				g.AddDep(haveChunk[i][c], send)
 				if prevSendOf[i] != nil {
 					g.AddDep(prevSendOf[i], send)

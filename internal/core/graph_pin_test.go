@@ -45,7 +45,7 @@ func graphFingerprint(g *task.Graph) (sum string, edges int) {
 		num(math.Float64bits(t.Bytes))
 		num(uint64(t.Layer))
 		num(uint64(t.MicroBatch))
-		str(t.Collective)
+		str(t.Collective())
 		deps, dependents := g.Deps(id), g.Dependents(id)
 		num(uint64(len(deps)))
 		for _, d := range deps {

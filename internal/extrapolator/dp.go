@@ -107,7 +107,7 @@ func (b *builder) stdDPIteration(scale float64, gate *task.Task,
 			op := &b.tr.Ops[idx]
 			t := b.g.AddCompute(b.phys(i), b.opDuration(op, scale, 1)*infl,
 				op.Name+suffix)
-			t.Layer = op.Layer
+			t.Layer = int32(op.Layer)
 			b.g.AddDep(prev, t)
 			if dispatch != nil && op.Phase == trace.Forward {
 				b.g.AddDep(dispatch[op.Layer], t)
@@ -202,7 +202,7 @@ func (b *builder) ddpIteration(scale float64, gate *task.Task,
 		for i := 0; i < n; i++ {
 			t := b.g.AddCompute(b.phys(i), b.opDuration(op, scale, 1),
 				op.Name+suffix)
-			t.Layer = op.Layer
+			t.Layer = int32(op.Layer)
 			b.g.AddDep(prevBwd[i], t)
 			prevBwd[i] = t
 			cur.gates[i] = t

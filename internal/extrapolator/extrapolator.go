@@ -319,7 +319,7 @@ func (b *builder) emitSeq(gpu int, ops []int, batchScale, shard float64,
 		op := &b.tr.Ops[idx]
 		dur := b.opDuration(op, batchScale, shard)
 		t := b.g.AddCompute(b.phys(gpu), dur, b.label(op.Name, labelSuffix))
-		t.Layer = op.Layer
+		t.Layer = int32(op.Layer)
 		b.g.AddDep(prev, t)
 		prev = t
 	}

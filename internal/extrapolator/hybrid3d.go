@@ -274,7 +274,7 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 								b.gpus[gpuAt(d, s+1, r)],
 								pre[s].boundary*shard, "")
 							send.SetLabelf(actLabel, dsuffix, s, mb, r)
-							send.MicroBatch = mb
+							send.MicroBatch = int32(mb)
 							b.g.AddDep(last[r], send)
 							arrive[s+1][mb][r] = send
 						}
@@ -319,7 +319,7 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 								b.gpus[gpuAt(d, s-1, r)],
 								pre[s-1].boundary*shard, "")
 							send.SetLabelf(gradLabel, dsuffix, s, mb, r)
-							send.MicroBatch = mb
+							send.MicroBatch = int32(mb)
 							b.g.AddDep(last[r], send)
 							gradArrive[s-1][mb][r] = send
 						}
@@ -378,7 +378,7 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 							op := &b.tr.Ops[idx]
 							t := b.g.AddCompute(gpuAt(d, s, r),
 								b.opDuration(op, 1, shard), op.Name+suffix)
-							t.Layer = op.Layer
+							t.Layer = int32(op.Layer)
 							b.g.AddDep(prev, t)
 							prev = t
 						}

@@ -193,9 +193,9 @@ func TestHybridInferenceHasNoGradientAllReduce(t *testing.T) {
 			var out []string
 			for id := 0; id < res.Graph.Len(); id++ {
 				tk := res.Graph.Task(id)
-				e := log.Get(tk.Collective)
+				e := log.Get(tk.Collective())
 				if e != nil && strings.HasSuffix(e.Algo, "-allreduce") {
-					out = append(out, tk.Collective)
+					out = append(out, tk.Collective())
 				}
 			}
 			return out

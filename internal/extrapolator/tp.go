@@ -146,7 +146,7 @@ func dpTP(cfg Config, dpGroups int) (*Result, error) {
 					op := &b.tr.Ops[idx]
 					t := b.g.AddCompute(g*ranks+r,
 						b.opDuration(op, scale, shard), op.Name+suffix)
-					t.Layer = op.Layer
+					t.Layer = int32(op.Layer)
 					b.g.AddDep(prev, t)
 					prev = t
 				}
@@ -182,7 +182,7 @@ func (b *builder) tpLayers(groups []layerGroup, scale, shard float64,
 			label := b.label(op.Name, suffix)
 			for i := 0; i < n; i++ {
 				t := b.g.AddCompute(b.phys(i), dur, label)
-				t.Layer = op.Layer
+				t.Layer = int32(op.Layer)
 				b.g.AddDep(prev[i], t)
 				prev[i] = t
 			}

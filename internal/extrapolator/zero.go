@@ -69,7 +69,7 @@ func DataParallelZeRO(cfg Config) (*Result, error) {
 				op := &b.tr.Ops[idx]
 				t := b.g.AddCompute(b.phys(i),
 					b.opDuration(op, scale, shard), op.Name+suffix)
-				t.Layer = op.Layer
+				t.Layer = int32(op.Layer)
 				b.g.AddDep(last, t)
 				last = t
 			}

@@ -35,7 +35,9 @@ type FlowObserver interface {
 //
 //triosim:pooled
 type flow struct {
-	id        int
+	id int
+	// route is the flow's path, appended into a buffer the flow keeps
+	// across lives (see releaseFlow).
 	route     []DirLink
 	remaining float64
 	bytes     float64 // original transfer size
@@ -260,7 +262,11 @@ func (n *FlowNetwork) Topology() *Topology { return n.topo }
 func (n *FlowNetwork) InFlight() int { return len(n.ordered) }
 
 // Send starts a transfer of bytes from src to dst. onDone fires at delivery.
-// Local transfers (src == dst) complete immediately.
+// Local transfers (src == dst) complete immediately. The route is appended
+// into the pooled flow's own buffer, so a steady-state Send allocates
+// nothing for it.
+//
+//triosim:hotpath
 func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 	onDone func(now sim.VTime)) {
 
@@ -272,7 +278,8 @@ func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 		return
 	}
 
-	route, err := n.topo.Route(src, dst)
+	f := n.acquireFlow()
+	route, err := n.topo.AppendRoute(f.route[:0], src, dst)
 	if err != nil {
 		panic(fmt.Sprintf("network: Send: %v", err))
 	}
@@ -281,7 +288,6 @@ func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 	if n.RampBytes > 0 {
 		eff = bytes / (bytes + n.RampBytes)
 	}
-	f := n.acquireFlow()
 	f.id = n.nextID
 	f.route = route
 	f.remaining = bytes
@@ -294,7 +300,7 @@ func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 	f.schedRate = 0
 	f.lastAdv = now
 	n.advance(now)
-	n.ordered = append(n.ordered, f)
+	n.ordered = append(n.ordered, f) //triosim:nolint hotpath-alloc -- the in-flight list grows to its peak length once
 	n.attachLinks(f)
 	n.scheduleReallocate(now)
 }
@@ -312,10 +318,11 @@ func (n *FlowNetwork) acquireFlow() *flow {
 }
 
 // releaseFlow drops the flow's external references and returns it to the
-// free list.
+// free list. The route buffer stays with the flow, so the next Send that
+// reuses it appends its route without allocating.
 func (n *FlowNetwork) releaseFlow(f *flow) {
 	f.onDone = nil
-	f.route = nil
+	f.route = f.route[:0]
 	n.freeFlows = append(n.freeFlows, f)
 }
 

@@ -520,11 +520,30 @@ func TestFlowPoolingReusesObjects(t *testing.T) {
 // TestExactResolveSteadyStateAllocs gates the exact solver's per-event path:
 // once the engine, flow and delivery free lists are warm, admitting N
 // contending flows and draining them — N completions, each re-solving and
-// rescheduling every flow still in flight — allocates nothing.
+// rescheduling every flow still in flight — allocates nothing. That holds
+// for routes copied from the BFS cache (the ring) and for routes a
+// structural router appends (the rail fat tree) alike: each pooled flow
+// keeps its route buffer.
 func TestExactResolveSteadyStateAllocs(t *testing.T) {
+	topos := map[string]func() *Topology{
+		"ring8": func() *Topology {
+			return Ring(Config{NumGPUs: 8, LinkBandwidth: 100e9,
+				LinkLatency: sim.USec})
+		},
+		"railfattree": func() *Topology {
+			return RailFatTree(clusterCfg(4, 2), 2, 2)
+		},
+	}
+	for name, build := range topos {
+		t.Run(name, func(t *testing.T) {
+			exactResolveSteadyStateAllocs(t, build())
+		})
+	}
+}
+
+func exactResolveSteadyStateAllocs(t *testing.T, topo *Topology) {
 	const flows = 48
 	eng := sim.NewSerialEngine()
-	topo := Ring(Config{NumGPUs: 8, LinkBandwidth: 100e9, LinkLatency: sim.USec})
 	gpus := topo.GPUs()
 	net := NewFlowNetwork(eng, topo)
 	delivered := 0

@@ -15,12 +15,13 @@ import (
 // carries the machine index, which is what the hierarchy-aware collectives
 // and the per-tier telemetry key off.
 //
-// All three install a structural router: routes are computed from the
+// All three install a structural router: routes are appended from the
 // topology's closed form (rail lookup, minimal group paths,
 // dimension-ordered torus hops) in O(path length) instead of O(V+E) BFS,
 // which is the difference between milliseconds and minutes of setup at
-// 10,000 GPUs. The routers decline host staging pairs; those are single
-// hops, which Topology.Route resolves with a direct-link scan, not BFS.
+// 10,000 GPUs, and is cheap enough that no route is cached. The routers
+// decline host staging pairs; those are single hops, which
+// Topology.AppendRoute resolves with a direct-link scan, not BFS.
 
 // ClusterConfig parameterizes the hierarchical topology generators.
 type ClusterConfig struct {
@@ -65,29 +66,48 @@ func (c ClusterConfig) normalized() ClusterConfig {
 	return c
 }
 
+// machineScaffold is what addMachineScaffold built: the GPU IDs
+// (machine-major, so GPU i is node i), each machine's NVSwitch, and each
+// GPU's NVLink to it.
+type machineScaffold struct {
+	gpus, nvsw []NodeID
+	nvLink     []int
+}
+
 // addMachineScaffold creates the machine-major GPUs, one NVSwitch per
 // machine with TierNVLink links, and the host with TierHost staging links.
-// Returns the GPU IDs (machine-major) and per-machine NVSwitch IDs.
-func addMachineScaffold(t *Topology, c ClusterConfig) ([]NodeID, []NodeID) {
-	gpus := make([]NodeID, c.Machines*c.GPUsPerMachine)
-	for i := range gpus {
-		gpus[i] = t.AddNode(fmt.Sprintf("gpu%d", i), GPUNode)
-		t.SetMachine(gpus[i], i/c.GPUsPerMachine)
+func addMachineScaffold(t *Topology, c ClusterConfig) machineScaffold {
+	sc := machineScaffold{
+		gpus:   make([]NodeID, c.Machines*c.GPUsPerMachine),
+		nvsw:   make([]NodeID, c.Machines),
+		nvLink: make([]int, c.Machines*c.GPUsPerMachine),
 	}
-	nvsw := make([]NodeID, c.Machines)
-	for m := range nvsw {
-		nvsw[m] = t.AddNode(fmt.Sprintf("nvswitch%d", m), SwitchNode)
-		t.SetMachine(nvsw[m], m)
-		for g := 0; g < c.GPUsPerMachine; g++ {
-			t.AddLinkTiered(gpus[m*c.GPUsPerMachine+g], nvsw[m],
+	for i := range sc.gpus {
+		sc.gpus[i] = t.AddNode(fmt.Sprintf("gpu%d", i), GPUNode)
+		t.SetMachine(sc.gpus[i], i/c.GPUsPerMachine)
+	}
+	for m := range sc.nvsw {
+		sc.nvsw[m] = t.AddNode(fmt.Sprintf("nvswitch%d", m), SwitchNode)
+		t.SetMachine(sc.nvsw[m], m)
+		for g := m * c.GPUsPerMachine; g < (m+1)*c.GPUsPerMachine; g++ {
+			sc.nvLink[g] = t.AddLinkTiered(sc.gpus[g], sc.nvsw[m],
 				c.NVLinkBandwidth, c.NVLinkLatency, TierNVLink)
 		}
 	}
 	host := t.AddNode("host", HostNode)
-	for _, g := range gpus {
+	for _, g := range sc.gpus {
 		t.AddLinkTiered(host, g, c.HostBandwidth, c.HostLatency, TierHost)
 	}
-	return gpus, nvsw
+	return sc
+}
+
+// appendIntra appends the intra-machine route from GPU src up to machine
+// m's NVSwitch and down to GPU dst.
+func (sc *machineScaffold) appendIntra(buf []DirLink, t *Topology, m int,
+	src, dst NodeID) []DirLink {
+	//triosim:nolint hotpath-alloc -- the caller reuses the route buffer
+	return append(buf, dirFrom(t, sc.nvLink[src], src),
+		dirFrom(t, sc.nvLink[dst], sc.nvsw[m]))
 }
 
 // dirFrom returns the directed traversal of link l starting at node from.
@@ -97,9 +117,9 @@ func dirFrom(t *Topology, l int, from NodeID) DirLink {
 
 // gpuCoords resolves a GPU NodeID to (machine, local rank), or ok=false
 // for non-GPU nodes (generators add GPUs first, so IDs 0..n-1 are GPUs).
-func gpuCoords(t *Topology, n NodeID, gpusPerMachine, total int) (
+func gpuCoords(n NodeID, gpusPerMachine, total int) (
 	machine, rank int, ok bool) {
-	if int(n) >= total || t.Nodes[n].Kind != GPUNode {
+	if n < 0 || int(n) >= total {
 		return 0, 0, false
 	}
 	return int(n) / gpusPerMachine, int(n) % gpusPerMachine, true
@@ -120,7 +140,8 @@ func RailFatTree(c ClusterConfig, leafWidth, spines int) *Topology {
 		spines = 1
 	}
 	t := NewTopology()
-	gpus, nvsw := addMachineScaffold(t, c)
+	sc := addMachineScaffold(t, c)
+	gpus := sc.gpus
 	G := c.GPUsPerMachine
 	nLeaves := (c.Machines + leafWidth - 1) / leafWidth
 
@@ -160,53 +181,36 @@ func RailFatTree(c ClusterConfig, leafWidth, spines int) *Topology {
 	}
 
 	total := c.Machines * G
-	t.SetRouter(func(src, dst NodeID) []DirLink {
-		m1, r1, ok := gpuCoords(t, src, G, total)
+	t.SetRouter(func(buf []DirLink, src, dst NodeID) []DirLink {
+		m1, r1, ok := gpuCoords(src, G, total)
 		if !ok {
-			return nil
+			return buf
 		}
-		m2, r2, ok := gpuCoords(t, dst, G, total)
+		m2, r2, ok := gpuCoords(dst, G, total)
 		if !ok {
-			return nil
+			return buf
 		}
 		if m1 == m2 {
 			// Intra-machine: up to the NVSwitch and back down.
-			return []DirLink{
-				dirFrom(t, nvLinkOf(t, src, nvsw[m1]), src),
-				dirFrom(t, nvLinkOf(t, dst, nvsw[m1]), nvsw[m1]),
-			}
+			return sc.appendIntra(buf, t, m1, src, dst)
 		}
 		l1, l2 := m1/leafWidth, m2/leafWidth
 		up := dirFrom(t, nicLink[m1*G+r1], src)
 		down := dirFrom(t, nicLink[m2*G+r2], leaves[r2][l2])
 		if r1 == r2 && l1 == l2 {
 			// Same rail, same leaf: two NIC hops.
-			return []DirLink{up, down}
+			return append(buf, up, down) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 		}
 		// Across the spine layer (also the cross-rail path): pick a spine
 		// deterministically, spread by endpoint coordinates.
 		s := (l1 + l2 + r1 + r2) % spines
-		return []DirLink{
-			up,
+		//triosim:nolint hotpath-alloc -- the caller reuses the route buffer
+		return append(buf, up,
 			dirFrom(t, spineLink[r1][l1][s], leaves[r1][l1]),
 			dirFrom(t, spineLink[r2][l2][s], spineIDs[s]),
-			down,
-		}
+			down)
 	})
 	return t
-}
-
-// nvLinkOf finds the NVLink connecting GPU g to NVSwitch sw. Each GPU has
-// exactly one nvlink plus one host and one-or-more fabric links, so this
-// tiny scan stays O(degree) and runs only on route-cache misses.
-func nvLinkOf(t *Topology, g, sw NodeID) int {
-	for _, l := range t.adj[g] {
-		lk := t.Links[l]
-		if lk.Tier == TierNVLink && (lk.A == sw || lk.B == sw) {
-			return l
-		}
-	}
-	panic(fmt.Sprintf("network: no nvlink %d↔%d", g, sw))
 }
 
 // Dragonfly builds a dragonfly of machines: each machine's router connects
@@ -222,7 +226,8 @@ func Dragonfly(c ClusterConfig, groupSize int) *Topology {
 		groupSize = c.Machines
 	}
 	t := NewTopology()
-	gpus, nvsw := addMachineScaffold(t, c)
+	sc := addMachineScaffold(t, c)
+	gpus := sc.gpus
 	G := c.GPUsPerMachine
 	groups := (c.Machines + groupSize - 1) / groupSize
 
@@ -237,8 +242,9 @@ func Dragonfly(c ClusterConfig, groupSize int) *Topology {
 		}
 	}
 	groupOf := func(m int) int { return m / groupSize }
-	// localLink[a][b] within a group, keyed by machine indices (a < b).
-	localLink := map[[2]int]int{}
+	// localLink[a][b%groupSize] is the link between machines a and b of
+	// one group.
+	localLink := make([][]int, c.Machines)
 	for g := 0; g < groups; g++ {
 		lo := g * groupSize
 		hi := lo + groupSize
@@ -246,10 +252,13 @@ func Dragonfly(c ClusterConfig, groupSize int) *Topology {
 			hi = c.Machines
 		}
 		for a := lo; a < hi; a++ {
+			localLink[a] = make([]int, hi-lo)
+		}
+		for a := lo; a < hi; a++ {
 			for b := a + 1; b < hi; b++ {
-				localLink[[2]int{a, b}] = t.AddLinkTiered(routers[a],
-					routers[b], c.FabricBandwidth, c.FabricLatency,
-					TierFabric)
+				l := t.AddLinkTiered(routers[a], routers[b],
+					c.FabricBandwidth, c.FabricLatency, TierFabric)
+				localLink[a][b-lo], localLink[b][a-lo] = l, l
 			}
 		}
 	}
@@ -266,10 +275,11 @@ func Dragonfly(c ClusterConfig, groupSize int) *Topology {
 	holder := func(g, peer int) int { // machine in g holding the link to peer
 		return g*groupSize + peer%sizeOf(g)
 	}
-	globalLink := map[[2]int]int{}
+	// globalLink[i*groups+j] (i < j) is the link between groups i and j.
+	globalLink := make([]int, groups*groups)
 	for i := 0; i < groups; i++ {
 		for j := i + 1; j < groups; j++ {
-			globalLink[[2]int{i, j}] = t.AddLinkTiered(
+			globalLink[i*groups+j] = t.AddLinkTiered(
 				routers[holder(i, j)], routers[holder(j, i)],
 				c.FabricBandwidth, c.FabricLatency, TierFabric)
 		}
@@ -278,53 +288,46 @@ func Dragonfly(c ClusterConfig, groupSize int) *Topology {
 		if a == b {
 			return DirLink{}, false
 		}
-		if a > b {
-			l := localLink[[2]int{b, a}]
-			return dirFrom(t, l, routers[a]), true
-		}
-		return dirFrom(t, localLink[[2]int{a, b}], routers[a]), true
+		return dirFrom(t, localLink[a][b%groupSize], routers[a]), true
 	}
 
 	total := c.Machines * G
-	t.SetRouter(func(src, dst NodeID) []DirLink {
-		m1, _, ok := gpuCoords(t, src, G, total)
+	t.SetRouter(func(buf []DirLink, src, dst NodeID) []DirLink {
+		m1, _, ok := gpuCoords(src, G, total)
 		if !ok {
-			return nil
+			return buf
 		}
-		m2, _, ok := gpuCoords(t, dst, G, total)
+		m2, _, ok := gpuCoords(dst, G, total)
 		if !ok {
-			return nil
+			return buf
 		}
 		if m1 == m2 {
-			return []DirLink{
-				dirFrom(t, nvLinkOf(t, src, nvsw[m1]), src),
-				dirFrom(t, nvLinkOf(t, dst, nvsw[m1]), nvsw[m1]),
-			}
+			return sc.appendIntra(buf, t, m1, src, dst)
 		}
-		path := []DirLink{dirFrom(t, nicLink[int(src)], src)}
+		buf = append(buf, dirFrom(t, nicLink[src], src)) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 		g1, g2 := groupOf(m1), groupOf(m2)
 		if g1 == g2 {
 			if hop, ok := localHop(m1, m2); ok {
-				path = append(path, hop)
+				buf = append(buf, hop) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 			}
 		} else {
 			h1 := holder(g1, g2) // exit router in src group
 			h2 := holder(g2, g1) // entry router in dst group
 			if hop, ok := localHop(m1, h1); ok {
-				path = append(path, hop)
+				buf = append(buf, hop) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 			}
 			lo, hi := g1, g2
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			path = append(path,
-				dirFrom(t, globalLink[[2]int{lo, hi}], routers[h1]))
+			//triosim:nolint hotpath-alloc -- the caller reuses the route buffer
+			buf = append(buf,
+				dirFrom(t, globalLink[lo*groups+hi], routers[h1]))
 			if hop, ok := localHop(h2, m2); ok {
-				path = append(path, hop)
+				buf = append(buf, hop) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 			}
 		}
-		path = append(path, dirFrom(t, nicLink[int(dst)], routers[m2]))
-		return path
+		return append(buf, dirFrom(t, nicLink[dst], routers[m2])) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 	})
 	return t
 }
@@ -346,7 +349,8 @@ func Torus3D(c ClusterConfig, x, y, z int) *Topology {
 	}
 	c.Machines = x * y * z
 	t := NewTopology()
-	gpus, nvsw := addMachineScaffold(t, c)
+	sc := addMachineScaffold(t, c)
+	gpus := sc.gpus
 	G := c.GPUsPerMachine
 
 	routers := make([]NodeID, c.Machines)
@@ -360,22 +364,30 @@ func Torus3D(c ClusterConfig, x, y, z int) *Topology {
 				c.NICBandwidth, c.NICLatency, TierNIC)
 		}
 	}
-	// torusLink[a][b] keyed by (min, max) machine index; dimensions with
-	// fewer than three positions get a single link, not a doubled pair.
-	torusLink := map[[2]int]int{}
+	// nbrs[m] lists machine m's fabric links (at most six) with the machine
+	// at the far end; dimensions with fewer than three positions get a
+	// single link, not a doubled pair.
+	type torusNbr struct{ machine, link int }
+	nbrs := make([][]torusNbr, c.Machines)
+	linkTo := func(a, b int) (int, bool) {
+		for _, n := range nbrs[a] {
+			if n.machine == b {
+				return n.link, true
+			}
+		}
+		return 0, false
+	}
 	addTorus := func(a, b int) {
 		if a == b {
 			return
 		}
-		key := [2]int{a, b}
-		if a > b {
-			key = [2]int{b, a}
-		}
-		if _, dup := torusLink[key]; dup {
+		if _, dup := linkTo(a, b); dup {
 			return
 		}
-		torusLink[key] = t.AddLinkTiered(routers[a], routers[b],
+		l := t.AddLinkTiered(routers[a], routers[b],
 			c.FabricBandwidth, c.FabricLatency, TierFabric)
+		nbrs[a] = append(nbrs[a], torusNbr{b, l})
+		nbrs[b] = append(nbrs[b], torusNbr{a, l})
 	}
 	for i := 0; i < x; i++ {
 		for j := 0; j < y; j++ {
@@ -387,11 +399,8 @@ func Torus3D(c ClusterConfig, x, y, z int) *Topology {
 		}
 	}
 	hop := func(a, b int) DirLink {
-		key := [2]int{a, b}
-		if a > b {
-			key = [2]int{b, a}
-		}
-		return dirFrom(t, torusLink[key], routers[a])
+		l, _ := linkTo(a, b)
+		return dirFrom(t, l, routers[a])
 	}
 	// step advances one position along a dimension of size n toward dst,
 	// taking the shorter wrap direction (positive on ties).
@@ -408,41 +417,37 @@ func Torus3D(c ClusterConfig, x, y, z int) *Topology {
 	}
 
 	total := c.Machines * G
-	t.SetRouter(func(src, dst NodeID) []DirLink {
-		m1, _, ok := gpuCoords(t, src, G, total)
+	t.SetRouter(func(buf []DirLink, src, dst NodeID) []DirLink {
+		m1, _, ok := gpuCoords(src, G, total)
 		if !ok {
-			return nil
+			return buf
 		}
-		m2, _, ok := gpuCoords(t, dst, G, total)
+		m2, _, ok := gpuCoords(dst, G, total)
 		if !ok {
-			return nil
+			return buf
 		}
 		if m1 == m2 {
-			return []DirLink{
-				dirFrom(t, nvLinkOf(t, src, nvsw[m1]), src),
-				dirFrom(t, nvLinkOf(t, dst, nvsw[m1]), nvsw[m1]),
-			}
+			return sc.appendIntra(buf, t, m1, src, dst)
 		}
-		path := []DirLink{dirFrom(t, nicLink[int(src)], src)}
+		buf = append(buf, dirFrom(t, nicLink[src], src)) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 		i1, j1, k1 := m1/(y*z), (m1/z)%y, m1%z
 		i2, j2, k2 := m2/(y*z), (m2/z)%y, m2%z
 		for i1 != i2 {
 			ni := step(i1, i2, x)
-			path = append(path, hop(at(i1, j1, k1), at(ni, j1, k1)))
+			buf = append(buf, hop(at(i1, j1, k1), at(ni, j1, k1))) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 			i1 = ni
 		}
 		for j1 != j2 {
 			nj := step(j1, j2, y)
-			path = append(path, hop(at(i1, j1, k1), at(i1, nj, k1)))
+			buf = append(buf, hop(at(i1, j1, k1), at(i1, nj, k1))) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 			j1 = nj
 		}
 		for k1 != k2 {
 			nk := step(k1, k2, z)
-			path = append(path, hop(at(i1, j1, k1), at(i1, j1, nk)))
+			buf = append(buf, hop(at(i1, j1, k1), at(i1, j1, nk))) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 			k1 = nk
 		}
-		path = append(path, dirFrom(t, nicLink[int(dst)], routers[m2]))
-		return path
+		return append(buf, dirFrom(t, nicLink[dst], routers[m2])) //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 	})
 	return t
 }

@@ -204,6 +204,29 @@ func TestTorus3DRoutes(t *testing.T) {
 	}
 }
 
+// checkAppendKeepsPrefix asserts AppendRoute onto a non-empty buffer, with
+// and without spare capacity, keeps the prefix and appends what Route
+// returns.
+func checkAppendKeepsPrefix(t *testing.T, topo *Topology, src, dst NodeID) {
+	t.Helper()
+	want, err := topo.Route(src, dst)
+	if err != nil {
+		t.Fatalf("route %d→%d: %v", src, dst, err)
+	}
+	mark := DirLink{Link: -1, Forward: true}
+	for _, prefix := range [][]DirLink{{mark}, append(make([]DirLink, 0, 8),
+		mark)} {
+		got, err := topo.AppendRoute(prefix, src, dst)
+		if err != nil {
+			t.Fatalf("append route %d→%d: %v", src, dst, err)
+		}
+		if got[0] != mark || !reflect.DeepEqual(got[1:], want) {
+			t.Fatalf("append route %d→%d onto %v = %v, want the prefix "+
+				"then %v", src, dst, prefix, got, want)
+		}
+	}
+}
+
 // Hierarchical routes must agree with BFS shortest paths in hop count —
 // the structural routers are a fast path, not a different metric — and
 // host staging routes must equal the BFS reference exactly.
@@ -240,6 +263,8 @@ func TestStructuralRoutersMatchBFSLength(t *testing.T) {
 			}
 			checkHostRoutes(t, fast, a)
 			checkHostRoutes(t, fast, b)
+			checkAppendKeepsPrefix(t, fast, a, b)
+			checkAppendKeepsPrefix(t, fast, fast.Host(), a)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -88,45 +87,98 @@ func TestRouteParallelLinksTieBreak(t *testing.T) {
 	requireRouteMatchesBFS(t, topo, c, b)
 }
 
-// A link added after a route was cached must be able to shorten it.
+// A link added after a BFS route was cached must be able to shorten it,
+// also when it does not join the route's endpoints (the direct-link scan,
+// which runs before the cache is read, would find one that does).
 func TestAddLinkInvalidatesRouteCache(t *testing.T) {
-	topo := Ring(cfg(6))
+	topo := Ring(cfg(8))
 	gpus := topo.GPUs()
-	if r, _ := topo.Route(gpus[0], gpus[3]); len(r) != 3 {
-		t.Fatalf("ring route %v, want 3 hops", r)
+	if r, _ := topo.Route(gpus[0], gpus[4]); len(r) != 4 {
+		t.Fatalf("ring route %v, want 4 hops", r)
 	}
-	l := topo.AddLink(gpus[3], gpus[0], 1, 0)
-	r, err := topo.Route(gpus[0], gpus[3])
+	if n := len(topo.routeCache); n != 1 {
+		t.Fatalf("%d cached routes after one BFS route, want 1", n)
+	}
+	l := topo.AddLink(gpus[1], gpus[4], 1, 0)
+	r, err := topo.Route(gpus[0], gpus[4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []DirLink{{Link: l, Forward: false}}; !reflect.DeepEqual(r, want) {
+	want := []DirLink{{Link: 0, Forward: true}, {Link: l, Forward: true}}
+	if !reflect.DeepEqual(r, want) {
 		t.Fatalf("route after AddLink = %v, want %v", r, want)
 	}
+	requireRouteMatchesBFS(t, topo, gpus[0], gpus[4])
 }
 
-// Host staging routes on a 1,024-GPU cluster must cost O(1) bytes each,
-// not the O(GPUs) of a BFS from the host (tens of KB per route).
+// Host staging routes on a 1,024-GPU cluster are single hops that the
+// direct-link scan finds: appended into a buffer with room they allocate
+// nothing, and they leave the BFS route cache empty (a BFS from the host
+// costs O(GPUs), tens of KB per route, and would be cached).
 func TestHostRouteAllocsBounded(t *testing.T) {
 	topo := RailFatTree(clusterCfg(128, 8), 8, 4)
 	host, gpus := topo.Host(), topo.GPUs()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, g := range gpus {
-		if _, err := topo.Route(host, g); err != nil {
-			t.Fatal(err)
+	buf := make([]DirLink, 0, 4)
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, g := range gpus {
+			for _, p := range [2][2]NodeID{{host, g}, {g, host}} {
+				var err error
+				buf, err = topo.AppendRoute(buf[:0], p[0], p[1])
+				if err != nil || len(buf) != 1 {
+					t.Fatalf("host route %d→%d = %v, %v; want one hop",
+						p[0], p[1], buf, err)
+				}
+			}
 		}
-		if _, err := topo.Route(g, host); err != nil {
-			t.Fatal(err)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations for %d host routes, want 0", allocs,
+			2*len(gpus))
 	}
-	runtime.ReadMemStats(&after)
-	perRoute := (after.TotalAlloc - before.TotalAlloc) / uint64(2*len(gpus))
-	t.Logf("%d bytes per new host route", perRoute)
-	// One 16-byte route slice plus amortized route-cache growth.
-	if perRoute > 512 {
-		t.Fatalf("%d bytes allocated per new host route, want ≤ 512 "+
-			"(a BFS fallback costs O(GPUs))", perRoute)
+	if n := len(topo.routeCache); n != 0 {
+		t.Fatalf("%d host routes fell back to BFS, want 0", n)
+	}
+}
+
+// Appending a structural or host route into a buffer with room allocates
+// nothing on all three hierarchical generators, intra- and inter-machine,
+// and caches nothing.
+func TestAppendRouteAllocs(t *testing.T) {
+	builds := map[string]func() *Topology{
+		"railfattree": func() *Topology {
+			return RailFatTree(clusterCfg(6, 4), 2, 2)
+		},
+		"dragonfly": func() *Topology { return Dragonfly(clusterCfg(8, 2), 4) },
+		"torus3d": func() *Topology {
+			return Torus3D(clusterCfg(0, 2), 2, 3, 2)
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			topo := build()
+			host, gpus := topo.Host(), topo.GPUs()
+			last := gpus[len(gpus)-1]
+			pairs := [][2]NodeID{
+				{gpus[0], gpus[1]}, // same machine
+				{gpus[0], last},    // across the fabric
+				{last, gpus[0]},
+				{host, gpus[1]},
+				{last, host},
+			}
+			buf := make([]DirLink, 0, 16)
+			for _, p := range pairs {
+				allocs := testing.AllocsPerRun(100, func() {
+					buf, _ = topo.AppendRoute(buf[:0], p[0], p[1])
+				})
+				if allocs != 0 {
+					t.Errorf("route %d→%d: %v allocations, want 0", p[0],
+						p[1], allocs)
+				}
+				checkRoutePath(t, topo, p[0], p[1], buf)
+			}
+			if n := len(topo.routeCache); n != 0 {
+				t.Fatalf("%d routes cached, want 0", n)
+			}
+		})
 	}
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // NodeID identifies a node (GPU, switch, or host) in a topology.
-type NodeID int
+type NodeID int32
 
 // NodeKind classifies topology nodes.
 type NodeKind int
@@ -78,14 +78,17 @@ type Topology struct {
 
 	// adj[n] lists the IDs of the links incident to node n in ascending
 	// order: AddLink appends increasing IDs, so no list ever needs sorting.
-	adj        [][]int
+	adj [][]int
+	// routeCache holds BFS routes, the one O(V+E) way a route is found;
+	// AddLink clears it.
 	routeCache map[[2]NodeID][]DirLink
 
-	// router, when set by a hierarchical generator, computes shortest
-	// paths structurally (rail lookup, dimension-ordered routing) instead
-	// of BFS — O(path) instead of O(V+E) per new pair, which matters at
-	// 10k nodes. Results are cached like BFS routes.
-	router func(src, dst NodeID) []DirLink
+	// router, when set by a hierarchical generator, appends shortest paths
+	// computed structurally (rail lookup, dimension-ordered routing)
+	// instead of by BFS: O(path) with no allocation once the buffer has
+	// room, which matters at 10k nodes. Its routes are not cached: a cache
+	// entry per pair would cost more than the lookup it saves.
+	router func(buf []DirLink, src, dst NodeID) []DirLink
 
 	tiered   bool // any link carries a non-empty Tier
 	machines int  // max assigned Machine + 1
@@ -164,14 +167,14 @@ func (t *Topology) AddLinkTiered(a, b NodeID, bandwidth float64,
 	return id
 }
 
-// SetRouter installs a structural routing function consulted by Route
-// before falling back to BFS. The function must return a valid directed
-// src→dst path (contiguous, correct endpoints) or nil to decline the pair;
+// SetRouter installs a structural routing function consulted by
+// AppendRoute before the direct-link scan and BFS. The function appends a
+// valid directed src→dst path (contiguous, correct endpoints) to buf and
+// returns the extended slice, or returns buf unchanged to decline the pair;
 // hierarchical generators install per-topology closed-form routers so a
 // 10k-node cluster never pays O(V+E) BFS per pair.
-func (t *Topology) SetRouter(r func(src, dst NodeID) []DirLink) {
+func (t *Topology) SetRouter(r func(buf []DirLink, src, dst NodeID) []DirLink) {
 	t.router = r
-	t.routeCache = map[[2]NodeID][]DirLink{}
 }
 
 // SetLinkBandwidth changes a link's per-direction bandwidth (used by the Hop
@@ -196,46 +199,61 @@ func (t *Topology) Neighbor(l int, n NodeID) NodeID {
 	return lk.A
 }
 
-// Route returns the directed links of a shortest path (minimum hop count,
-// deterministic tie-break by link ID) from src to dst, or an error if the
-// nodes are disconnected. Resolution order: the route cache, the structural
-// router, a direct link between the endpoints, then BFS. Routes are cached.
+// Route returns the directed links of a shortest path from src to dst in a
+// new slice: AppendRoute(nil, src, dst).
 func (t *Topology) Route(src, dst NodeID) ([]DirLink, error) {
+	return t.AppendRoute(nil, src, dst)
+}
+
+// AppendRoute appends the directed links of a shortest path (minimum hop
+// count, deterministic tie-break by link ID) from src to dst to buf and
+// returns the extended slice, or buf and an error if the nodes are
+// disconnected. Resolution order: the structural router, a direct link
+// between the endpoints, then BFS, whose routes alone are cached. A router
+// or direct route allocates nothing when buf has room.
+//
+//triosim:hotpath
+func (t *Topology) AppendRoute(buf []DirLink, src, dst NodeID) (
+	[]DirLink, error) {
 	if src == dst {
-		return nil, nil
-	}
-	key := [2]NodeID{src, dst}
-	if r, ok := t.routeCache[key]; ok {
-		return r, nil
+		return buf, nil
 	}
 	if t.router != nil {
-		if r := t.router(src, dst); r != nil {
-			t.routeCache[key] = r
+		if r := t.router(buf, src, dst); len(r) > len(buf) {
 			return r, nil
 		}
 	}
 	if src < 0 || dst < 0 || int(src) >= len(t.Nodes) ||
 		int(dst) >= len(t.Nodes) {
-		return nil, fmt.Errorf("network: no route %d→%d", src, dst)
+		return buf, noRoute(src, dst)
 	}
-	route := t.directRoute(src, dst)
-	if route == nil {
+	if dl, ok := t.directLink(src, dst); ok {
+		return append(buf, dl), nil //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
+	}
+	key := [2]NodeID{src, dst}
+	route, ok := t.routeCache[key]
+	if !ok {
 		var err error
 		if route, err = t.bfsRoute(src, dst); err != nil {
-			return nil, err
+			return buf, err
 		}
+		t.routeCache[key] = route
 	}
-	t.routeCache[key] = route
-	return route, nil
+	return append(buf, route...), nil //triosim:nolint hotpath-alloc -- the caller reuses the route buffer
 }
 
-// directRoute returns the one-hop route over the lowest-ID link joining src
-// and dst, or nil if no link joins them. It is exactly what bfsRoute
+// noRoute is the error for a disconnected or out-of-range pair.
+func noRoute(src, dst NodeID) error {
+	return fmt.Errorf("network: no route %d→%d", src, dst)
+}
+
+// directLink returns the one-hop route over the lowest-ID link joining src
+// and dst, or ok=false if no link joins them. It is exactly what bfsRoute
 // returns for such a pair: BFS pops src first and walks its links in
 // ascending ID order, so the first link to reach dst is the lowest-ID one
 // (the host-is-never-transit rule exempts src). Scanning the endpoint with
 // fewer links makes a host↔GPU route O(1) instead of O(GPUs).
-func (t *Topology) directRoute(src, dst NodeID) []DirLink {
+func (t *Topology) directLink(src, dst NodeID) (DirLink, bool) {
 	links := t.adj[src]
 	if len(t.adj[dst]) < len(links) {
 		links = t.adj[dst]
@@ -243,10 +261,10 @@ func (t *Topology) directRoute(src, dst NodeID) []DirLink {
 	for _, l := range links {
 		lk := t.Links[l]
 		if (lk.A == src && lk.B == dst) || (lk.A == dst && lk.B == src) {
-			return []DirLink{{Link: l, Forward: lk.A == src}}
+			return DirLink{Link: l, Forward: lk.A == src}, true
 		}
 	}
-	return nil
+	return DirLink{}, false
 }
 
 // bfsRoute is the general shortest-path fallback: BFS over link IDs in
@@ -275,7 +293,7 @@ func (t *Topology) bfsRoute(src, dst NodeID) ([]DirLink, error) {
 		}
 	}
 	if !visited[dst] {
-		return nil, fmt.Errorf("network: no route %d→%d", src, dst)
+		return nil, noRoute(src, dst)
 	}
 
 	// Walk back from dst once to count hops, then again to fill the route

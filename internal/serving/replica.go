@@ -120,7 +120,7 @@ func (r *replica) maybeStart(now sim.VTime) error {
 		}
 	}
 	r.busy = true
-	r.c.GPUTime.Start(&task.Task{Kind: task.Compute, GPU: r.idx}, now)
+	r.c.GPUTime.Start(&task.Task{Kind: task.Compute, GPU: int32(r.idx)}, now)
 	start := now
 	sim.ScheduleFunc(r.c.eng, now+dur, func(end sim.VTime) error {
 		return r.stepDone(start, end, nominal)
@@ -133,7 +133,7 @@ func (r *replica) maybeStart(now sim.VTime) error {
 // their KV reservation and ship their response to the host.
 func (r *replica) stepDone(start, end sim.VTime, nominal sim.VTime) error {
 	r.busy = false
-	r.c.GPUTime.Finish(&task.Task{Kind: task.Compute, GPU: r.idx}, end)
+	r.c.GPUTime.Finish(&task.Task{Kind: task.Compute, GPU: int32(r.idx)}, end)
 	r.steps++
 	r.batchOccupancy += len(r.batch)
 	r.busySec += (end - start).Seconds()
@@ -197,7 +197,7 @@ func (c *Cluster) observeStep(idx, batch int, start, end, nominal sim.VTime) {
 	t := task.Task{
 		ID:       -1,
 		Kind:     task.Compute,
-		GPU:      idx,
+		GPU:      int32(idx),
 		Duration: nominal,
 	}
 	t.SetLabelf(serveStepLabel, "", batch)

@@ -234,7 +234,7 @@ var _ network.FlowObserver = (*Recorder)(nil)
 //triosim:hotpath
 func (r *Recorder) TaskDone(t *task.Task, start, end sim.VTime) {
 	var sp Span
-	sp.TaskID = int32(t.ID)
+	sp.TaskID = t.ID
 	sp.Start = start
 	sp.End = end
 	r.label = t.AppendLabel(r.label[:0])
@@ -244,12 +244,12 @@ func (r *Recorder) TaskDone(t *task.Task, start, end sim.VTime) {
 	case task.Compute:
 		sp.Cat = Compute
 		sp.Nominal = t.Duration
-		sp.Track = r.gpuTrack(t.GPU)
+		sp.Track = r.gpuTrack(int(t.GPU))
 	case task.Comm:
 		sp.Cat = Comm
 		sp.Track = r.routeTrack(t.Src, t.Dst)
-		if t.Collective != "" {
-			sp.Coll = r.intern(t.Collective)
+		if c := t.Collective(); c != "" {
+			sp.Coll = r.intern(c)
 		}
 	case task.HostLoad:
 		sp.Cat = HostLoad

@@ -177,8 +177,8 @@ func (x *Executor) Run() (sim.VTime, error) {
 	maxGPU := -1
 	for _, chunk := range g.chunks {
 		for i := range chunk {
-			if t := &chunk[i]; t.Kind == Compute && t.GPU > maxGPU {
-				maxGPU = t.GPU
+			if t := &chunk[i]; t.Kind == Compute && int(t.GPU) > maxGPU {
+				maxGPU = int(t.GPU)
 			}
 		}
 	}
@@ -212,10 +212,10 @@ func (x *Executor) Run() (sim.VTime, error) {
 func (x *Executor) ready(t *Task, now sim.VTime) {
 	switch t.Kind {
 	case Compute:
-		l := x.lane(t.GPU)
+		l := x.lane(int(t.GPU))
 		l.queue = append(l.queue, t)
 		if !l.busy {
-			x.startNextCompute(t.GPU, now)
+			x.startNextCompute(int(t.GPU), now)
 		}
 	case Comm, HostLoad:
 		x.busy[t.Kind].start(now)
@@ -301,7 +301,7 @@ func (x *Executor) complete(t *Task, now sim.VTime) {
 	if now.After(x.lastEnd) {
 		x.lastEnd = now
 	}
-	for _, depID := range x.graph.dependents.row(t.ID) {
+	for _, depID := range x.graph.dependents.row(int(t.ID)) {
 		x.indeg[depID]--
 		if x.indeg[depID] == 0 {
 			x.ready(x.graph.Task(int(depID)), now)

@@ -22,12 +22,12 @@ func (r *refGraph) addDep(before, after *Task) {
 	if before == nil || after == nil || before.ID == after.ID {
 		return
 	}
-	if slices.Contains(r.deps[after.ID], int32(before.ID)) {
+	if slices.Contains(r.deps[after.ID], before.ID) {
 		return
 	}
-	r.deps[after.ID] = append(r.deps[after.ID], int32(before.ID))
+	r.deps[after.ID] = append(r.deps[after.ID], before.ID)
 	r.dependents[before.ID] = append(r.dependents[before.ID],
-		int32(after.ID))
+		after.ID)
 }
 
 // validate is the queue-slicing Kahn's algorithm over the slices.

@@ -155,7 +155,7 @@ func (p *GPUTime) each(t *Task, now sim.VTime,
 	}
 	switch t.Kind {
 	case Compute:
-		for t.GPU >= len(p.gpus) {
+		for int(t.GPU) >= len(p.gpus) {
 			p.gpus = append(p.gpus, gpuClock{})
 		}
 		f(&p.gpus[t.GPU], Compute, now)

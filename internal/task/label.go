@@ -3,6 +3,7 @@ package task
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -20,6 +21,9 @@ type labelFormat struct {
 	lits  []string
 	verbs []byte // 's' or 'd'
 	ints  int    // number of 'd' verbs
+	// collective marks a form whose string operand names the collective
+	// instance the task is a step of (see NewCollectiveLabelForm).
+	collective bool
 }
 
 // forms is the append-only form registry. Form 0 is the static label.
@@ -37,6 +41,25 @@ var (
 // operands. Register forms once, in package-level variable declarations; it
 // panics on an unsupported format or when 255 forms exist.
 func NewLabelForm(format string) LabelForm {
+	return registerForm(parseForm(format))
+}
+
+// NewCollectiveLabelForm registers a form for the steps of a collective
+// instance: its one %s operand is the instance's name, which
+// Task.Collective returns for every task labelled through the form. It
+// panics on a format without exactly one %s, or as NewLabelForm does.
+func NewCollectiveLabelForm(format string) LabelForm {
+	f := parseForm(format)
+	if !slices.Contains(f.verbs, 's') {
+		panic(fmt.Sprintf("task: collective label format %q has no %%s",
+			format))
+	}
+	f.collective = true
+	return registerForm(f)
+}
+
+// parseForm parses a label format, panicking on an unsupported one.
+func parseForm(format string) labelFormat {
 	var f labelFormat
 	start, strs := 0, 0
 	for i := 0; i < len(format); i++ {
@@ -66,6 +89,11 @@ func NewLabelForm(format string) LabelForm {
 		panic(fmt.Sprintf("task: label format %q: more than one %%s or "+
 			"three %%d", format))
 	}
+	return f
+}
+
+// registerForm appends f to the registry and returns its id.
+func registerForm(f labelFormat) LabelForm {
 	formsMu.Lock()
 	defer formsMu.Unlock()
 	if nForms == len(forms) {
@@ -78,7 +106,9 @@ func NewLabelForm(format string) LabelForm {
 
 // SetLabelf labels t with form f over the operands s and ints, rendered on
 // read. ints must match the form's %d verbs; s is ignored by a form without
-// %s. A value outside int32 is rendered at once into a static label.
+// %s. A value outside int32 is rendered at once into a static label; for a
+// collective form, args then record where s sits in it, so Collective still
+// returns s.
 func (t *Task) SetLabelf(f LabelForm, s string, ints ...int) {
 	spec := &forms[f]
 	if f == 0 || len(ints) != spec.ints {
@@ -92,13 +122,32 @@ func (t *Task) SetLabelf(f LabelForm, s string, ints ...int) {
 		fits = fits && v >= math.MinInt32 && v <= math.MaxInt32
 	}
 	if !fits {
-		t.label, t.form = string(spec.appendTo(nil, s, &wide)), 0
+		b, at := spec.appendTo(nil, s, &wide)
+		t.label, t.form, t.args = string(b), 0, [maxLabelInts]int32{}
+		if spec.collective {
+			t.args[0], t.args[1] = int32(at), int32(len(s))
+		}
 		return
 	}
 	t.label, t.form = s, f
 	for i, v := range ints {
 		t.args[i] = int32(v)
 	}
+}
+
+// Collective returns the name of the collective instance t is a step of:
+// the string operand of a collective form (see NewCollectiveLabelForm), or
+// "" for a task labelled any other way.
+func (t *Task) Collective() string {
+	if t.form == 0 {
+		// A static label: args span the operand of a collective form's
+		// out-of-int32 fallback, and are zero (the empty span) otherwise.
+		return t.label[t.args[0] : t.args[0]+t.args[1]]
+	}
+	if forms[t.form].collective {
+		return t.label
+	}
+	return ""
 }
 
 // Label returns the task's label, rendering a formatted one.
@@ -119,21 +168,24 @@ func (t *Task) AppendLabel(b []byte) []byte {
 	for i, v := range t.args {
 		wide[i] = int64(v)
 	}
-	return forms[t.form].appendTo(b, t.label, &wide)
+	b, _ = forms[t.form].appendTo(b, t.label, &wide)
+	return b
 }
 
-// appendTo renders the format over s and ints onto b.
+// appendTo renders the format over s and ints onto b, also returning the
+// offset in b at which s was written.
 func (f *labelFormat) appendTo(b []byte, s string,
-	ints *[maxLabelInts]int64) []byte {
+	ints *[maxLabelInts]int64) (_ []byte, sAt int) {
 	n := 0
 	for i, v := range f.verbs {
 		b = append(b, f.lits[i]...)
 		if v == 's' {
+			sAt = len(b)
 			b = append(b, s...)
 			continue
 		}
 		b = strconv.AppendInt(b, ints[n], 10)
 		n++
 	}
-	return append(b, f.lits[len(f.verbs)]...)
+	return append(b, f.lits[len(f.verbs)]...), sAt
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // Kind classifies tasks.
-type Kind int
+type Kind uint8
 
 // Task kinds.
 const (
@@ -41,7 +41,7 @@ var kindNames = [...]string{"compute", "comm", "hostload", "barrier", "delay"}
 
 // String returns the kind name.
 func (k Kind) String() string {
-	if k < 0 || int(k) >= len(kindNames) {
+	if int(k) >= len(kindNames) {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 	return kindNames[k]
@@ -49,32 +49,34 @@ func (k Kind) String() string {
 
 // Task is one node of the execution graph. Tasks live inside their Graph:
 // the Add methods return a pointer that stays valid for the graph's life.
+//
+// A cluster-scale graph holds millions of tasks, so the fields are narrow
+// and ordered to pack into 72 bytes: six int32s and the three label
+// operands (36), the kind and label form bytes (2, padded to 40), Duration
+// and Bytes (16), and the label string (16). A collective step's instance
+// name is not stored apart: it is its label's string operand (Collective).
 type Task struct {
-	ID   int
-	Kind Kind
-
+	ID int32
 	// GPU is the executing GPU index for Compute tasks.
-	GPU int
-	// Duration is the predicted execution time for Compute tasks.
-	Duration sim.VTime
-
+	GPU int32
 	// Src and Dst are topology node IDs for Comm/HostLoad tasks.
 	Src, Dst network.NodeID
+	// Layer and MicroBatch tag the task for breakdowns and tests.
+	Layer      int32
+	MicroBatch int32
+	// args, form and label hold the label: a static label is label with
+	// form 0, a formatted one its form over the string operand label and
+	// the integer operands args (see SetLabelf).
+	args [maxLabelInts]int32
+	Kind Kind
+	form LabelForm
+
+	// Duration is the predicted execution time for Compute tasks.
+	Duration sim.VTime
 	// Bytes is the transfer volume for Comm/HostLoad tasks.
 	Bytes float64
 
-	// Layer and MicroBatch tag the task for breakdowns and tests.
-	Layer      int
-	MicroBatch int
-	// Collective tags Comm tasks emitted by a collective generator with the
-	// collective instance's label, so telemetry can aggregate per collective.
-	Collective string
-
-	// label is the static label, or a formatted label's string operand; form
-	// and args hold the rest of a formatted label (see SetLabelf).
 	label string
-	form  LabelForm
-	args  [maxLabelInts]int32
 }
 
 // maxLabelInts bounds a formatted label's integer operands.
@@ -141,7 +143,7 @@ func (g *Graph) add(k Kind, label string) *Task {
 	c := &g.chunks[last]
 	*c = (*c)[:len(*c)+1]
 	t := &(*c)[len(*c)-1]
-	t.ID, t.Kind, t.label = g.n, k, label
+	t.ID, t.Kind, t.label = int32(g.n), k, label
 	g.n++
 	return t
 }
@@ -161,7 +163,7 @@ func (g *Graph) Task(id int) *Task {
 // AddCompute adds a compute task on gpu lasting dur.
 func (g *Graph) AddCompute(gpu int, dur sim.VTime, label string) *Task {
 	t := g.add(Compute, label)
-	t.GPU, t.Duration = gpu, dur
+	t.GPU, t.Duration = int32(gpu), dur
 	return t
 }
 
@@ -200,10 +202,10 @@ func (g *Graph) AddDep(before, after *Task) {
 	if before == nil || after == nil || before.ID == after.ID {
 		return
 	}
-	if before.ID < 0 || before.ID >= g.n || after.ID < 0 ||
-		after.ID >= g.n {
+	if before.ID < 0 || int(before.ID) >= g.n || after.ID < 0 ||
+		int(after.ID) >= g.n {
 		if g.dangling == nil {
-			g.dangling = &edge{int32(before.ID), int32(after.ID)}
+			g.dangling = &edge{before.ID, after.ID}
 		}
 		return
 	}
@@ -213,7 +215,7 @@ func (g *Graph) AddDep(before, after *Task) {
 			chunkCap(last+1, int(unsafe.Sizeof(edge{})))))
 		last++
 	}
-	g.log[last] = append(g.log[last], edge{int32(before.ID), int32(after.ID)})
+	g.log[last] = append(g.log[last], edge{before.ID, after.ID})
 }
 
 // Len returns the number of tasks.

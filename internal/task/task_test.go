@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"triosim/internal/network"
 	"triosim/internal/sim"
@@ -24,10 +25,10 @@ func TestGraphBuildAndValidate(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if deps := g.Deps(b.ID); len(deps) != 1 || int(deps[0]) != a.ID {
+	if deps := g.Deps(int(b.ID)); len(deps) != 1 || deps[0] != a.ID {
 		t.Fatalf("deps of b: %v", deps)
 	}
-	if dnts := g.Dependents(a.ID); len(dnts) != 1 || int(dnts[0]) != b.ID {
+	if dnts := g.Dependents(int(a.ID)); len(dnts) != 1 || dnts[0] != b.ID {
 		t.Fatalf("dependents of a: %v", dnts)
 	}
 }
@@ -41,11 +42,11 @@ func TestDuplicateAndSelfDepsIgnored(t *testing.T) {
 	g.AddDep(a, a)
 	g.AddDep(nil, b)
 	g.AddDep(a, nil)
-	if len(g.Deps(b.ID)) != 1 {
-		t.Fatalf("duplicate dep recorded: %v", g.Deps(b.ID))
+	if len(g.Deps(int(b.ID))) != 1 {
+		t.Fatalf("duplicate dep recorded: %v", g.Deps(int(b.ID)))
 	}
-	if len(g.Deps(a.ID)) != 0 {
-		t.Fatalf("self dep recorded: %v", g.Deps(a.ID))
+	if len(g.Deps(int(a.ID))) != 0 {
+		t.Fatalf("self dep recorded: %v", g.Deps(int(a.ID)))
 	}
 }
 
@@ -437,6 +438,58 @@ func TestLabelFormMatchesSprintf(t *testing.T) {
 		if got := string(tk.AppendLabel([]byte("p:"))); got != "p:"+want {
 			t.Errorf("%q: AppendLabel = %q, want %q", c.format, got,
 				"p:"+want)
+		}
+	}
+}
+
+// TestTaskLayout pins the task's size: a 10k-GPU step holds millions of
+// tasks, so a wider field or a reordering that adds padding shows here.
+// Layout: ID, GPU, Src, Dst, Layer, MicroBatch (6×int32 = 24), args
+// (3×int32 = 12), Kind and form (2 bytes, padded to offset 40), Duration
+// and Bytes (2×8 = 16), label (16): 72 bytes.
+func TestTaskLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Task{}); got != 72 {
+		t.Fatalf("sizeof(Task) = %d, want 72", got)
+	}
+	if got := unsafe.Offsetof(Task{}.Duration); got != 40 {
+		t.Fatalf("Duration at offset %d, want 40", got)
+	}
+}
+
+// TestCollectiveFromLabel: a collective form's string operand is the
+// task's collective name, also when an out-of-int32 operand renders the
+// label at once into a static one; every other label names none.
+func TestCollectiveFromLabel(t *testing.T) {
+	coll := NewCollectiveLabelForm("%s-step%d-rank%d")
+	lead := NewCollectiveLabelForm("r%d-%s")
+	plain := NewLabelForm("%s-step%d-done")
+	g := NewGraph()
+	type labelCase struct {
+		task              *Task
+		label, collective string
+	}
+	cases := []labelCase{
+		{g.AddComm(0, 1, 1, "static"), "static", ""},
+		{g.AddComm(0, 1, 1, ""), "", ""},
+	}
+	add := func(f LabelForm, ints []int, label, collective string) {
+		tk := g.AddComm(0, 1, 1, "")
+		tk.SetLabelf(f, "ring0", ints...)
+		cases = append(cases, labelCase{tk, label, collective})
+	}
+	add(coll, []int{3, 7}, "ring0-step3-rank7", "ring0")
+	add(coll, []int{math.MaxInt32 + 1, 7}, "ring0-step2147483648-rank7",
+		"ring0")
+	add(lead, []int{math.MinInt64}, "r-9223372036854775808-ring0", "ring0")
+	add(plain, []int{3}, "ring0-step3-done", "")
+	add(plain, []int{math.MaxInt32 + 1}, "ring0-step2147483648-done", "")
+	for i, c := range cases {
+		if got := c.task.Label(); got != c.label {
+			t.Errorf("case %d: Label() = %q, want %q", i, got, c.label)
+		}
+		if got := c.task.Collective(); got != c.collective {
+			t.Errorf("case %d (%q): Collective() = %q, want %q", i, c.label,
+				got, c.collective)
 		}
 	}
 }

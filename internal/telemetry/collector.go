@@ -91,6 +91,8 @@ type Collector struct {
 	tierFlows map[string]int
 
 	coll map[string]*collAgg
+	// route is scratch for observeCollective's route lookups.
+	route []network.DirLink
 
 	// kindCache maps an event's (dynamic type, secondary flag) to its kind
 	// label and triosim_events_total series, so the per-event hook neither
@@ -135,19 +137,19 @@ func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 			"Per-operator compute durations by category.",
 			DurationBuckets).Observe(e - s)
 	case task.Comm:
-		if t.Collective != "" {
-			c.observeCollective(t, s, e)
+		if name := t.Collective(); name != "" {
+			c.observeCollective(t, name, s, e)
 		}
 	}
 }
 
-// observeCollective folds one collective step's transfer into its instance
+// observeCollective folds one step of collective instance name into its
 // aggregate and the per-algorithm byte counter.
-func (c *Collector) observeCollective(t *task.Task, s, e float64) {
-	a := c.coll[t.Collective]
+func (c *Collector) observeCollective(t *task.Task, name string, s, e float64) {
+	a := c.coll[name]
 	if a == nil {
 		a = &collAgg{minLinkBw: math.Inf(1)}
-		c.coll[t.Collective] = a
+		c.coll[name] = a
 	}
 	a.moved += t.Bytes
 	if !a.started || s < a.start {
@@ -157,15 +159,15 @@ func (c *Collector) observeCollective(t *task.Task, s, e float64) {
 		a.end = e
 	}
 	a.started = true
-	if route, err := c.topo.Route(t.Src, t.Dst); err == nil {
-		for _, dl := range route {
-			if bw := c.topo.Links[dl.Link].Bandwidth; bw < a.minLinkBw {
-				a.minLinkBw = bw
-			}
+	// A pair with no route appends nothing, so it leaves minLinkBw as is.
+	c.route, _ = c.topo.AppendRoute(c.route[:0], t.Src, t.Dst)
+	for _, dl := range c.route {
+		if bw := c.topo.Links[dl.Link].Bandwidth; bw < a.minLinkBw {
+			a.minLinkBw = bw
 		}
 	}
 	algo := "unknown"
-	if entry := c.log.Get(t.Collective); entry != nil {
+	if entry := c.log.Get(name); entry != nil {
 		algo = entry.Algo
 	}
 	c.reg.Counter("triosim_collective_bytes_total", "algo", algo,

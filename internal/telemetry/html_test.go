@@ -96,7 +96,7 @@ func TestExportHTMLHighlight(t *testing.T) {
 	).Finalize()
 	rep := &RunReport{CriticalPath: &spantrace.Report{
 		LengthSec:   1e-3,
-		Steps:       []spantrace.Step{{Task: on.ID, Name: "on-path"}},
+		Steps:       []spantrace.Step{{Task: int(on.ID), Name: "on-path"}},
 		Attribution: spantrace.Attribution{ComputeSec: 1e-3},
 	}}
 	var buf bytes.Buffer

@@ -198,8 +198,7 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 	var mon *monitor.RTM
 	if monitorAddr != "" {
 		cfg.Metrics = triosim.NewMetricsRegistry()
-		mon = monitor.New()
-		mon.Registry = cfg.Metrics
+		mon = monitor.New(cfg.Metrics)
 		mon.Clock = time.Now
 		cfg.Hooks = append(cfg.Hooks, mon.Hook())
 		go func() {

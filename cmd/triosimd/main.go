@@ -17,33 +17,14 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"triosim/internal/httpserve"
 	"triosim/internal/server"
 )
-
-// HTTP timeouts, fixed rather than flags. A client has readHeaderTimeout to
-// send its request headers, which bounds connections that trickle them in,
-// and a keep-alive connection closes after idleTimeout without a request.
-// There is deliberately no WriteTimeout: a job's NDJSON stream stays open
-// for as long as the job runs.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newHTTPServer returns the daemon's http.Server for h.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -77,7 +58,7 @@ func main() {
 	}
 	log.Printf("listening on %s", bound)
 
-	httpSrv := newHTTPServer(srv.Handler())
+	httpSrv := httpserve.New("", srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -4,14 +4,15 @@
 // dashboard — or plain curl — can watch a long simulation from outside, the
 // way AkitaRTM watches Akita simulations.
 //
-// When a telemetry.Registry is attached, the same handler also serves a
+// Every monitor watches a run's telemetry.Registry and serves it as a
 // Prometheus text-format /metrics endpoint: the engine hook renders the
-// registry into a cached byte snapshot every SampleEvery events (on the
+// registry into a cached byte snapshot every sampleEvery events (on the
 // engine goroutine, so registry access needs no locking), and HTTP readers
-// only ever touch the cache under the monitor's mutex. Wall-clock rates
-// (events/second) are computed here, at the monitoring boundary, from the
-// injectable Clock — the simulation packages themselves never read the host
-// clock (triosimvet: no-wallclock).
+// only ever touch the cache under the monitor's mutex. The monitor's own
+// gauges render through a per-request registry appended after the cache.
+// Wall-clock rates (events/second) are computed here, at the monitoring
+// boundary, from the injectable Clock — the simulation packages themselves
+// never read the host clock (triosimvet: no-wallclock).
 package monitor
 
 import (
@@ -21,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"triosim/internal/httpserve"
 	"triosim/internal/sim"
 	"triosim/internal/telemetry"
 )
@@ -35,9 +37,9 @@ type Snapshot struct {
 	Done            bool    `json:"done"`
 }
 
-// defaultSampleEvery balances /metrics freshness against render cost: one
+// sampleEvery balances /metrics freshness against render cost: one
 // registry render per ~4k dispatched events.
-const defaultSampleEvery = 4096
+const sampleEvery = 4096
 
 // RTM is a thread-safe simulation monitor. Register its Hook on the engine
 // before Run; serve its Handler from any goroutine.
@@ -49,21 +51,17 @@ type RTM struct {
 	lastWall   time.Time
 	lastEvents uint64
 
-	// Registry optionally attaches a telemetry registry; when set, /metrics
-	// serves its Prometheus rendering. Set before Run; the hook reads it on
-	// the engine goroutine.
-	Registry *telemetry.Registry
+	// reg is the run's registry, read only on the engine goroutine.
+	reg *telemetry.Registry
+
 	// Clock supplies wall-clock readings for the events/second rate. Nil
 	// leaves the rate zero (deterministic runs).
 	Clock func() time.Time
-	// SampleEvery is how many dispatched events pass between /metrics cache
-	// refreshes (default 4096).
-	SampleEvery uint64
 }
 
-// New returns an empty monitor.
-func New() *RTM {
-	return &RTM{}
+// New returns a monitor serving reg, the registry the watched run writes.
+func New(reg *telemetry.Registry) *RTM {
+	return &RTM{reg: reg}
 }
 
 // Hook returns the engine hook feeding this monitor.
@@ -78,11 +76,7 @@ func (m *RTM) Hook() sim.Hook {
 		events := m.snapshot.Events
 		m.mu.Unlock()
 
-		every := m.SampleEvery
-		if every == 0 {
-			every = defaultSampleEvery
-		}
-		if events%every == 0 {
+		if events%sampleEvery == 0 {
 			m.refresh(events)
 		}
 	})
@@ -101,19 +95,13 @@ func (m *RTM) refresh(events uint64) {
 		}
 		m.lastWall, m.lastEvents = now, events
 	}
-	var cache []byte
-	if m.Registry != nil {
-		var buf bytes.Buffer
-		m.Registry.WriteProm(&buf)
-		cache = buf.Bytes()
-	}
+	var buf bytes.Buffer
+	m.reg.WriteProm(&buf)
 	m.mu.Lock()
 	if rate > 0 {
 		m.snapshot.EventsPerSecond = rate
 	}
-	if cache != nil {
-		m.promCache = cache
-	}
+	m.promCache = buf.Bytes()
 	m.mu.Unlock()
 }
 
@@ -137,36 +125,30 @@ func (m *RTM) Snapshot() Snapshot {
 }
 
 // writeMetrics renders the Prometheus text response: the cached registry
-// rendering (when attached) followed by the monitor's own gauges. With no
-// registry it falls back to a minimal rendering of the snapshot so /metrics
-// stays useful on bare monitors; per-kind event counts come only from the
-// registry's triosim_events_total{kind} series. All families register
-// through a shared telemetry.PromText, so a registry that already exports
-// one of the monitor's family names cannot duplicate it in the exposition.
+// rendering (empty until the first refresh) followed by the monitor's own
+// gauges, rendered through a per-request registry.
 func (m *RTM) writeMetrics(w http.ResponseWriter) {
 	m.mu.Lock()
 	cache := m.promCache
 	snap := m.snapshot
 	m.mu.Unlock()
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	p := telemetry.NewPromText()
-	if cache != nil {
-		p.Raw(cache)
-	} else if p.Header("triosim_events_total", "counter",
-		"Events dispatched by the engine.") {
-		p.Samplef("triosim_events_total %d", snap.Events)
+	own := telemetry.NewRegistry()
+	gauge := func(name, help string, v float64) {
+		own.Gauge(name, "", "", help).Set(v)
 	}
-	p.Gauge("triosim_monitor_virtual_time_seconds",
+	gauge("triosim_monitor_virtual_time_seconds",
 		"Virtual-time frontier seen by the monitor.", snap.VirtualTimeSec)
-	p.Gauge("triosim_monitor_events_per_second",
+	gauge("triosim_monitor_events_per_second",
 		"Wall-clock event dispatch rate (last window).", snap.EventsPerSecond)
 	done := 0.0
 	if snap.Done {
 		done = 1
 	}
-	p.Gauge("triosim_monitor_done", "Whether the simulation finished.", done)
-	_, _ = w.Write(p.Bytes())
+	gauge("triosim_monitor_done", "Whether the simulation finished.", done)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	_, _ = w.Write(cache)
+	_ = own.WriteProm(w)
 }
 
 // Handler serves the monitoring endpoints:
@@ -192,7 +174,12 @@ func (m *RTM) Handler() http.Handler {
 	return mux
 }
 
-// Serve blocks serving the monitor on addr (e.g. ":8080").
+// Serve blocks serving the monitor on addr (e.g. ":8080"), with the
+// header-read and idle timeouts of every TrioSim listener.
 func (m *RTM) Serve(addr string) error {
-	return http.ListenAndServe(addr, m.Handler())
+	return m.httpServer(addr).ListenAndServe()
+}
+
+func (m *RTM) httpServer(addr string) *http.Server {
+	return httpserve.New(addr, m.Handler())
 }

@@ -14,7 +14,7 @@ import (
 )
 
 func TestHookCollectsProgress(t *testing.T) {
-	m := New()
+	m := New(telemetry.NewRegistry())
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
 	for i := 1; i <= 5; i++ {
@@ -39,7 +39,7 @@ func TestHookCollectsProgress(t *testing.T) {
 }
 
 func TestHTTPStatus(t *testing.T) {
-	m := New()
+	m := New(telemetry.NewRegistry())
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
 	eng.Schedule(sim.NewFuncEvent(2, func(sim.VTime) error { return nil }))
@@ -78,9 +78,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	reg.Counter("triosim_events_total", "kind", "FuncEvent",
 		"Events dispatched.").Add(7)
 
-	m := New()
-	m.Registry = reg
-	m.SampleEvery = 1
+	m := New(reg)
 	m.Clock = time.Now
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
@@ -115,26 +113,41 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Fatalf("content type = %q", ct)
 	}
+	types := map[string]int{}
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			types[name]++
+		}
+	}
+	for _, name := range []string{"triosim_events_total",
+		"triosim_monitor_virtual_time_seconds",
+		"triosim_monitor_events_per_second", "triosim_monitor_done"} {
+		if types[name] != 1 {
+			t.Errorf("# TYPE %s appears %d times, want 1", name, types[name])
+		}
+	}
+	if len(types) != 4 {
+		t.Errorf("families = %v, want the registry's and the monitor's 3",
+			types)
+	}
 }
 
-func TestMetricsFallbackWithoutRegistry(t *testing.T) {
-	m := New()
-	eng := sim.NewSerialEngine()
-	eng.RegisterHook(m.Hook())
-	eng.Schedule(sim.NewFuncEvent(1, func(sim.VTime) error { return nil }))
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+// TestServeTimeouts checks the monitor's listener bounds header reads and
+// idle connections the way the daemon's does.
+func TestServeTimeouts(t *testing.T) {
+	s := New(telemetry.NewRegistry()).httpServer("127.0.0.1:0")
+	if s.Addr != "127.0.0.1:0" || s.Handler == nil {
+		t.Fatalf("server addr %q, handler %v", s.Addr, s.Handler)
 	}
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	if s.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", s.ReadHeaderTimeout)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "\ntriosim_events_total 1\n") {
-		t.Fatalf("fallback /metrics missing event count:\n%s", body)
+	if s.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", s.IdleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0", s.WriteTimeout)
 	}
 }
 
@@ -146,9 +159,7 @@ func TestHandlerDuringRunRace(t *testing.T) {
 	events := reg.Counter("triosim_events_total", "", "",
 		"Events dispatched.")
 
-	m := New()
-	m.Registry = reg
-	m.SampleEvery = 8
+	m := New(reg)
 	m.Clock = time.Now
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
@@ -157,7 +168,8 @@ func TestHandlerDuringRunRace(t *testing.T) {
 			events.Inc()
 		}
 	}))
-	const nEvents = 5000
+	// Enough events to cross the fixed refresh interval several times.
+	const nEvents = 5*sampleEvery + 100
 	var schedule func(i int)
 	schedule = func(i int) {
 		if i >= nEvents {
@@ -209,7 +221,7 @@ func TestHandlerDuringRunRace(t *testing.T) {
 }
 
 func TestSnapshotIsolation(t *testing.T) {
-	m := New()
+	m := New(telemetry.NewRegistry())
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
 	eng.Schedule(sim.NewFuncEvent(1, func(sim.VTime) error { return nil }))

@@ -269,22 +269,46 @@ func TestHTTPHealthStatsMetrics(t *testing.T) {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
 	text := string(data)
-	for _, family := range []string{
-		"triosim_server_queue_depth",
-		"triosim_server_submitted_total",
-		"triosim_server_completed_total",
-		"triosim_server_request_seconds_bucket",
-		"triosim_server_request_seconds_sum",
-		"triosim_tracecache_trace_misses_total",
+	for _, sample := range []string{
+		"triosim_server_submitted_total 1",
+		"triosim_server_completed_total 1",
+		`triosim_server_request_seconds_bucket{le="+Inf"} 1`,
+		"triosim_server_request_seconds_count 1",
+		"triosim_tracecache_trace_misses_total 1",
 	} {
-		if !strings.Contains(text, family) {
-			t.Errorf("metrics missing %s", family)
+		if !strings.Contains(text, sample+"\n") {
+			t.Errorf("metrics missing %q:\n%s", sample, text)
 		}
 	}
-	// Exactly one TYPE line per family: the shared-registry guarantee.
-	if n := strings.Count(text,
-		"# TYPE triosim_server_submitted_total"); n != 1 {
-		t.Errorf("submitted_total TYPE lines: %d", n)
+	// Every family is declared once, in name order, with its kind.
+	var families []string
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, rest)
+		}
+	}
+	want := []string{
+		"triosim_server_canceled_total counter",
+		"triosim_server_coalesce_hits_total counter",
+		"triosim_server_completed_total counter",
+		"triosim_server_draining gauge",
+		"triosim_server_failed_total counter",
+		"triosim_server_in_flight gauge",
+		"triosim_server_queue_depth gauge",
+		"triosim_server_rejected_total counter",
+		"triosim_server_request_seconds histogram",
+		"triosim_server_submitted_total counter",
+		"triosim_tracecache_bytes gauge",
+		"triosim_tracecache_timer_hits_total counter",
+		"triosim_tracecache_timer_misses_total counter",
+		"triosim_tracecache_timers gauge",
+		"triosim_tracecache_trace_hits_total counter",
+		"triosim_tracecache_trace_misses_total counter",
+		"triosim_tracecache_traces gauge",
+	}
+	if strings.Join(families, "\n") != strings.Join(want, "\n") {
+		t.Errorf("# TYPE lines:\n%s\nwant:\n%s", strings.Join(families, "\n"),
+			strings.Join(want, "\n"))
 	}
 }
 

@@ -1,73 +1,54 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
-
-	"triosim/internal/telemetry"
 )
 
-// handleMetrics renders the Prometheus exposition. Every family registers
-// through one telemetry.PromText, so the server's own gauges and the shared
-// trace-cache stats cannot collide with each other — or with a monitor
-// handler mounted on the same scrape path — without the duplicate being
-// dropped whole.
+// handleMetrics renders the server's registry in Prometheus text format.
+// The lifetime counters and the latency histogram accumulate as requests
+// pass; the point-in-time gauges and the shared trace cache's counters are
+// brought up to date here, under the same lock, before the render.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	var buf bytes.Buffer
 	s.mu.Lock()
-	queueDepth := len(s.queue)
-	inFlight := s.inFlight
-	draining := s.draining
-	st := s.stats
-	counts := make([]uint64, len(st.latencyCounts))
-	copy(counts, st.latencyCounts)
-	s.mu.Unlock()
-	cache := s.cache.Stats()
-
-	p := telemetry.NewPromText()
-	p.Gauge("triosim_server_queue_depth",
-		"Queued (not yet running) simulation requests.", float64(queueDepth))
-	p.Gauge("triosim_server_in_flight",
-		"Simulations currently executing.", float64(inFlight))
-	drainingV := 0.0
-	if draining {
-		drainingV = 1
+	reg := s.stats.reg
+	gauge := func(name, help string, v float64) {
+		reg.Gauge(name, "", "", help).Set(v)
 	}
-	p.Gauge("triosim_server_draining",
-		"Whether the server is draining (1) or accepting (0).", drainingV)
-	p.Counter("triosim_server_submitted_total",
-		"Requests received, including rejected ones.", float64(st.submitted))
-	p.Counter("triosim_server_coalesce_hits_total",
-		"Submissions that joined an equivalent queued or running run.",
-		float64(st.coalesced))
-	p.Counter("triosim_server_completed_total",
-		"Runs finished successfully.", float64(st.completed))
-	p.Counter("triosim_server_failed_total",
-		"Runs that ended in an error (deadline expiry included).",
-		float64(st.failed))
-	p.Counter("triosim_server_canceled_total",
-		"Runs canceled by their subscribers.", float64(st.canceled))
-	p.Counter("triosim_server_rejected_total",
-		"Submissions rejected at admission (invalid, queue full, draining).",
-		float64(st.rejected))
-	p.Histogram("triosim_server_request_seconds",
-		"Submission-to-terminal latency, queue wait included.",
-		latencyBounds, counts, st.latencySum, st.latencyCount)
-
-	p.Gauge("triosim_tracecache_traces",
+	// counter raises a counter to an absolute total kept elsewhere.
+	counter := func(name, help string, total uint64) {
+		c := reg.Counter(name, "", "", help)
+		c.Add(float64(total) - c.Value())
+	}
+	draining := 0.0
+	if s.draining {
+		draining = 1
+	}
+	gauge("triosim_server_queue_depth",
+		"Queued (not yet running) simulation requests.", float64(len(s.queue)))
+	gauge("triosim_server_in_flight",
+		"Simulations currently executing.", float64(s.inFlight))
+	gauge("triosim_server_draining",
+		"Whether the server is draining (1) or accepting (0).", draining)
+	cache := s.cache.Stats()
+	gauge("triosim_tracecache_traces",
 		"Traces resident in the shared cache.", float64(cache.Traces))
-	p.Gauge("triosim_tracecache_timers",
+	gauge("triosim_tracecache_timers",
 		"Fitted operator timers resident in the shared cache.",
 		float64(cache.Timers))
-	p.Gauge("triosim_tracecache_bytes",
+	gauge("triosim_tracecache_bytes",
 		"Approximate retained bytes of cached traces.", float64(cache.Bytes))
-	p.Counter("triosim_tracecache_trace_hits_total",
-		"Trace lookups served from the shared cache.", float64(cache.TraceHits))
-	p.Counter("triosim_tracecache_trace_misses_total",
-		"Trace builds executed.", float64(cache.TraceMisses))
-	p.Counter("triosim_tracecache_timer_hits_total",
-		"Timer lookups served from the shared cache.", float64(cache.TimerHits))
-	p.Counter("triosim_tracecache_timer_misses_total",
-		"Timer fits executed.", float64(cache.TimerMisses))
-
+	counter("triosim_tracecache_trace_hits_total",
+		"Trace lookups served from the shared cache.", cache.TraceHits)
+	counter("triosim_tracecache_trace_misses_total",
+		"Trace builds executed.", cache.TraceMisses)
+	counter("triosim_tracecache_timer_hits_total",
+		"Timer lookups served from the shared cache.", cache.TimerHits)
+	counter("triosim_tracecache_timer_misses_total",
+		"Timer fits executed.", cache.TimerMisses)
+	reg.WriteProm(&buf)
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write(p.Bytes())
+	_, _ = w.Write(buf.Bytes())
 }

@@ -160,28 +160,43 @@ var latencyBounds = []float64{
 	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// counters aggregate the server's lifetime totals (guarded by Server.mu).
+// counters are the server's lifetime totals and latency histogram, kept as
+// series of a server-owned registry that /metrics renders (guarded by
+// Server.mu).
 type counters struct {
-	submitted uint64
-	coalesced uint64
-	completed uint64
-	failed    uint64
-	canceled  uint64
-	rejected  uint64
-
-	latencyCounts []uint64 // len(latencyBounds)+1, last is +Inf overflow
-	latencySum    float64
-	latencyCount  uint64
+	reg       *telemetry.Registry
+	submitted *telemetry.Counter
+	coalesced *telemetry.Counter
+	completed *telemetry.Counter
+	failed    *telemetry.Counter
+	canceled  *telemetry.Counter
+	rejected  *telemetry.Counter
+	latency   *telemetry.Histogram
 }
 
-func (c *counters) observeLatency(sec float64) {
-	i := 0
-	for i < len(latencyBounds) && sec > latencyBounds[i] {
-		i++
+func newCounters() counters {
+	reg := telemetry.NewRegistry()
+	counter := func(name, help string) *telemetry.Counter {
+		return reg.Counter(name, "", "", help)
 	}
-	c.latencyCounts[i]++
-	c.latencySum += sec
-	c.latencyCount++
+	return counters{
+		reg: reg,
+		submitted: counter("triosim_server_submitted_total",
+			"Requests received, including rejected ones."),
+		coalesced: counter("triosim_server_coalesce_hits_total",
+			"Submissions that joined an equivalent queued or running run."),
+		completed: counter("triosim_server_completed_total",
+			"Runs finished successfully."),
+		failed: counter("triosim_server_failed_total",
+			"Runs that ended in an error (deadline expiry included)."),
+		canceled: counter("triosim_server_canceled_total",
+			"Runs canceled by their subscribers."),
+		rejected: counter("triosim_server_rejected_total",
+			"Submissions rejected at admission (invalid, queue full, draining)."),
+		latency: reg.Histogram("triosim_server_request_seconds", "", "",
+			"Submission-to-terminal latency, queue wait included.",
+			latencyBounds),
+	}
 }
 
 // Server owns the queue, the coalescing window, the worker pool, and the
@@ -221,8 +236,8 @@ func New(opts Options) *Server {
 		jobs:       map[string]*run{},
 		wake:       make(chan struct{}),
 		stopped:    make(chan struct{}),
+		stats:      newCounters(),
 	}
-	s.stats.latencyCounts = make([]uint64, len(latencyBounds)+1)
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go s.worker()
@@ -263,17 +278,17 @@ func (s *Server) Submit(req *Request) (*Ack, error) {
 	c, err := compile(req)
 	if err != nil {
 		s.mu.Lock()
-		s.stats.rejected++
+		s.stats.rejected.Inc()
 		s.mu.Unlock()
 		return nil, &StatusError{Code: 400, Msg: err.Error()}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.submitted++
+	s.stats.submitted.Inc()
 
 	if s.draining {
-		s.stats.rejected++
+		s.stats.rejected.Inc()
 		return nil, &StatusError{Code: 503, Msg: "server is draining",
 			RetryAfter: 5}
 	}
@@ -284,7 +299,7 @@ func (s *Server) Submit(req *Request) (*Ack, error) {
 	if r, ok := s.active[c.digest]; ok {
 		r.subscribers++
 		r.coalesced++
-		s.stats.coalesced++
+		s.stats.coalesced.Inc()
 		if req.Priority > r.priority && r.index >= 0 {
 			r.priority = req.Priority
 			heap.Fix(&s.queue, r.index)
@@ -295,7 +310,7 @@ func (s *Server) Submit(req *Request) (*Ack, error) {
 	}
 
 	if len(s.queue) >= s.opts.MaxQueue {
-		s.stats.rejected++
+		s.stats.rejected.Inc()
 		return nil, &StatusError{Code: 429, Msg: "queue is full",
 			RetryAfter: 1}
 	}
@@ -452,13 +467,13 @@ func (s *Server) finalizeLocked(r *run, res *Result, report []byte, err error) {
 	switch {
 	case err == nil:
 		r.state = StateDone
-		s.stats.completed++
+		s.stats.completed.Inc()
 	case r.canceled:
 		r.state = StateCanceled
-		s.stats.canceled++
+		s.stats.canceled.Inc()
 	default:
 		r.state = StateFailed
-		s.stats.failed++
+		s.stats.failed.Inc()
 	}
 	if res == nil {
 		res = &Result{ID: r.id, Kind: r.req.kind, Digest: r.req.digest}
@@ -475,7 +490,7 @@ func (s *Server) finalizeLocked(r *run, res *Result, report []byte, err error) {
 	// so completed work is never implicitly reused with stale deadlines).
 	delete(s.active, r.req.digest)
 	r.cancel()
-	s.stats.observeLatency(s.opts.Clock().Sub(r.enqueued).Seconds())
+	s.stats.latency.Observe(s.opts.Clock().Sub(r.enqueued).Seconds())
 	msg := ""
 	if err != nil {
 		msg = err.Error()
@@ -622,12 +637,12 @@ func (s *Server) Stats() Stats {
 		QueueDepth: len(s.queue),
 		InFlight:   s.inFlight,
 		Draining:   s.draining,
-		Submitted:  s.stats.submitted,
-		Coalesced:  s.stats.coalesced,
-		Completed:  s.stats.completed,
-		Failed:     s.stats.failed,
-		Canceled:   s.stats.canceled,
-		Rejected:   s.stats.rejected,
+		Submitted:  uint64(s.stats.submitted.Value()),
+		Coalesced:  uint64(s.stats.coalesced.Value()),
+		Completed:  uint64(s.stats.completed.Value()),
+		Failed:     uint64(s.stats.failed.Value()),
+		Canceled:   uint64(s.stats.canceled.Value()),
+		Rejected:   uint64(s.stats.rejected.Value()),
 		TraceCache: s.cache.Stats(),
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +30,8 @@ func newIdle(opts Options) *Server {
 		jobs:       map[string]*run{},
 		wake:       make(chan struct{}),
 		stopped:    make(chan struct{}),
+		stats:      newCounters(),
 	}
-	s.stats.latencyCounts = make([]uint64, len(latencyBounds)+1)
 	close(s.stopped) // no workers to join; Close must not block
 	return s
 }
@@ -412,7 +413,8 @@ func TestDrainDeadlineHardCancels(t *testing.T) {
 	}
 }
 
-// Concurrent load against a live pool: exercised under -race in check.sh.
+// Concurrent load against a live pool, scraped while it runs: exercised
+// under -race in check.sh.
 func TestConcurrentSubmitters(t *testing.T) {
 	s := New(Options{Workers: 4, MaxQueue: 64})
 	defer s.Close()
@@ -420,6 +422,19 @@ func TestConcurrentSubmitters(t *testing.T) {
 		submitters = 16
 		perWorker  = 4
 	)
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.handleMetrics(httptest.NewRecorder(), nil)
+			s.Stats()
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, submitters*perWorker)
 	for w := 0; w < submitters; w++ {
@@ -444,9 +459,17 @@ func TestConcurrentSubmitters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-scraped
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.handleMetrics(rec, nil)
+	if want := "\ntriosim_server_submitted_total 64\n"; !strings.Contains(
+		rec.Body.String(), want) {
+		t.Fatalf("/metrics after load lacks %q:\n%s", want, rec.Body)
 	}
 	st := s.Stats()
 	if st.Coalesced == 0 {

@@ -8,9 +8,13 @@
 // The package obeys the serial-engine determinism contract (triosimvet):
 // no locks, no goroutines, no wall-clock reads. All mutation happens on the
 // engine goroutine via hooks and observers; every export path iterates in
-// sorted key order so two identical runs render byte-identical output. The
-// thread-safe live surface (HTTP /metrics) lives in internal/monitor, which
-// snapshots a rendered registry under its own lock at the boundary.
+// sorted key order so two identical runs render byte-identical output.
+//
+// Registry.WriteProm is TrioSim's only Prometheus text writer: every /metrics
+// body is a registry rendering. The live surfaces own the locking: the
+// monitor (internal/monitor) renders the run's registry on the engine
+// goroutine and serves the cached bytes under its own lock, and the daemon
+// (internal/server) keeps its counters in a registry guarded by its mutex.
 package telemetry
 
 import (
@@ -139,12 +143,19 @@ func NewRegistry() *Registry {
 	}
 }
 
+// familyOf returns name's family, registering it on first use. A name
+// registered again with another kind or label key panics: the registry keys
+// series by family name, so one of the two would silently vanish from
+// Export and WriteProm.
 func (r *Registry) familyOf(name, labelKey, help string, kind MetricKind) *family {
 	f := r.families[name]
 	if f == nil {
 		f = &family{name: name, labelKey: labelKey, kind: kind, help: help}
 		r.families[name] = f
 		r.order = append(r.order, name)
+	} else if f.kind != kind || f.labelKey != labelKey {
+		panic(fmt.Sprintf("telemetry: family %s registered as %s{%s}, "+
+			"then as %s{%s}", name, f.kind, f.labelKey, kind, labelKey))
 	}
 	return f
 }
@@ -214,8 +225,6 @@ type MetricPoint struct {
 	Buckets    []BucketCount `json:"buckets,omitempty"`
 }
 
-// Export dumps every series sorted by (family name, label value) — a
-// deterministic total order regardless of registration or map order.
 // labelValues collects the sorted label values of one family's series.
 func labelValues[V any](m map[metricKey]V, name string) []string {
 	var out []string
@@ -228,6 +237,8 @@ func labelValues[V any](m map[metricKey]V, name string) []string {
 	return out
 }
 
+// Export dumps every series sorted by (family name, label value) — a
+// deterministic total order regardless of registration or map order.
 func (r *Registry) Export() []MetricPoint {
 	names := make([]string, len(r.order))
 	copy(names, r.order)
@@ -274,45 +285,33 @@ func (r *Registry) Export() []MetricPoint {
 
 // WriteProm renders the registry in the Prometheus text exposition format
 // (version 0.0.4): # HELP / # TYPE headers followed by one sample per
-// series, histograms expanded into _bucket/_sum/_count.
+// series, histograms expanded into _bucket/_sum/_count. It is the only
+// Prometheus writer in TrioSim; families appear sorted by name.
 func (r *Registry) WriteProm(w io.Writer) error {
-	names := make([]string, len(r.order))
-	copy(names, r.order)
-	sort.Strings(names)
-
-	points := r.Export()
 	var b strings.Builder
-	for _, name := range names {
-		f := r.families[name]
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", name, f.help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", name, f.kind)
-		for _, p := range points {
-			if p.Name != name {
-				continue
+	prev := ""
+	for _, p := range r.Export() {
+		if p.Name != prev {
+			prev = p.Name
+			if help := r.families[p.Name].help; help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", p.Name, help)
 			}
-			switch f.kind {
-			case KindCounter, KindGauge:
-				fmt.Fprintf(&b, "%s%s %s\n", name,
-					promLabels(f.labelKey, p.LabelValue), promFloat(p.Value))
-			case KindHistogram:
-				cum := uint64(0)
-				h := r.hists[metricKey{name, p.LabelValue}]
-				for i, bound := range h.bounds {
-					cum += h.counts[i]
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", name,
-						promLabelsLE(f.labelKey, p.LabelValue, promFloat(bound)),
-						cum)
-				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", name,
-					promLabelsLE(f.labelKey, p.LabelValue, "+Inf"), h.count)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", name,
-					promLabels(f.labelKey, p.LabelValue), promFloat(h.sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", name,
-					promLabels(f.labelKey, p.LabelValue), h.count)
-			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", p.Name, p.Kind)
 		}
+		labels := promLabels(p.LabelKey, p.LabelValue)
+		if p.Kind != KindHistogram {
+			fmt.Fprintf(&b, "%s%s %s\n", p.Name, labels, promFloat(p.Value))
+			continue
+		}
+		for _, bc := range p.Buckets {
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", p.Name,
+				promLabelsLE(p.LabelKey, p.LabelValue, promFloat(bc.UpperBound)),
+				bc.Count)
+		}
+		fmt.Fprintf(&b, "%s_bucket%s %d\n", p.Name,
+			promLabelsLE(p.LabelKey, p.LabelValue, "+Inf"), p.Count)
+		fmt.Fprintf(&b, "%s_sum%s %s\n", p.Name, labels, promFloat(p.Sum))
+		fmt.Fprintf(&b, "%s_count%s %d\n", p.Name, labels, p.Count)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -92,7 +92,7 @@ html_rows="$(grep -c '^<tr><td>gpu' "$html_out" || true)"
 [[ "$html_rows" == 2 ]] ||
   { echo "timeline-html: $html_rows breakdown rows, want 2 (one per P1 GPU)"; exit 1; }
 
-echo "==> triosimd smoke (daemon + load harness + coalescing + CLI byte-identity gate)"
+echo "==> triosimd smoke (daemon + load harness + coalescing + CLI byte-identity gate + /metrics scrape)"
 go build -o "$tmpdir/triosimd" ./cmd/triosimd
 go build -o "$tmpdir/triosimload" ./cmd/triosimload
 # Reference report from the one-shot CLI: -deterministic skips wall-clock
@@ -104,6 +104,19 @@ go run ./cmd/triosim -model resnet18 -platform P1 -parallelism ddp \
 cat >"$tmpdir/gate-request.json" <<'JSON'
 {"run":{"model":"resnet18","platform":"P1","parallelism":"ddp","trace_batch":32,"global_batch":64}}
 JSON
+scrape_metrics() { # $1 daemon address, $2 requests the load run completed
+  local metrics dup completed coalesced
+  metrics="$(curl -fsS "http://$1/metrics")"
+  dup="$(awk '/^# TYPE / {print $3}' <<<"$metrics" | sort | uniq -d)"
+  [[ -z "$dup" ]] || { echo "/metrics declares these families twice: $dup"; exit 1; }
+  # A coalesced submission shares its run, so completed runs plus coalesce
+  # hits account for every request.
+  completed="$(awk '$1 == "triosim_server_completed_total" {print $2}' <<<"$metrics")"
+  coalesced="$(awk '$1 == "triosim_server_coalesce_hits_total" {print $2}' <<<"$metrics")"
+  (( ${completed:-0} + ${coalesced:-0} >= $2 )) ||
+    { echo "/metrics: $completed completed + $coalesced coalesced < $2 requests"; exit 1; }
+  echo "    /metrics: $completed runs completed, $coalesced coalesced, no family repeated"
+}
 run_daemon_load() { # $1 daemon binary, $2 requests, $3 concurrency
   local addr_file daemon_pid addr
   addr_file="$(mktemp "$tmpdir/addr.XXXXXX")"
@@ -117,6 +130,7 @@ run_daemon_load() { # $1 daemon binary, $2 requests, $3 concurrency
     -requests "$2" -concurrency "$3" -distinct 3 -wait-ready 10s \
     -require-coalesce -gate-request "$tmpdir/gate-request.json" \
     -gate-report "$tmpdir/ref-report.json"
+  scrape_metrics "$addr" "$2"
   kill -TERM "$daemon_pid"
   wait "$daemon_pid"
 }

@@ -3,6 +3,10 @@
 // bandwidth value of the links" and asymmetric-network capability, exposed
 // declaratively for the CLI.
 //
+// RunSpec and ServeSpec are the only mappings from options to core.Config
+// and core.ServeConfig: triosim's flags, -config files and triosimd
+// requests all fill a spec and call its ToCore.
+//
 // Example:
 //
 //	{
@@ -29,6 +33,7 @@ import (
 	"triosim/internal/core"
 	"triosim/internal/gpu"
 	"triosim/internal/network"
+	"triosim/internal/serving"
 	"triosim/internal/sim"
 )
 
@@ -221,16 +226,17 @@ func Load(path string) (*RunSpec, error) {
 	return &spec, nil
 }
 
-// ToCore converts the spec into a core.Config.
+// ToCore converts the spec into a core.Config. It reads no files:
+// TraceFile is left for the caller to load into Config.Trace.
 func (s *RunSpec) ToCore() (core.Config, error) {
-	var out core.Config
-	plat, err := gpu.PlatformByName(s.Platform)
+	plat, topo, err := resolve(s.Platform, s.Topology)
 	if err != nil {
-		return out, err
+		return core.Config{}, err
 	}
-	out = core.Config{
+	return core.Config{
 		Model:        s.Model,
 		Platform:     plat,
+		Topology:     topo,
 		Parallelism:  core.Parallelism(s.Parallelism),
 		TraceBatch:   s.TraceBatch,
 		TraceGPU:     s.TraceGPU,
@@ -245,13 +251,43 @@ func (s *RunSpec) ToCore() (core.Config, error) {
 		PPStages:     s.PPStages,
 		FuseCompute:  s.FuseCompute,
 		NetApproxTol: s.NetApproxTol,
+	}, nil
+}
+
+// ServeSpec declares one request-level serving simulation: the triosim
+// -serve-sim flags and the body of a triosimd "serve" request. triosimd
+// hashes its JSON form into request digests, so its fields and tags are
+// part of the coalescing key.
+type ServeSpec struct {
+	// Platform is the simulated system (P1, P2, or P3).
+	Platform string `json:"platform"`
+	// Serving is the workload: model, scheduler, batching, arrivals.
+	Serving serving.Config `json:"serving"`
+	// Topology optionally overrides the platform's default interconnect.
+	Topology *TopologySpec `json:"topology,omitempty"`
+}
+
+// ToCore converts the spec into a core.ServeConfig.
+func (s *ServeSpec) ToCore() (core.ServeConfig, error) {
+	if s.Serving.Model == "" {
+		return core.ServeConfig{}, fmt.Errorf(
+			"config: serving needs a model (a zoo transformer)")
 	}
-	if s.Topology != nil {
-		topo, err := s.Topology.Build()
-		if err != nil {
-			return out, err
-		}
-		out.Topology = topo
+	plat, topo, err := resolve(s.Platform, s.Topology)
+	if err != nil {
+		return core.ServeConfig{}, err
 	}
-	return out, nil
+	return core.ServeConfig{Serving: s.Serving, Platform: plat,
+		Topology: topo}, nil
+}
+
+// resolve looks up a platform and builds the optional topology override.
+func resolve(platform string, ts *TopologySpec) (*gpu.Platform,
+	*network.Topology, error) {
+	plat, err := gpu.PlatformByName(platform)
+	if err != nil || ts == nil {
+		return plat, nil, err
+	}
+	topo, err := ts.Build()
+	return plat, topo, err
 }

@@ -27,8 +27,6 @@ import (
 	"triosim/internal/core"
 	"triosim/internal/digest"
 	"triosim/internal/faults"
-	"triosim/internal/gpu"
-	"triosim/internal/serving"
 )
 
 // Request kinds.
@@ -61,16 +59,9 @@ type Request struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// ServeSpec configures one serving simulation over the API, mirroring the
-// triosim -serve-sim flags.
-type ServeSpec struct {
-	// Platform is the simulated system (P1, P2, or P3).
-	Platform string `json:"platform"`
-	// Serving is the workload: model, scheduler, batching, arrivals.
-	Serving serving.Config `json:"serving"`
-	// Topology optionally overrides the platform's default interconnect.
-	Topology *config.TopologySpec `json:"topology,omitempty"`
-}
+// ServeSpec configures one serving simulation over the API; it is the
+// spec triosim -serve-sim fills from its flags.
+type ServeSpec = config.ServeSpec
 
 // RequestDigestDomain tags request digests (see internal/digest).
 const RequestDigestDomain = "server.Request"
@@ -86,8 +77,8 @@ type compiled struct {
 }
 
 // compile validates a request and computes its coalescing digest. Validation
-// runs the same constructors a run would (config.RunSpec.ToCore, topology
-// Build, faults.Parse), so a request that compiles cannot fail on
+// runs the same constructors a run would (RunSpec.ToCore, ServeSpec.ToCore,
+// faults.Parse), so a request that compiles cannot fail on
 // configuration grounds later — only on cancellation or workload errors.
 func compile(req *Request) (*compiled, error) {
 	if req == nil {
@@ -129,16 +120,8 @@ func compile(req *Request) (*compiled, error) {
 		if req.Run != nil {
 			return nil, fmt.Errorf("kind %q does not take a run spec", c.kind)
 		}
-		if req.Serve.Serving.Model == "" {
-			return nil, fmt.Errorf("serve spec needs a serving model")
-		}
-		if _, err := gpu.PlatformByName(req.Serve.Platform); err != nil {
+		if _, err := req.Serve.ToCore(); err != nil {
 			return nil, err
-		}
-		if req.Serve.Topology != nil {
-			if _, err := req.Serve.Topology.Build(); err != nil {
-				return nil, err
-			}
 		}
 	default:
 		return nil, fmt.Errorf("unknown kind %q", req.Kind)
@@ -190,22 +173,11 @@ func (c *compiled) coreConfig() (core.Config, error) {
 
 // serveConfig is coreConfig for serving runs.
 func (c *compiled) serveConfig() (core.ServeConfig, error) {
-	plat, err := gpu.PlatformByName(c.serve.Platform)
+	cfg, err := c.serve.ToCore()
 	if err != nil {
 		return core.ServeConfig{}, err
 	}
-	cfg := core.ServeConfig{
-		Serving:   c.serve.Serving,
-		Platform:  plat,
-		Telemetry: true,
-		Faults:    c.sched,
-	}
-	if c.serve.Topology != nil {
-		topo, err := c.serve.Topology.Build()
-		if err != nil {
-			return core.ServeConfig{}, err
-		}
-		cfg.Topology = topo
-	}
+	cfg.Faults = c.sched
+	cfg.Telemetry = true
 	return cfg, nil
 }

@@ -480,3 +480,29 @@ func TestConcurrentSubmitters(t *testing.T) {
 		t.Fatalf("shared cache unused across runs: %+v", st.TraceCache)
 	}
 }
+
+// Request digests are the coalescing keys. These values were captured
+// before ServeSpec moved to internal/config; a move of either must not
+// change them.
+func TestRequestDigestPins(t *testing.T) {
+	for name, tc := range map[string]struct {
+		req  *Request
+		want string
+	}{
+		"run": {simRequest(64),
+			"b86b9b5459eb797aa2749338060bb26c34b6889e44f05caf059939e4fb184f70"},
+		"serve": {&Request{Serve: &ServeSpec{
+			Platform: "P1",
+			Serving: serving.Config{Model: "gpt2", MaxBatch: 4,
+				Arrivals: serving.ArrivalConfig{Requests: 8, Rate: 200, Seed: 3}},
+		}}, "66c8f8cb5dbff4a34bff45085ec2a55ce896f940e61073e4cc659d3e2ce98c45"},
+	} {
+		c, err := compile(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.digest != tc.want {
+			t.Errorf("%s: digest %s, pinned %s", name, c.digest, tc.want)
+		}
+	}
+}

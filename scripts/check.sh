@@ -92,7 +92,7 @@ html_rows="$(grep -c '^<tr><td>gpu' "$html_out" || true)"
 [[ "$html_rows" == 2 ]] ||
   { echo "timeline-html: $html_rows breakdown rows, want 2 (one per P1 GPU)"; exit 1; }
 
-echo "==> triosimd smoke (daemon + load harness + coalescing + CLI byte-identity gate + /metrics scrape)"
+echo "==> triosimd smoke (daemon + load harness + coalescing + CLI training and serving byte-identity gates + /metrics scrape)"
 go build -o "$tmpdir/triosimd" ./cmd/triosimd
 go build -o "$tmpdir/triosimload" ./cmd/triosimload
 # Reference report from the one-shot CLI: -deterministic skips wall-clock
@@ -103,6 +103,13 @@ go run ./cmd/triosim -model resnet18 -platform P1 -parallelism ddp \
   -metrics-out "$tmpdir/ref-report.json" >/dev/null
 cat >"$tmpdir/gate-request.json" <<'JSON'
 {"run":{"model":"resnet18","platform":"P1","parallelism":"ddp","trace_batch":32,"global_batch":64}}
+JSON
+# The serving path holds the same guarantee: the CLI fills the ServeSpec a
+# {"serve": ...} request carries, and both build it with ServeSpec.ToCore.
+go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 8 \
+  -serve-seed 3 -deterministic -metrics-out "$tmpdir/serve-ref-report.json" >/dev/null
+cat >"$tmpdir/serve-gate-request.json" <<'JSON'
+{"serve":{"platform":"P1","serving":{"model":"gpt2","scheduler":"fifo","arrivals":{"seed":3,"requests":8}}}}
 JSON
 scrape_metrics() { # $1 daemon address, $2 requests the load run completed
   local metrics dup completed coalesced
@@ -130,6 +137,9 @@ run_daemon_load() { # $1 daemon binary, $2 requests, $3 concurrency
     -requests "$2" -concurrency "$3" -distinct 3 -wait-ready 10s \
     -require-coalesce -gate-request "$tmpdir/gate-request.json" \
     -gate-report "$tmpdir/ref-report.json"
+  "$tmpdir/triosimload" -addr "$addr" -requests 0 \
+    -gate-request "$tmpdir/serve-gate-request.json" \
+    -gate-report "$tmpdir/serve-ref-report.json"
   scrape_metrics "$addr" "$2"
   kill -TERM "$daemon_pid"
   wait "$daemon_pid"

@@ -45,6 +45,20 @@ func faultedDDPConfig() Config {
 		}}}
 }
 
+// gpuFailCheckpointConfig is a DDP run on P2 whose GPU 1 fails at 3 ms
+// under a 1 ms checkpoint interval with a derived checkpoint cost: it drives
+// the failure marker spans and the resilience numbers of the fault section.
+func gpuFailCheckpointConfig() Config {
+	return Config{Model: "resnet18", Platform: p2(), Parallelism: DDP,
+		TraceBatch: 32, Telemetry: true, SpanTrace: true,
+		Faults: &faults.Schedule{
+			Events: []faults.Event{{Kind: faults.GPUFail, GPU: 1,
+				Start: 3 * sim.MSec}},
+			Checkpoint: &faults.Checkpoint{Interval: sim.MSec,
+				Restart: sim.MSec / 2},
+		}}
+}
+
 // clusterPinConfig is a 64-GPU DP×TP×PP step (dp 4, tp 4, pp 4) on an
 // 8-machine rail fat tree.
 func clusterPinConfig() Config {
@@ -77,9 +91,9 @@ func duplicateLinkTopology() *network.Topology {
 
 // reportPins runs the paths strategy_pins.txt does not reach — the
 // single-GPU and data-parallel strategies, a 64-GPU DP×TP×PP cluster step,
-// a faulted DDP run, a serving run and a topology with two same-named
-// links — and returns one pinRow per run, plus the Chrome trace hash of
-// the faulted and the serving run, in a fixed order.
+// two faulted DDP runs, a serving run with and without faults and a
+// topology with two same-named links — and returns one pinRow per run, plus
+// the Chrome trace hash of every run that records spans, in a fixed order.
 func reportPins(t *testing.T) []string {
 	t.Helper()
 	var rows []string
@@ -125,26 +139,33 @@ func reportPins(t *testing.T) []string {
 		Parallelism: DDP, NumGPUs: 4, TraceBatch: 32, Telemetry: true,
 		Topology: duplicateLinkTopology()})
 	add("ddp/resnet18/ring-4-duplicate-link/sim", res, err)
+	res, err = Simulate(gpuFailCheckpointConfig())
+	add("ddp/resnet18/P2/gpufail-ckpt/sim", res, err)
 
-	sres, err := Serve(serveConfig())
-	if err != nil {
-		t.Fatalf("serve: %v", err)
+	addServe := func(key string, cfg ServeConfig) {
+		sres, err := Serve(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		var buf bytes.Buffer
+		if err := sres.Report.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, fmt.Sprintf("%s %d %#016x %x", key,
+			sres.Events, sres.EventDigest, sha256.Sum256(buf.Bytes())))
+		row, err := chromeRow(key, sres.Spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
-	var buf bytes.Buffer
-	if err := sres.Report.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows = append(rows, fmt.Sprintf("serve/gpt2/P1/fifo %d %#016x %x",
-		sres.Events, sres.EventDigest, sha256.Sum256(buf.Bytes())))
-	row, err := chromeRow("serve/gpt2/P1/fifo", sres.Spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(rows, row)
+	addServe("serve/gpt2/P1/fifo", serveConfig())
+	addServe("serve/gpt2/P1/fifo/faults", serveFaultsConfig(t))
+	return rows
 }
 
-// TestReportPins pins the RunReport bytes (and, for two runs, the Chrome
-// trace bytes) of the runs reportPins makes in testdata/report_pins.txt.
+// TestReportPins pins the RunReport bytes (and, for the span-recording
+// runs, the Chrome trace bytes) of the runs reportPins makes in testdata/report_pins.txt.
 // Observation code — the telemetry collector, the span recorder, link
 // naming — must leave every row unmoved. Regenerate deliberately with
 //

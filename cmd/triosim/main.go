@@ -201,7 +201,12 @@ func runTraining(o *options, cfg triosim.Config, w io.Writer) error {
 		if o.faultsPath != "" {
 			cfg.Faults, err = triosim.LoadFaultSchedule(o.faultsPath)
 		} else {
-			topo := triosim.BuildTopology(cfg.Platform)
+			// Draw from the topology the run simulates: a -config spec's
+			// own, else the platform's default.
+			topo := cfg.Topology
+			if topo == nil {
+				topo = triosim.BuildTopology(cfg.Platform)
+			}
 			cfg.Faults, err = triosim.GenerateFaults(o.faultSeed,
 				triosim.FaultGenConfig{
 					NumGPUs:      len(topo.GPUs()),

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"triosim/internal/config"
 	"triosim/internal/server"
 	"triosim/internal/serving"
+	"triosim/internal/telemetry"
 )
 
 // The defaults every flag-built spec starts from.
@@ -213,5 +215,62 @@ func TestServeSimMatchesDaemon(t *testing.T) {
 	if served := s.Report(ack.ID); !bytes.Equal(cli, served) {
 		t.Fatalf("CLI report (%d bytes) differs from the served report (%d bytes)",
 			len(cli), len(served))
+	}
+}
+
+// A -fault-seed schedule is drawn over the topology the run simulates: the
+// 8-GPU, 16-link ring a -config spec gives, not P1's default 2 GPUs and 3
+// links.
+func TestFaultSeedDrawsFromConfigTopology(t *testing.T) {
+	spec := config.RunSpec{Model: "resnet18", Platform: "P1",
+		Parallelism: "ddp", TraceBatch: 32, NumGPUs: 8,
+		Topology: &config.TopologySpec{Kind: "ring", NumGPUs: 8,
+			LinkBandwidthGBps: 50, LinkLatencyUS: 1,
+			HostBandwidthGBps: 16, HostLatencyUS: 5}}
+	cfg, err := spec.ToCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpus, links := len(cfg.Topology.GPUs()), len(cfg.Topology.Links)
+	if gpus != 8 || links != 16 {
+		t.Fatalf("ring spec builds %d GPUs and %d links, want 8 and 16",
+			gpus, links)
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ring8.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := triosim.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		sched, err := triosim.GenerateFaults(seed, triosim.FaultGenConfig{
+			NumGPUs: gpus, NumLinks: links, Horizon: base.TotalTime,
+			LinkDegrades: 1, GPUSlowdowns: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []telemetry.FaultWindow
+		for _, w := range sched.Windows() {
+			want = append(want, telemetry.FaultWindow{Kind: string(w.Kind),
+				Resource: w.ResourceName(), Factor: w.Factor,
+				StartSec: w.Start.Seconds(), EndSec: w.End.Seconds()})
+		}
+		var rep telemetry.RunReport
+		if err := json.Unmarshal(runReport(t, "-config", path,
+			"-fault-seed", strconv.FormatInt(seed, 10)), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Faults == nil || !reflect.DeepEqual(rep.Faults.Windows, want) {
+			t.Errorf("seed %d: report windows %+v, want the schedule drawn "+
+				"over %d GPUs and %d links: %+v", seed, rep.Faults, gpus,
+				links, want)
+		}
 	}
 }

@@ -152,8 +152,8 @@ type Config struct {
 	Faults *faults.Schedule
 }
 
-// telemetryOn reports whether a Collector should run.
-func (c *Config) telemetryOn() bool { return c.Telemetry || c.Metrics != nil }
+// telemetryOn reports whether a Collector should run (Telemetry or Metrics).
+func telemetryOn(on bool, reg *telemetry.Registry) bool { return on || reg != nil }
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
@@ -369,67 +369,202 @@ func gridPoint(cfg Config) (dp, tp, pp int, err error) {
 	return 0, 0, 0, fmt.Errorf("core: unknown parallelism %q", cfg.Parallelism)
 }
 
-// observeConfig is the observation half of Config and ServeConfig.
-type observeConfig struct {
-	spanTrace bool
-	telemetry bool
-	metrics   *telemetry.Registry
-	hooks     []sim.Hook
-	ctx       context.Context
+// runConfig is what the run harness reads from Config or ServeConfig.
+type runConfig struct {
+	topo                 *network.Topology
+	rampBytes, approxTol float64
+	clock                func() time.Time
+	spanTrace, telemetry bool
+	metrics              *telemetry.Registry
+	collLog              *telemetry.CollectiveLog
+	hooks                []sim.Hook
+	ctx                  context.Context
+	faults               *faults.Schedule
 }
 
-// attach wires one run's optional observers in the order Simulate and Serve
-// both rely on: the span recorder, the telemetry collector, the caller's
-// hooks, then the context poll. observe registers a task observer with the
-// executor or the serving cluster; g may be nil. Observation never
-// schedules events, so the replay digest is the same with or without it.
-// The recorder and the collector are nil when off; with the collector on,
-// the caller feeds a task.GPUTime and hands it to Finalize.
-func (oc observeConfig) attach(eng *sim.SerialEngine, net *network.FlowNetwork,
-	topo *network.Topology, g *task.Graph, collLog *telemetry.CollectiveLog,
-	observe func(task.Observer)) (*spantrace.Recorder, *telemetry.Collector,
-	error) {
+// run is the harness every simulation runs in, training and serving alike:
+// the engine with its replay-digest hook, the flow network, the observers
+// and the fault injector. The caller builds its driver (the task executor
+// or the serving cluster) over eng and net, hands it to attach, runs it,
+// and closes the run with finish.
+type run struct {
+	runConfig
+	start   time.Time
+	eng     *sim.SerialEngine
+	digest  *sim.DigestHook
+	net     *network.FlowNetwork
+	rec     *spantrace.Recorder
+	coll    *telemetry.Collector
+	gpuTime *task.GPUTime
+	inj     *faults.Injector
+}
 
-	var rec *spantrace.Recorder
-	if oc.spanTrace {
-		rec = spantrace.NewRecorder(g, topo)
-		observe(rec)
-		net.Observe(rec)
-		eng.RegisterHook(rec.EngineHook(eng.Pending))
+// newRun starts the wall clock and builds the engine, its digest hook and
+// the flow network.
+func newRun(c runConfig) *run {
+	r := &run{runConfig: c}
+	if c.clock != nil {
+		r.start = c.clock()
 	}
-	var coll *telemetry.Collector
-	if oc.telemetry {
-		reg := oc.metrics
+	r.eng = sim.NewSerialEngine()
+	r.digest = sim.NewDigestHook()
+	r.eng.RegisterHook(r.digest)
+	r.net = network.NewFlowNetwork(r.eng, c.topo)
+	r.net.RampBytes = c.rampBytes
+	r.net.ApproxTol = c.approxTol
+	// Self-profiling: time the max-min solver on the injected clock (the sim
+	// core never reads the host clock itself). Wall time feeds counter
+	// tracks and gauges only — virtual time is unaffected.
+	r.net.SolveClock = c.clock
+	return r
+}
+
+// attach wires the observers and faults into the run's driver in the order
+// the pins rely on: the span recorder, the telemetry collector, the
+// caller's hooks, the context poll, then the fault injector. observe
+// registers a task observer with the driver; g names the recorder's tasks
+// (nil for serving). The driver's GPUTime and Stretch fields receive the
+// per-GPU time partition and the straggler model. Observation never
+// schedules events, so the replay digest is the same with or without it.
+func (r *run) attach(g *task.Graph, observe func(task.Observer),
+	gpuTime **task.GPUTime, stretch *func(gpu int, at sim.VTime) float64) error {
+
+	if r.spanTrace {
+		r.rec = spantrace.NewRecorder(g, r.topo)
+		observe(r.rec)
+		r.net.Observe(r.rec)
+		r.eng.RegisterHook(r.rec.EngineHook(r.eng.Pending))
+	}
+	if r.telemetry {
+		reg := r.metrics
 		if reg == nil {
 			reg = telemetry.NewRegistry()
 		}
-		coll = telemetry.NewCollector(reg, topo, collLog)
-		eng.RegisterHook(coll.EngineHook(eng.Pending))
-		observe(coll)
-		net.Observe(coll)
+		r.coll = telemetry.NewCollector(reg, r.topo, r.collLog)
+		r.eng.RegisterHook(r.coll.EngineHook(r.eng.Pending))
+		observe(r.coll)
+		r.net.Observe(r.coll)
+		r.gpuTime = task.NewGPUTime(r.topo)
+		*gpuTime = r.gpuTime
 	}
-	for _, h := range oc.hooks {
-		eng.RegisterHook(h)
+	for _, h := range r.hooks {
+		r.eng.RegisterHook(h)
 	}
-	if ctx := oc.ctx; ctx != nil {
+	if ctx := r.ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("core: simulation canceled: %w", err)
+			return r.failed(err)
 		}
 		// Poll the context every 1024 dispatches: ctx.Err() is a mutex
 		// acquisition, too expensive per event, and cancellation latency of
 		// ~1k events is fine for sweep timeouts.
 		var dispatched uint64
-		eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
+		r.eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
 			if hc.Pos != sim.HookPosAfterEvent {
 				return
 			}
 			dispatched++
 			if dispatched&1023 == 0 && ctx.Err() != nil {
-				eng.Terminate()
+				r.eng.Terminate()
 			}
 		}))
 	}
-	return rec, coll, nil
+	if r.faults == nil {
+		return nil
+	}
+	inj, err := faults.NewInjector(r.eng, r.net, r.faults)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	r.inj = inj
+	// Straggler model: compute durations stretch by the enclosing
+	// GPUSlowdown window's factor. Link windows become engine events that
+	// rewrite bandwidth and re-solve the fair shares; an empty schedule arms
+	// nothing and the run stays digest-identical.
+	*stretch = inj.Factor
+	inj.Arm()
+	if r.rec != nil {
+		for _, w := range inj.Windows() {
+			r.rec.AddFault(w.Label(), w.Start, w.End)
+		}
+		for _, f := range inj.Failures() {
+			r.rec.AddFault(faults.FailLabel(f), f.At, f.At)
+		}
+	}
+	return nil
+}
+
+// failed names the error a run stopped with: once the context is done,
+// Terminate left the driver mid-run, and the context's error is the cause,
+// not the "stalled" symptom.
+func (r *run) failed(err error) error {
+	if r.ctx != nil && r.ctx.Err() != nil {
+		return fmt.Errorf("core: simulation canceled: %w", r.ctx.Err())
+	}
+	return err
+}
+
+// finish closes a completed run and returns the Result fields every run
+// shares. It stamps the wall clock, evaluates the checkpoint/restart
+// overlay over total (ckptCost per checkpoint), samples the end-of-run
+// counters, and finalizes the span log and the RunReport: info carries the
+// driver's fields, finish adds the engine, network and per-GPU ones and
+// the report's engine and fault sections.
+func (r *run) finish(info telemetry.RunInfo, total,
+	ckptCost sim.VTime) (*Result, error) {
+
+	out := &Result{Events: r.eng.EventCount(), EventDigest: r.digest.Sum64()}
+	if r.clock != nil {
+		out.WallClock = r.clock().Sub(r.start)
+	}
+	if r.inj != nil {
+		rc := faults.ResilienceConfig{Work: total}
+		if cp := r.faults.Checkpoint; cp != nil {
+			rc.Interval = cp.Interval
+			rc.CheckpointCost = ckptCost
+			rc.RestartCost = cp.Restart
+		}
+		for _, f := range r.inj.Failures() {
+			rc.Failures = append(rc.Failures, f.At)
+		}
+		rr, err := faults.Evaluate(rc)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		out.Resilience, out.Goodput = rr, rr.Goodput
+	}
+	if r.rec != nil {
+		// End-of-run self-profiling totals on the counter tracks. The solver
+		// wall-time sample exists only when a clock was injected, so traces
+		// from clockless runs stay fully deterministic.
+		now := r.eng.CurrentTime()
+		r.rec.Sample(spantrace.CounterQueueHighWatr, now,
+			float64(r.eng.QueueHighWater()))
+		if r.clock != nil {
+			r.rec.Sample(spantrace.CounterSolveWallMs, now,
+				r.net.SolveWall.Seconds()*1e3)
+		}
+		out.Spans = r.rec.Finalize()
+	}
+	if r.coll == nil {
+		return out, nil
+	}
+	info.Events = out.Events
+	info.QueueHighWater = r.eng.QueueHighWater()
+	info.NetTotalBytes = r.net.TotalBytes
+	info.NetTransfers = r.net.TotalTransfers
+	info.NetSolveSeconds = r.net.SolveWall.Seconds()
+	info.GPUTime = r.gpuTime
+	out.Report = r.coll.Finalize(info)
+	out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)
+	if out.WallClock > 0 {
+		out.Report.Engine.WallSeconds = out.WallClock.Seconds()
+		out.Report.Engine.EventsPerSecond =
+			float64(out.Events) / out.Report.Engine.WallSeconds
+	}
+	if r.inj != nil {
+		out.Report.Faults = faultReport(r.inj, out.Resilience, total)
+	}
+	return out, nil
 }
 
 // execute runs a task graph over the platform network and packages results.
@@ -439,143 +574,47 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 	rampBytes float64, collLog *telemetry.CollectiveLog,
 	ckptCost sim.VTime) (*Result, error) {
 
-	var start time.Time
-	if cfg.Clock != nil {
-		start = cfg.Clock()
-	}
-	eng := sim.NewSerialEngine()
-	digest := sim.NewDigestHook()
-	eng.RegisterHook(digest)
-	net := network.NewFlowNetwork(eng, topo)
-	net.RampBytes = rampBytes
-	net.ApproxTol = cfg.NetApproxTol
-	x := task.NewExecutor(eng, net, res.Graph, nil)
-
-	// Self-profiling: time the max-min solver on the injected clock (the sim
-	// core never reads the host clock itself). Wall time feeds counter
-	// tracks and gauges only — virtual time is unaffected.
-	net.SolveClock = cfg.Clock
-
-	rec, coll, err := observeConfig{
-		spanTrace: cfg.SpanTrace,
-		telemetry: cfg.telemetryOn(),
-		metrics:   cfg.Metrics,
-		hooks:     cfg.Hooks,
-		ctx:       cfg.Context,
-	}.attach(eng, net, topo, res.Graph, collLog, x.Observe)
+	r := newRun(runConfig{topo: topo, rampBytes: rampBytes,
+		approxTol: cfg.NetApproxTol, clock: cfg.Clock, spanTrace: cfg.SpanTrace,
+		telemetry: telemetryOn(cfg.Telemetry, cfg.Metrics), metrics: cfg.Metrics,
+		collLog: collLog, hooks: cfg.Hooks, ctx: cfg.Context, faults: cfg.Faults})
+	x := task.NewExecutor(r.eng, r.net, res.Graph, nil)
+	err := r.attach(res.Graph, x.Observe, &x.GPUTime, &x.Stretch)
 	if err != nil {
 		return nil, err
 	}
-	if coll != nil {
-		x.GPUTime = task.NewGPUTime(topo)
-	}
-
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		inj, err = faults.NewInjector(eng, net, cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		// Straggler model: compute durations stretch by the enclosing
-		// GPUSlowdown window's factor. Link windows become engine events
-		// that rewrite bandwidth and re-solve the fair shares; an empty
-		// schedule arms nothing and the run stays digest-identical.
-		x.Stretch = inj.Factor
-		inj.Arm()
-		if rec != nil {
-			for _, w := range inj.Windows() {
-				rec.AddFault(w.Label(), w.Start, w.End)
-			}
-			for _, f := range inj.Failures() {
-				rec.AddFault(faults.FailLabel(f), f.At, f.At)
-			}
-		}
-	}
-
 	makespan, err := x.Run()
 	if err != nil {
-		if cfg.Context != nil && cfg.Context.Err() != nil {
-			// Terminate left the executor mid-graph; the context error is
-			// the cause, not the "stalled" symptom.
-			return nil, fmt.Errorf("core: simulation canceled: %w",
-				cfg.Context.Err())
-		}
+		return nil, r.failed(err)
+	}
+	numGPUs := cfg.NumGPUs
+	if cfg.Parallelism == Single {
+		numGPUs = 1
+	}
+	perIter := makespan / sim.VTime(cfg.Iterations)
+	out, err := r.finish(telemetry.RunInfo{
+		Model:           cfg.Model,
+		Platform:        cfg.Platform.Name,
+		Parallelism:     string(cfg.Parallelism),
+		NumGPUs:         numGPUs,
+		Iterations:      cfg.Iterations,
+		TotalSec:        makespan.Seconds(),
+		PerIterationSec: perIter.Seconds(),
+		Parallel:        res.Meta,
+	}, makespan, ckptCost)
+	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		TotalTime:    makespan,
-		PerIteration: makespan / sim.VTime(cfg.Iterations),
-		ComputeTime:  x.BusyTime(task.Compute),
-		CommTime:     x.BusyTime(task.Comm),
-		HostLoadTime: x.BusyTime(task.HostLoad),
-		Tasks:        res.Graph.Len(),
-		Events:       eng.EventCount(),
-		EventDigest:  digest.Sum64(),
-	}
-	if cfg.Clock != nil {
-		out.WallClock = cfg.Clock().Sub(start)
-	}
-	if rec != nil {
-		// End-of-run self-profiling totals on the counter tracks. The solver
-		// wall-time sample exists only when a clock was injected, so traces
-		// from clockless runs stay fully deterministic.
-		rec.Sample(spantrace.CounterQueueHighWatr, eng.CurrentTime(),
-			float64(eng.QueueHighWater()))
-		if cfg.Clock != nil {
-			rec.Sample(spantrace.CounterSolveWallMs, eng.CurrentTime(),
-				net.SolveWall.Seconds()*1e3)
-		}
-		out.Spans = rec.Finalize()
+	out.TotalTime, out.PerIteration = makespan, perIter
+	out.ComputeTime = x.BusyTime(task.Compute)
+	out.CommTime = x.BusyTime(task.Comm)
+	out.HostLoadTime = x.BusyTime(task.HostLoad)
+	out.Tasks = res.Graph.Len()
+	if out.Spans != nil {
 		out.CriticalPath = out.Spans.CriticalPath(0)
 	}
-	if cfg.Faults != nil {
-		rc := faults.ResilienceConfig{Work: makespan}
-		if cp := cfg.Faults.Checkpoint; cp != nil {
-			rc.Interval = cp.Interval
-			rc.CheckpointCost = ckptCost
-			rc.RestartCost = cp.Restart
-		}
-		for _, f := range inj.Failures() {
-			rc.Failures = append(rc.Failures, f.At)
-		}
-		rres, err := faults.Evaluate(rc)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		out.Resilience = rres
-		out.Goodput = rres.Goodput
-	}
-	if coll != nil {
-		numGPUs := cfg.NumGPUs
-		if cfg.Parallelism == Single {
-			numGPUs = 1
-		}
-		out.Report = coll.Finalize(telemetry.RunInfo{
-			Model:           cfg.Model,
-			Platform:        cfg.Platform.Name,
-			Parallelism:     string(cfg.Parallelism),
-			NumGPUs:         numGPUs,
-			Iterations:      cfg.Iterations,
-			TotalSec:        makespan.Seconds(),
-			PerIterationSec: out.PerIteration.Seconds(),
-			Events:          out.Events,
-			QueueHighWater:  eng.QueueHighWater(),
-			NetTotalBytes:   net.TotalBytes,
-			NetTransfers:    net.TotalTransfers,
-			NetSolveSeconds: net.SolveWall.Seconds(),
-			Parallel:        res.Meta,
-			GPUTime:         x.GPUTime,
-		})
+	if out.Report != nil {
 		out.Report.CriticalPath = out.CriticalPath
-		out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)
-		if cfg.Clock != nil && out.WallClock > 0 {
-			out.Report.Engine.WallSeconds = out.WallClock.Seconds()
-			out.Report.Engine.EventsPerSecond =
-				float64(out.Events) / out.Report.Engine.WallSeconds
-		}
-		if cfg.Faults != nil {
-			out.Report.Faults = faultReport(inj, out.Resilience, makespan)
-		}
 	}
 	return out, nil
 }
@@ -672,7 +711,7 @@ func planSimulate(cfg Config) (*plan, error) {
 		topo = BuildTopology(cfg.Platform)
 	}
 	var collLog *telemetry.CollectiveLog
-	if cfg.telemetryOn() {
+	if telemetryOn(cfg.Telemetry, cfg.Metrics) {
 		collLog = telemetry.NewCollectiveLog()
 	}
 	eres, err := extrapolate(cfg, tr, topo, timer, hwsim.NoEffects, collLog)
@@ -858,7 +897,7 @@ func planGroundTruth(cfg Config) (*plan, error) {
 	timer := hwsim.NewTimer(&cfg.Platform.GPU)
 	effects := hwsim.PlatformEffects(cfg.Platform)
 	var collLog *telemetry.CollectiveLog
-	if gcfg.telemetryOn() {
+	if telemetryOn(gcfg.Telemetry, gcfg.Metrics) {
 		collLog = telemetry.NewCollectiveLog()
 	}
 	eres, err := extrapolate(gcfg, tr, topo, timer, effects, collLog)

@@ -11,7 +11,6 @@ import (
 	"triosim/internal/serving"
 	"triosim/internal/sim"
 	"triosim/internal/spantrace"
-	"triosim/internal/task"
 	"triosim/internal/telemetry"
 )
 
@@ -42,7 +41,7 @@ type ServeConfig struct {
 	// Faults optionally injects link-degrade/down windows and GPU slowdown
 	// stretch. GPUFail events and checkpoint policies are rejected: the
 	// serving layer has no checkpoint/restart model — a failed replica
-	// would need request re-routing, which this PR does not simulate.
+	// would need request re-routing, which serving does not simulate.
 	Faults *faults.Schedule
 }
 
@@ -74,126 +73,69 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("core: no platform")
 	}
+	if f := cfg.Faults; f != nil {
+		if f.Checkpoint != nil {
+			return nil, fmt.Errorf(
+				"core: serving has no checkpoint/restart model")
+		}
+		if n := len(f.Failures()); n > 0 {
+			return nil, fmt.Errorf(
+				"core: serving does not support gpufail events (%d in schedule): "+
+					"a failed replica would need request re-routing", n)
+		}
+	}
 	topo := cfg.Topology
 	if topo == nil {
 		topo = BuildTopology(cfg.Platform)
 	}
 
-	var start time.Time
-	if cfg.Clock != nil {
-		start = cfg.Clock()
-	}
-	eng := sim.NewSerialEngine()
-	digest := sim.NewDigestHook()
-	eng.RegisterHook(digest)
-	net := network.NewFlowNetwork(eng, topo)
-	net.RampBytes = cfg.Platform.CommRampBytes
-	net.SolveClock = cfg.Clock
-
+	r := newRun(runConfig{topo: topo, rampBytes: cfg.Platform.CommRampBytes,
+		clock: cfg.Clock, spanTrace: cfg.SpanTrace,
+		telemetry: telemetryOn(cfg.Telemetry, cfg.Metrics), metrics: cfg.Metrics,
+		hooks: cfg.Hooks, ctx: cfg.Context, faults: cfg.Faults})
 	spec := cfg.Platform.GPU
-	cl, err := serving.New(eng, net, topo, &spec, cfg.Serving)
+	cl, err := serving.New(r.eng, r.net, topo, &spec, cfg.Serving)
 	if err != nil {
 		return nil, err
 	}
-
-	rec, coll, err := observeConfig{
-		spanTrace: cfg.SpanTrace,
-		telemetry: cfg.Telemetry || cfg.Metrics != nil,
-		metrics:   cfg.Metrics,
-		hooks:     cfg.Hooks,
-		ctx:       cfg.Context,
-	}.attach(eng, net, topo, nil, nil, cl.Observe)
-	if err != nil {
+	if err := r.attach(nil, cl.Observe, &cl.GPUTime, &cl.Stretch); err != nil {
 		return nil, err
 	}
-	cl.Spans = rec
-	if coll != nil {
-		cl.GPUTime = task.NewGPUTime(topo)
-	}
-
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		if cfg.Faults.Checkpoint != nil {
-			return nil, fmt.Errorf(
-				"core: serving has no checkpoint/restart model")
-		}
-		inj, err = faults.NewInjector(eng, net, cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if n := len(inj.Failures()); n > 0 {
-			return nil, fmt.Errorf(
-				"core: serving does not support gpufail events (%d in schedule): "+
-					"a failed replica would need request re-routing", n)
-		}
-		cl.Stretch = inj.Factor
-		inj.Arm()
-		if rec != nil {
-			for _, w := range inj.Windows() {
-				rec.AddFault(w.Label(), w.Start, w.End)
-			}
-		}
-	}
-
+	cl.Spans = r.rec
 	cl.Start()
-	if err := eng.Run(); err != nil {
-		if cfg.Context != nil && cfg.Context.Err() != nil {
-			return nil, fmt.Errorf("core: simulation canceled: %w",
-				cfg.Context.Err())
-		}
-		return nil, err
+	if err := r.eng.Run(); err != nil {
+		return nil, r.failed(err)
 	}
 	m, err := cl.Metrics()
 	if err != nil {
 		return nil, err
 	}
 
-	out := &ServeResult{
-		Metrics:     m,
-		TotalTime:   eng.CurrentTime(),
-		Events:      eng.EventCount(),
-		EventDigest: digest.Sum64(),
+	// Serving has no checkpoint policy or failures, so its resilience
+	// accounting is the degenerate one: useful = extended = total.
+	total := r.eng.CurrentTime()
+	res, err := r.finish(telemetry.RunInfo{
+		Model:           cfg.Serving.Model,
+		Platform:        cfg.Platform.Name,
+		Parallelism:     "serving-" + m.Scheduler,
+		NumGPUs:         m.Replicas,
+		Iterations:      1,
+		TotalSec:        total.Seconds(),
+		PerIterationSec: total.Seconds(),
+		Parallel: telemetry.ParallelStat{
+			Strategy: "serving-" + m.Scheduler,
+			Replicas: m.Replicas,
+		},
+	}, total, 0)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Clock != nil {
-		out.WallClock = cfg.Clock().Sub(start)
+	if res.Report != nil {
+		res.Report.Serving = servingStat(m)
 	}
-	if rec != nil {
-		rec.Sample(spantrace.CounterQueueHighWatr, eng.CurrentTime(),
-			float64(eng.QueueHighWater()))
-		out.Spans = rec.Finalize()
-	}
-	if coll != nil {
-		out.Report = coll.Finalize(telemetry.RunInfo{
-			Model:           cfg.Serving.Model,
-			Platform:        cfg.Platform.Name,
-			Parallelism:     "serving-" + m.Scheduler,
-			NumGPUs:         m.Replicas,
-			Iterations:      1,
-			TotalSec:        out.TotalTime.Seconds(),
-			PerIterationSec: out.TotalTime.Seconds(),
-			Events:          out.Events,
-			QueueHighWater:  eng.QueueHighWater(),
-			NetTotalBytes:   net.TotalBytes,
-			NetTransfers:    net.TotalTransfers,
-			NetSolveSeconds: net.SolveWall.Seconds(),
-			Parallel: telemetry.ParallelStat{
-				Strategy: "serving-" + m.Scheduler,
-				Replicas: m.Replicas,
-			},
-			GPUTime: cl.GPUTime,
-		})
-		out.Report.Serving = servingStat(m)
-		out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)
-		if cfg.Clock != nil && out.WallClock > 0 {
-			out.Report.Engine.WallSeconds = out.WallClock.Seconds()
-			out.Report.Engine.EventsPerSecond =
-				float64(out.Events) / out.Report.Engine.WallSeconds
-		}
-		if inj != nil {
-			out.Report.Faults = servingFaultReport(inj, out.TotalTime)
-		}
-	}
-	return out, nil
+	return &ServeResult{Metrics: m, TotalTime: total, Events: res.Events,
+		EventDigest: res.EventDigest, WallClock: res.WallClock,
+		Report: res.Report, Spans: res.Spans}, nil
 }
 
 // servingStat converts serving metrics into the RunReport section.
@@ -227,28 +169,4 @@ func quantiles(ls serving.LatencyStats) telemetry.LatencyQuantiles {
 		P999Sec: ls.P999Sec,
 		MaxSec:  ls.MaxSec,
 	}
-}
-
-// servingFaultReport builds the fault section for a serving run: window
-// bookkeeping only. Serving has no resilience overlay, so the extended
-// timeline IS the useful timeline and goodput is 1 by construction.
-func servingFaultReport(inj *faults.Injector,
-	total sim.VTime) *telemetry.FaultReport {
-	ws := inj.Windows()
-	fr := &telemetry.FaultReport{
-		DegradedSec: faults.DegradedSeconds(ws, total),
-		UsefulSec:   total.Seconds(),
-		ExtendedSec: total.Seconds(),
-		Goodput:     1,
-	}
-	for _, w := range ws {
-		fr.Windows = append(fr.Windows, telemetry.FaultWindow{
-			Kind:     string(w.Kind),
-			Resource: w.ResourceName(),
-			Factor:   w.Factor,
-			StartSec: w.Start.Seconds(),
-			EndSec:   w.End.Seconds(),
-		})
-	}
-	return fr
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"triosim/internal/faults"
 	"triosim/internal/gpu"
@@ -91,6 +92,51 @@ func TestSpanTraceDigestIdentityUnderFaults(t *testing.T) {
 	if traced.CriticalPath.Attribution.FaultStretchSec <= 0 {
 		t.Fatalf("straggler run attributed no fault stretch: %+v",
 			traced.CriticalPath.Attribution)
+	}
+}
+
+// TestSolveWallSeriesNeedsClock: with a clock injected, the span logs of
+// both a training and a serving run carry the solver's wall-time series;
+// without one, neither does, so clockless traces stay deterministic.
+func TestSolveWallSeriesNeedsClock(t *testing.T) {
+	tick := func() func() time.Time {
+		now := time.Unix(0, 0)
+		return func() time.Time {
+			now = now.Add(time.Millisecond)
+			return now
+		}
+	}
+	hasSolveWall := func(l *spantrace.Log) bool {
+		for _, cs := range l.Counters {
+			if cs.Name == spantrace.CounterSolveWallMs {
+				return len(cs.Samples) > 0
+			}
+		}
+		return false
+	}
+	for _, clocked := range []bool{false, true} {
+		cfg := Config{Model: "resnet18", Platform: p1(), Parallelism: DDP,
+			TraceBatch: 32, SpanTrace: true}
+		scfg := serveConfig()
+		if clocked {
+			cfg.Clock, scfg.Clock = tick(), tick()
+		}
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sres, err := Serve(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hasSolveWall(res.Spans); got != clocked {
+			t.Errorf("Simulate, clock %v: %s series present = %v",
+				clocked, spantrace.CounterSolveWallMs, got)
+		}
+		if got := hasSolveWall(sres.Spans); got != clocked {
+			t.Errorf("Serve, clock %v: %s series present = %v",
+				clocked, spantrace.CounterSolveWallMs, got)
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ html_rows="$(grep -c '^<tr><td>gpu' "$html_out" || true)"
 [[ "$html_rows" == 2 ]] ||
   { echo "timeline-html: $html_rows breakdown rows, want 2 (one per P1 GPU)"; exit 1; }
 
-echo "==> triosimd smoke (daemon + load harness + coalescing + CLI training and serving byte-identity gates + /metrics scrape)"
+echo "==> triosimd smoke (daemon + load harness + coalescing + CLI training, serving and faulted-serving byte-identity gates + /metrics scrape)"
 go build -o "$tmpdir/triosimd" ./cmd/triosimd
 go build -o "$tmpdir/triosimload" ./cmd/triosimload
 # Reference report from the one-shot CLI: -deterministic skips wall-clock
@@ -110,6 +110,19 @@ go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 8 \
   -serve-seed 3 -deterministic -metrics-out "$tmpdir/serve-ref-report.json" >/dev/null
 cat >"$tmpdir/serve-gate-request.json" <<'JSON'
 {"serve":{"platform":"P1","serving":{"model":"gpt2","scheduler":"fifo","arrivals":{"seed":3,"requests":8}}}}
+JSON
+# A faulted serving run through both entry points: the CLI's -faults file
+# and the daemon's "faults" field reach the same run harness and the same
+# fault-section builder, so the reports must match byte-for-byte.
+serve_faults='{"schema":"triosim.faults/v1","events":[{"kind":"link-degrade","link":0,"factor":4,"duration_sec":0.02},{"kind":"gpu-slowdown","gpu":1,"factor":2,"start_sec":0.005,"duration_sec":0.02}]}'
+echo "$serve_faults" >"$tmpdir/serve-faults.json"
+go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 8 \
+  -serve-seed 3 -faults "$tmpdir/serve-faults.json" -deterministic \
+  -metrics-out "$tmpdir/serve-faults-ref-report.json" >/dev/null
+grep -q '"degraded_sec"' "$tmpdir/serve-faults-ref-report.json" ||
+  { echo "faulted serving report carries no fault section"; exit 1; }
+cat >"$tmpdir/serve-faults-gate-request.json" <<JSON
+{"serve":{"platform":"P1","serving":{"model":"gpt2","scheduler":"fifo","arrivals":{"seed":3,"requests":8}}},"faults":$serve_faults}
 JSON
 scrape_metrics() { # $1 daemon address, $2 requests the load run completed
   local metrics dup completed coalesced
@@ -140,6 +153,9 @@ run_daemon_load() { # $1 daemon binary, $2 requests, $3 concurrency
   "$tmpdir/triosimload" -addr "$addr" -requests 0 \
     -gate-request "$tmpdir/serve-gate-request.json" \
     -gate-report "$tmpdir/serve-ref-report.json"
+  "$tmpdir/triosimload" -addr "$addr" -requests 0 \
+    -gate-request "$tmpdir/serve-faults-gate-request.json" \
+    -gate-report "$tmpdir/serve-faults-ref-report.json"
   scrape_metrics "$addr" "$2"
   kill -TERM "$daemon_pid"
   wait "$daemon_pid"

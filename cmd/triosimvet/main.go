@@ -53,11 +53,11 @@ func main() {
 			"run the replay-digest determinism check instead of static analysis")
 		replayModel = flag.String("replay-model", "resnet18",
 			"model zoo workload for -replay")
-		replayRuns   = flag.Int("replay-runs", 2, "simulation repetitions for -replay")
+		replayN      = flag.Int("replay-runs", 2, "simulation repetitions for -replay")
 		replayFaults = flag.Bool("replay-faults", false,
 			"with -replay: also check fault-injection determinism (no-op schedule identity + seeded-schedule replay)")
 		replayFaultSeed = flag.Int64("replay-fault-seed", 7,
-			"fault-generator seed for -replay-faults")
+			"fault-generator seed for -replay-faults and -replay-serving's faulted leg")
 		replayServing = flag.Bool("replay-serving", false,
 			"with -replay: also check request-level serving determinism (seeded replay identity, seed sensitivity, observer transparency)")
 		baselinePath = flag.String("baseline", "",
@@ -83,10 +83,10 @@ func main() {
 		os.Exit(runCacheSmoke(*replayModel))
 	}
 	if *replay {
-		code := runReplay(*replayModel, *replayRuns, *replayFaults,
+		code := runReplay(*replayModel, *replayN, *replayFaults,
 			*replayFaultSeed)
 		if code == 0 && *replayServing {
-			code = runServingReplay(*replayRuns)
+			code = runServingReplay(*replayN, *replayFaultSeed)
 		}
 		os.Exit(code)
 	}
@@ -211,6 +211,72 @@ func runLint(jsonOut bool, baselinePath, writeBaseline string) int {
 	return 0
 }
 
+// replayRuns runs one workload runs times and checks that every run
+// dispatches the first run's event schedule (digest and count) and predicts
+// its time. It returns the first run and 0 when all agree, 1 on a
+// divergence, and 2 when a run fails; gate names the check in messages.
+func replayRuns(gate string, runs int,
+	run func() (*core.Result, error)) (*core.Result, int) {
+
+	var first *core.Result
+	for i := 0; i < runs; i++ {
+		res, err := run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "triosimvet: %s: %v\n", gate, err)
+			return nil, 2
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.EventDigest != first.EventDigest ||
+			res.Events != first.Events ||
+			res.TotalTime != first.TotalTime {
+			fmt.Fprintf(os.Stderr,
+				"triosimvet: %s: divergence on run %d: digest %#x (%d events, %v) vs %#x (%d events, %v)\n",
+				gate, i+1, res.EventDigest, res.Events, res.TotalTime,
+				first.EventDigest, first.Events, first.TotalTime)
+			return nil, 1
+		}
+	}
+	return first, 0
+}
+
+// sameSchedule runs a variant of base's workload once and checks that it
+// dispatches base's event schedule; what names the variant in messages.
+func sameSchedule(gate, what string, base *core.Result,
+	run func() (*core.Result, error)) int {
+
+	res, err := run()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "triosimvet: %s: %v\n", gate, err)
+		return 2
+	}
+	if res.EventDigest != base.EventDigest || res.Events != base.Events {
+		fmt.Fprintf(os.Stderr,
+			"triosimvet: %s: %s perturbed the schedule: digest %#x (%d events) vs %#x (%d events)\n",
+			gate, what, res.EventDigest, res.Events, base.EventDigest,
+			base.Events)
+		return 1
+	}
+	return 0
+}
+
+// simulate and serve adapt one configuration to replayRuns' run function.
+func simulate(cfg core.Config) func() (*core.Result, error) {
+	return func() (*core.Result, error) { return core.Simulate(cfg) }
+}
+
+func serve(cfg core.ServeConfig) func() (*core.Result, error) {
+	return func() (*core.Result, error) {
+		res, err := core.Serve(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &res.Result, nil
+	}
+}
+
 // runReplay is the runtime half of the determinism gate: the same
 // configuration simulated repeatedly must dispatch a byte-identical event
 // schedule (same FNV-1a digest) and predict the same time.
@@ -227,41 +293,17 @@ func runReplay(model string, runs int, withFaults bool,
 		Parallelism: core.DDP,
 		TraceBatch:  32,
 	}
-	var first *core.Result
-	for i := 0; i < runs; i++ {
-		res, err := core.Simulate(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "triosimvet: -replay:", err)
-			return 2
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if res.EventDigest != first.EventDigest ||
-			res.Events != first.Events ||
-			res.TotalTime != first.TotalTime {
-			fmt.Fprintf(os.Stderr,
-				"triosimvet: replay divergence on run %d: digest %#x (%d events, %v) vs %#x (%d events, %v)\n",
-				i+1, res.EventDigest, res.Events, res.TotalTime,
-				first.EventDigest, first.Events, first.TotalTime)
-			return 1
-		}
+	first, code := replayRuns("-replay", runs, simulate(cfg))
+	if code != 0 {
+		return code
 	}
 	// Telemetry must be observation-only: the same run with the collector
 	// attached dispatches a byte-identical event schedule.
 	tcfg := cfg
 	tcfg.Telemetry = true
-	tres, err := core.Simulate(tcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "triosimvet: -replay:", err)
-		return 2
-	}
-	if tres.EventDigest != first.EventDigest || tres.Events != first.Events {
-		fmt.Fprintf(os.Stderr,
-			"triosimvet: telemetry perturbed the schedule: digest %#x (%d events) vs %#x (%d events)\n",
-			tres.EventDigest, tres.Events, first.EventDigest, first.Events)
-		return 1
+	if code := sameSchedule("-replay", "telemetry", first,
+		simulate(tcfg)); code != 0 {
+		return code
 	}
 	fmt.Printf("replay ok: %s ×%d runs (+1 with telemetry), digest %#x, %d events, %v simulated\n",
 		model, runs, first.EventDigest, first.Events, first.TotalTime)
@@ -283,16 +325,9 @@ func runFaultReplay(cfg core.Config, base *core.Result, seed int64) int {
 		{Kind: faults.GPUSlowdown, GPU: 0, Factor: 1,
 			Start: sim.MSec, Duration: sim.MSec},
 	}}
-	nres, err := core.Simulate(noop)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "triosimvet: -replay-faults:", err)
-		return 2
-	}
-	if nres.EventDigest != base.EventDigest || nres.Events != base.Events {
-		fmt.Fprintf(os.Stderr,
-			"triosimvet: no-op fault schedule perturbed the run: digest %#x (%d events) vs %#x (%d events)\n",
-			nres.EventDigest, nres.Events, base.EventDigest, base.Events)
-		return 1
+	if code := sameSchedule("-replay-faults", "no-op fault schedule", base,
+		simulate(noop)); code != 0 {
+		return code
 	}
 
 	// Leg 2: a seeded effective schedule replays to the same digest.
@@ -310,24 +345,9 @@ func runFaultReplay(cfg core.Config, base *core.Result, seed int64) int {
 	}
 	fcfg := cfg
 	fcfg.Faults = sched
-	first, err := core.Simulate(fcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "triosimvet: -replay-faults:", err)
-		return 2
-	}
-	again, err := core.Simulate(fcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "triosimvet: -replay-faults:", err)
-		return 2
-	}
-	if first.EventDigest != again.EventDigest ||
-		first.Events != again.Events ||
-		first.TotalTime != again.TotalTime {
-		fmt.Fprintf(os.Stderr,
-			"triosimvet: fault replay divergence: digest %#x (%d events, %v) vs %#x (%d events, %v)\n",
-			again.EventDigest, again.Events, again.TotalTime,
-			first.EventDigest, first.Events, first.TotalTime)
-		return 1
+	first, code := replayRuns("-replay-faults", 2, simulate(fcfg))
+	if code != 0 {
+		return code
 	}
 	if first.EventDigest == base.EventDigest {
 		fmt.Fprintf(os.Stderr,
@@ -343,9 +363,11 @@ func runFaultReplay(cfg core.Config, base *core.Result, seed int64) int {
 // runServingReplay extends the replay gate to the request-level serving
 // layer: the same seeded serving configuration must replay to a
 // byte-identical event schedule, a different arrival seed must move the
-// digest, and attaching observers (telemetry + span tracing) must leave the
-// schedule untouched.
-func runServingReplay(runs int) int {
+// digest, attaching observers (telemetry + span tracing) must leave the
+// schedule untouched, and a seeded fault schedule (faultSeed) must replay
+// too, ending at the last response although its windows outlast the run.
+func runServingReplay(runs int, faultSeed int64) int {
+	const gate = "-replay-serving"
 	cfg := func(seed int64, observe bool) core.ServeConfig {
 		p := gpu.P1
 		return core.ServeConfig{
@@ -356,41 +378,21 @@ func runServingReplay(runs int) int {
 				Model:    "gpt2",
 				MaxBatch: 4,
 				Arrivals: serving.ArrivalConfig{
-					Seed: 7, Rate: 300, Requests: 32,
+					Seed: seed, Rate: 300, Requests: 32,
 				},
 			},
 		}
 	}
-	base := cfg(7, false)
-	var first *core.ServeResult
-	for i := 0; i < runs; i++ {
-		res, err := core.Serve(base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "triosimvet: -replay-serving:", err)
-			return 2
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if res.EventDigest != first.EventDigest ||
-			res.Events != first.Events ||
-			res.TotalTime != first.TotalTime {
-			fmt.Fprintf(os.Stderr,
-				"triosimvet: serving replay divergence on run %d: digest %#x (%d events, %v) vs %#x (%d events, %v)\n",
-				i+1, res.EventDigest, res.Events, res.TotalTime,
-				first.EventDigest, first.Events, first.TotalTime)
-			return 1
-		}
+	first, code := replayRuns(gate, runs, serve(cfg(7, false)))
+	if code != 0 {
+		return code
 	}
 
 	// A different arrival seed must change the workload, and with it the
 	// event schedule — otherwise the seed isn't reaching the generator.
-	reseeded := cfg(7, false)
-	reseeded.Serving.Arrivals.Seed = 8
-	other, err := core.Serve(reseeded)
+	other, err := core.Serve(cfg(8, false))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "triosimvet: -replay-serving:", err)
+		fmt.Fprintf(os.Stderr, "triosimvet: %s: %v\n", gate, err)
 		return 2
 	}
 	if other.EventDigest == first.EventDigest {
@@ -401,19 +403,56 @@ func runServingReplay(runs int) int {
 	}
 
 	// Observers (telemetry collector + span recorder) must be record-only.
-	obs, err := core.Serve(cfg(7, true))
+	if code := sameSchedule(gate, "serving observers", first,
+		serve(cfg(7, true))); code != 0 {
+		return code
+	}
+
+	// A seeded link-degrade plus GPU-slowdown schedule whose windows span
+	// ten times the fault-free run: it must replay, and the run must still
+	// end at its last delivered response, not at the windows' end.
+	fcfg := cfg(7, true)
+	topo := core.BuildTopology(fcfg.Platform)
+	horizon := 10 * first.TotalTime
+	fcfg.Faults, err = faults.Generate(faultSeed, faults.GenConfig{
+		NumGPUs:      len(topo.GPUs()),
+		NumLinks:     len(topo.Links),
+		Horizon:      horizon,
+		MinDuration:  horizon,
+		MaxDuration:  horizon,
+		LinkDegrades: 1,
+		GPUSlowdowns: 1,
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "triosimvet: -replay-serving:", err)
+		fmt.Fprintf(os.Stderr, "triosimvet: %s: %v\n", gate, err)
 		return 2
 	}
-	if obs.EventDigest != first.EventDigest || obs.Events != first.Events {
+	faulted, code := replayRuns(gate, 2, serve(fcfg))
+	if code != 0 {
+		return code
+	}
+	if faulted.EventDigest == first.EventDigest {
 		fmt.Fprintf(os.Stderr,
-			"triosimvet: serving observers perturbed the schedule: digest %#x (%d events) vs %#x (%d events)\n",
-			obs.EventDigest, obs.Events, first.EventDigest, first.Events)
+			"triosimvet: %s: seeded fault schedule (seed %d) had no effect on the digest\n",
+			gate, faultSeed)
 		return 1
 	}
-	fmt.Printf("serving replay ok: gpt2 ×%d runs (+1 reseeded, +1 observed), digest %#x, %d events, %v simulated\n",
-		runs, first.EventDigest, first.Events, first.TotalTime)
+	// Each request's lifetime span ends at its response's delivery.
+	var done sim.VTime
+	for _, sp := range faulted.Spans.Spans {
+		if sp.Cat == spantrace.Request {
+			done = done.Max(sp.End)
+		}
+	}
+	if faulted.TotalTime != done || faulted.Report.TotalSec != done.Seconds() ||
+		!horizon.After(done) {
+		fmt.Fprintf(os.Stderr,
+			"triosimvet: %s: faulted run ends at %v (report %vs), want its last response at %v, before the windows end at %v\n",
+			gate, faulted.TotalTime, faulted.Report.TotalSec, done, horizon)
+		return 1
+	}
+	fmt.Printf("serving replay ok: gpt2 ×%d runs (+1 reseeded, +1 observed, +2 with fault seed %d), digest %#x, %d events, %v simulated\n",
+		runs, faultSeed, first.EventDigest, first.Events, first.TotalTime)
 	return 0
 }
 

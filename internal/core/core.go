@@ -380,6 +380,7 @@ type runConfig struct {
 	hooks                []sim.Hook
 	ctx                  context.Context
 	faults               *faults.Schedule
+	cache                *tracecache.Store
 }
 
 // run is the harness every simulation runs in, training and serving alike:
@@ -420,8 +421,8 @@ func newRun(c runConfig) *run {
 }
 
 // attach wires the observers and faults into the run's driver in the order
-// the pins rely on: the span recorder, the telemetry collector, the
-// caller's hooks, the context poll, then the fault injector. observe
+// the pins rely on: the span recorder, the telemetry collector, the run's
+// after-dispatch hook, the caller's hooks, then the fault injector. observe
 // registers a task observer with the driver; g names the recorder's tasks
 // (nil for serving). The driver's GPUTime and Stretch fields receive the
 // per-GPU time partition and the straggler model. Observation never
@@ -433,7 +434,6 @@ func (r *run) attach(g *task.Graph, observe func(task.Observer),
 		r.rec = spantrace.NewRecorder(g, r.topo)
 		observe(r.rec)
 		r.net.Observe(r.rec)
-		r.eng.RegisterHook(r.rec.EngineHook(r.eng.Pending))
 	}
 	if r.telemetry {
 		reg := r.metrics
@@ -441,32 +441,23 @@ func (r *run) attach(g *task.Graph, observe func(task.Observer),
 			reg = telemetry.NewRegistry()
 		}
 		r.coll = telemetry.NewCollector(reg, r.topo, r.collLog)
-		r.eng.RegisterHook(r.coll.EngineHook(r.eng.Pending))
 		observe(r.coll)
 		r.net.Observe(r.coll)
 		r.gpuTime = task.NewGPUTime(r.topo)
 		*gpuTime = r.gpuTime
 	}
-	for _, h := range r.hooks {
-		r.eng.RegisterHook(h)
-	}
-	if ctx := r.ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
+	if r.ctx != nil {
+		if err := r.ctx.Err(); err != nil {
 			return r.failed(err)
 		}
-		// Poll the context every 1024 dispatches: ctx.Err() is a mutex
-		// acquisition, too expensive per event, and cancellation latency of
-		// ~1k events is fine for sweep timeouts.
-		var dispatched uint64
-		r.eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
-			if hc.Pos != sim.HookPosAfterEvent {
-				return
-			}
-			dispatched++
-			if dispatched&1023 == 0 && ctx.Err() != nil {
-				r.eng.Terminate()
-			}
-		}))
+	}
+	// The one observer hook goes before the caller's, so a monitor hook
+	// reads a registry that already counts the event it sees.
+	if r.rec != nil || r.coll != nil || r.ctx != nil {
+		r.eng.RegisterHook(sim.HookFunc(r.afterDispatch))
+	}
+	for _, h := range r.hooks {
+		r.eng.RegisterHook(h)
 	}
 	if r.faults == nil {
 		return nil
@@ -493,6 +484,27 @@ func (r *run) attach(g *task.Graph, observe func(task.Observer),
 	return nil
 }
 
+// afterDispatch is the run's one observer hook. After each dispatch it reads
+// the queue depth once for the span recorder and the collector, and polls
+// the context every 1024 dispatches: ctx.Err() is a mutex acquisition, too
+// expensive per event, and cancellation latency of ~1k events is fine for
+// sweep timeouts.
+func (r *run) afterDispatch(hc sim.HookCtx) {
+	if hc.Pos != sim.HookPosAfterEvent {
+		return
+	}
+	d := r.eng.Pending()
+	if r.rec != nil {
+		r.rec.QueueDepth(hc.Now, d)
+	}
+	if r.coll != nil {
+		r.coll.Dispatched(hc.Item.(sim.Event), d)
+	}
+	if r.ctx != nil && r.eng.EventCount()&1023 == 0 && r.ctx.Err() != nil {
+		r.eng.Terminate()
+	}
+}
+
 // failed names the error a run stopped with: once the context is done,
 // Terminate left the driver mid-run, and the context's error is the cause,
 // not the "stalled" symptom.
@@ -503,16 +515,18 @@ func (r *run) failed(err error) error {
 	return err
 }
 
-// finish closes a completed run and returns the Result fields every run
-// shares. It stamps the wall clock, evaluates the checkpoint/restart
-// overlay over total (ckptCost per checkpoint), samples the end-of-run
-// counters, and finalizes the span log and the RunReport: info carries the
-// driver's fields, finish adds the engine, network and per-GPU ones and
-// the report's engine and fault sections.
+// finish closes a completed run that ended at total and returns the Result
+// fields every run shares. It stamps the wall clock, evaluates the
+// checkpoint/restart overlay over total (ckptCost per checkpoint), samples
+// the end-of-run counters at total, and finalizes the span log and the
+// RunReport: info carries the driver's fields, finish adds the total, the
+// engine, network and per-GPU ones, the report's engine and fault sections
+// and the trace-cache totals.
 func (r *run) finish(info telemetry.RunInfo, total,
 	ckptCost sim.VTime) (*Result, error) {
 
-	out := &Result{Events: r.eng.EventCount(), EventDigest: r.digest.Sum64()}
+	out := &Result{TotalTime: total, Events: r.eng.EventCount(),
+		EventDigest: r.digest.Sum64()}
 	if r.clock != nil {
 		out.WallClock = r.clock().Sub(r.start)
 	}
@@ -532,26 +546,42 @@ func (r *run) finish(info telemetry.RunInfo, total,
 		}
 		out.Resilience, out.Goodput = rr, rr.Goodput
 	}
+	// The trace cache's counters are store-wide — they accumulate across
+	// every simulation sharing the cache — so they stay outside the
+	// RunReport byte-identity guarantee.
+	var cache tracecache.Stats
+	if r.cache != nil {
+		cache = r.cache.Stats()
+	}
 	if r.rec != nil {
 		// End-of-run self-profiling totals on the counter tracks. The solver
 		// wall-time sample exists only when a clock was injected, so traces
 		// from clockless runs stay fully deterministic.
-		now := r.eng.CurrentTime()
-		r.rec.Sample(spantrace.CounterQueueHighWatr, now,
+		r.rec.Sample(spantrace.CounterQueueHighWatr, total,
 			float64(r.eng.QueueHighWater()))
 		if r.clock != nil {
-			r.rec.Sample(spantrace.CounterSolveWallMs, now,
+			r.rec.Sample(spantrace.CounterSolveWallMs, total,
 				r.net.SolveWall.Seconds()*1e3)
+		}
+		if r.cache != nil {
+			r.rec.Sample(spantrace.CounterCacheTrHits, total, float64(cache.TraceHits))
+			r.rec.Sample(spantrace.CounterCacheTrMiss, total, float64(cache.TraceMisses))
+			r.rec.Sample(spantrace.CounterCacheTmHits, total, float64(cache.TimerHits))
+			r.rec.Sample(spantrace.CounterCacheTmMiss, total, float64(cache.TimerMisses))
+			r.rec.Sample(spantrace.CounterCacheBytes, total, float64(cache.Bytes))
 		}
 		out.Spans = r.rec.Finalize()
 	}
 	if r.coll == nil {
 		return out, nil
 	}
+	info.TotalSec = total.Seconds()
 	info.Events = out.Events
 	info.QueueHighWater = r.eng.QueueHighWater()
+	info.VirtualTimeSec = r.eng.CurrentTime().Seconds()
 	info.NetTotalBytes = r.net.TotalBytes
 	info.NetTransfers = r.net.TotalTransfers
+	info.NetSolves = r.net.Solves
 	info.NetSolveSeconds = r.net.SolveWall.Seconds()
 	info.GPUTime = r.gpuTime
 	out.Report = r.coll.Finalize(info)
@@ -564,20 +594,42 @@ func (r *run) finish(info telemetry.RunInfo, total,
 	if r.inj != nil {
 		out.Report.Faults = faultReport(r.inj, out.Resilience, total)
 	}
+	if r.cache != nil {
+		out.Report.TraceCache = &telemetry.TraceCacheStat{
+			TraceHits:   cache.TraceHits,
+			TraceMisses: cache.TraceMisses,
+			TimerHits:   cache.TimerHits,
+			TimerMisses: cache.TimerMisses,
+			Traces:      cache.Traces,
+			Timers:      cache.Timers,
+			Bytes:       cache.Bytes,
+		}
+		// Set after Finalize, so these gauges stay out of report.metrics.
+		if reg := r.metrics; reg != nil {
+			reg.Gauge("triosim_tracecache_trace_hits", "", "",
+				"trace cache trace hits (store-wide)").Set(float64(cache.TraceHits))
+			reg.Gauge("triosim_tracecache_trace_misses", "", "",
+				"trace cache trace misses (store-wide)").Set(float64(cache.TraceMisses))
+			reg.Gauge("triosim_tracecache_timer_hits", "", "",
+				"trace cache timer hits (store-wide)").Set(float64(cache.TimerHits))
+			reg.Gauge("triosim_tracecache_timer_misses", "", "",
+				"trace cache timer misses (store-wide)").Set(float64(cache.TimerMisses))
+			reg.Gauge("triosim_tracecache_bytes", "", "",
+				"trace cache resident bytes (store-wide)").Set(float64(cache.Bytes))
+		}
+	}
 	return out, nil
 }
 
-// execute runs a task graph over the platform network and packages results.
-// ckptCost is the resolved per-checkpoint pause for the resilience overlay
-// (zero when Config.Faults carries no checkpoint policy).
-func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
-	rampBytes float64, collLog *telemetry.CollectiveLog,
-	ckptCost sim.VTime) (*Result, error) {
-
-	r := newRun(runConfig{topo: topo, rampBytes: rampBytes,
+// run executes the plan's task graph over the platform network and packages
+// results.
+func (p *plan) run() (*Result, error) {
+	cfg, res := p.cfg, p.graph
+	r := newRun(runConfig{topo: p.topo, rampBytes: p.rampBytes,
 		approxTol: cfg.NetApproxTol, clock: cfg.Clock, spanTrace: cfg.SpanTrace,
 		telemetry: telemetryOn(cfg.Telemetry, cfg.Metrics), metrics: cfg.Metrics,
-		collLog: collLog, hooks: cfg.Hooks, ctx: cfg.Context, faults: cfg.Faults})
+		collLog: p.collLog, hooks: cfg.Hooks, ctx: cfg.Context, faults: cfg.Faults,
+		cache: cfg.Cache})
 	x := task.NewExecutor(r.eng, r.net, res.Graph, nil)
 	err := r.attach(res.Graph, x.Observe, &x.GPUTime, &x.Stretch)
 	if err != nil {
@@ -598,14 +650,13 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 		Parallelism:     string(cfg.Parallelism),
 		NumGPUs:         numGPUs,
 		Iterations:      cfg.Iterations,
-		TotalSec:        makespan.Seconds(),
 		PerIterationSec: perIter.Seconds(),
 		Parallel:        res.Meta,
-	}, makespan, ckptCost)
+	}, makespan, p.ckptCost)
 	if err != nil {
 		return nil, err
 	}
-	out.TotalTime, out.PerIteration = makespan, perIter
+	out.PerIteration = perIter
 	out.ComputeTime = x.BusyTime(task.Compute)
 	out.CommTime = x.BusyTime(task.Comm)
 	out.HostLoadTime = x.BusyTime(task.HostLoad)
@@ -671,7 +722,8 @@ func Simulate(cfg Config) (*Result, error) {
 
 // plan is a run whose task graph is built and ready to execute: the
 // resolved configuration, its topology and extrapolated graph, and what
-// execute needs besides.
+// running it needs besides (ckptCost is the resolved per-checkpoint pause
+// for the resilience overlay, zero without a checkpoint policy).
 type plan struct {
 	cfg       Config
 	topo      *network.Topology
@@ -679,17 +731,6 @@ type plan struct {
 	rampBytes float64
 	collLog   *telemetry.CollectiveLog
 	ckptCost  sim.VTime
-}
-
-// run executes the plan's graph and attaches the trace-cache counters.
-func (p *plan) run() (*Result, error) {
-	res, err := execute(p.cfg, p.topo, p.graph, p.rampBytes, p.collLog,
-		p.ckptCost)
-	if err != nil {
-		return nil, err
-	}
-	attachCacheStats(p.cfg, res)
-	return res, nil
 }
 
 // planSimulate builds Simulate's task graph.
@@ -781,51 +822,6 @@ func fitTimerCached(cfg Config, tr *trace.Trace) (extrapolator.OpTimer, error) {
 	return cfg.Cache.GetTimer(tk, func() (tracecache.OpTimer, error) {
 		return fitTimer(cfg, tr)
 	})
-}
-
-// attachCacheStats copies the shared store's counters into the run's
-// telemetry report. The counters are store-wide — they accumulate across
-// every simulation sharing the cache — so this section is explicitly outside
-// the RunReport byte-identity guarantee and is omitted when no cache is
-// configured.
-func attachCacheStats(cfg Config, res *Result) {
-	if cfg.Cache == nil {
-		return
-	}
-	st := cfg.Cache.Stats()
-	if res.Report != nil {
-		res.Report.TraceCache = &telemetry.TraceCacheStat{
-			TraceHits:   st.TraceHits,
-			TraceMisses: st.TraceMisses,
-			TimerHits:   st.TimerHits,
-			TimerMisses: st.TimerMisses,
-			Traces:      st.Traces,
-			Timers:      st.Timers,
-			Bytes:       st.Bytes,
-		}
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Gauge("triosim_tracecache_trace_hits", "", "",
-			"trace cache trace hits (store-wide)").Set(float64(st.TraceHits))
-		cfg.Metrics.Gauge("triosim_tracecache_trace_misses", "", "",
-			"trace cache trace misses (store-wide)").Set(float64(st.TraceMisses))
-		cfg.Metrics.Gauge("triosim_tracecache_timer_hits", "", "",
-			"trace cache timer hits (store-wide)").Set(float64(st.TimerHits))
-		cfg.Metrics.Gauge("triosim_tracecache_timer_misses", "", "",
-			"trace cache timer misses (store-wide)").Set(float64(st.TimerMisses))
-		cfg.Metrics.Gauge("triosim_tracecache_bytes", "", "",
-			"trace cache resident bytes (store-wide)").Set(float64(st.Bytes))
-	}
-	if res.Spans != nil {
-		// Store-wide totals on the trace's counter tracks, stamped at the end
-		// of the run.
-		at := res.TotalTime
-		res.Spans.Sample(spantrace.CounterCacheTrHits, at, float64(st.TraceHits))
-		res.Spans.Sample(spantrace.CounterCacheTrMiss, at, float64(st.TraceMisses))
-		res.Spans.Sample(spantrace.CounterCacheTmHits, at, float64(st.TimerHits))
-		res.Spans.Sample(spantrace.CounterCacheTmMiss, at, float64(st.TimerMisses))
-		res.Spans.Sample(spantrace.CounterCacheBytes, at, float64(st.Bytes))
-	}
 }
 
 // checkpointCost resolves the per-checkpoint pause for the resilience

@@ -10,7 +10,6 @@ import (
 	"triosim/internal/network"
 	"triosim/internal/serving"
 	"triosim/internal/sim"
-	"triosim/internal/spantrace"
 	"triosim/internal/telemetry"
 )
 
@@ -25,7 +24,7 @@ type ServeConfig struct {
 	Platform *gpu.Platform
 	// Topology optionally overrides the platform's default topology.
 	Topology *network.Topology
-	// Clock supplies wall-clock readings for ServeResult.WallClock; nil
+	// Clock supplies wall-clock readings for Result.WallClock; nil
 	// leaves it zero (see Config.Clock).
 	Clock func() time.Time
 	// Telemetry / Metrics enable the RunReport exactly as in Config.
@@ -45,27 +44,18 @@ type ServeConfig struct {
 	Faults *faults.Schedule
 }
 
-// ServeResult is a serving simulation's output.
+// ServeResult is a serving simulation's output: the run harness's Result
+// and the request-level Metrics. Result.TotalTime runs from virtual time
+// zero to the last delivered response. Serving runs leave Result's
+// training fields (PerIteration, the busy times, Tasks) zero and carry no
+// critical-path analysis: request lifetimes overlap by design, so a single
+// makespan-setting chain through them is not meaningful. Report, when
+// telemetry is on, has its Serving section populated.
 type ServeResult struct {
+	Result
 	// Metrics is the request-level outcome: latency tails, throughput, and
 	// batching efficiency.
 	Metrics *serving.Metrics
-	// TotalTime is the full simulated duration (virtual time zero to the
-	// last delivered response).
-	TotalTime sim.VTime
-	// Events / EventDigest mirror Result: the digest pins the dispatched
-	// schedule for triosimvet -replay.
-	Events      uint64
-	EventDigest uint64
-	// WallClock is the host time the simulation took (zero without Clock).
-	WallClock time.Duration
-	// Report is the RunReport with its Serving section populated (nil
-	// unless Telemetry/Metrics).
-	Report *telemetry.RunReport
-	// Spans is the span log (nil unless SpanTrace). Serving runs carry no
-	// critical-path analysis: request lifetimes overlap by design, so a
-	// single makespan-setting chain through them is not meaningful.
-	Spans *spantrace.Log
 }
 
 // Serve runs one request-level serving simulation.
@@ -111,16 +101,22 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		return nil, err
 	}
 
-	// Serving has no checkpoint policy or failures, so its resilience
+	// The run ends at the last delivered response, not at the engine's last
+	// event: a fault window that outlasts the workload still dispatches its
+	// end. Serving has no checkpoint policy or failures, so its resilience
 	// accounting is the degenerate one: useful = extended = total.
-	total := r.eng.CurrentTime()
+	var total sim.VTime
+	for _, pr := range m.PerRequest {
+		if done := sim.VTime(pr.DoneSec); done.After(total) {
+			total = done
+		}
+	}
 	res, err := r.finish(telemetry.RunInfo{
 		Model:           cfg.Serving.Model,
 		Platform:        cfg.Platform.Name,
 		Parallelism:     "serving-" + m.Scheduler,
 		NumGPUs:         m.Replicas,
 		Iterations:      1,
-		TotalSec:        total.Seconds(),
 		PerIterationSec: total.Seconds(),
 		Parallel: telemetry.ParallelStat{
 			Strategy: "serving-" + m.Scheduler,
@@ -133,9 +129,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if res.Report != nil {
 		res.Report.Serving = servingStat(m)
 	}
-	return &ServeResult{Metrics: m, TotalTime: total, Events: res.Events,
-		EventDigest: res.EventDigest, WallClock: res.WallClock,
-		Report: res.Report, Spans: res.Spans}, nil
+	return &ServeResult{Result: *res, Metrics: m}, nil
 }
 
 // servingStat converts serving metrics into the RunReport section.

@@ -76,14 +76,10 @@ func ServingOpts(quick bool, opts Options) (*Figure, error) {
 				return nil, fmt.Errorf("serving/%s/%s: %w", c.model,
 					c.sched, err)
 			}
-			if opts.TraceDir != "" && res.Spans != nil {
-				name := sweep.SanitizeName(fmt.Sprintf("serving_%s_%s",
-					c.model, c.sched))
-				if err := res.Spans.WriteChromeTraceFile(
-					opts.TraceDir + "/" + name + ".trace.json"); err != nil {
-					return nil, fmt.Errorf("experiments: write trace: %w",
-						err)
-				}
+			name := fmt.Sprintf("serving_%s_%s", c.model, c.sched)
+			err = sweep.WriteTrace(opts.TraceDir, name, &res.Result)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %w", err)
 			}
 			m := res.Metrics
 			var util float64

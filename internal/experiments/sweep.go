@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"triosim/internal/core"
@@ -73,7 +72,8 @@ func (o Options) cached(cfg core.Config) core.Config {
 	return cfg
 }
 
-// cellName renders a config-addressed filename stem for one cell's trace.
+// cellName renders a config-addressed name for one cell's trace file
+// (sweep.WriteTrace sanitizes it into a filename stem).
 func cellName(cfg core.Config) string {
 	platform := "none"
 	if cfg.Platform != nil {
@@ -83,20 +83,15 @@ func cellName(cfg core.Config) string {
 	if par == "" {
 		par = "single"
 	}
-	return sweep.SanitizeName(fmt.Sprintf("%s_%s_%s_g%d_b%d_i%d",
-		cfg.Model, platform, par, cfg.NumGPUs, cfg.GlobalBatch,
-		cfg.Iterations))
+	return fmt.Sprintf("%s_%s_%s_g%d_b%d_i%d", cfg.Model, platform, par,
+		cfg.NumGPUs, cfg.GlobalBatch, cfg.Iterations)
 }
 
 // exportSpans writes one simulation's Chrome trace into TraceDir (no-op when
 // trace export is off or the run recorded no spans).
 func (o Options) exportSpans(cfg core.Config, res *core.Result) error {
-	if o.TraceDir == "" || res == nil || res.Spans == nil {
-		return nil
-	}
-	path := filepath.Join(o.TraceDir, cellName(cfg)+".trace.json")
-	if err := res.Spans.WriteChromeTraceFile(path); err != nil {
-		return fmt.Errorf("experiments: write trace: %w", err)
+	if err := sweep.WriteTrace(o.TraceDir, cellName(cfg), res); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil
 }

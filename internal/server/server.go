@@ -415,11 +415,13 @@ func (s *Server) next() (r *run, wake chan struct{}, stop bool) {
 // server's own pool provides the parallelism; sweep provides ctx threading,
 // panic isolation, and the cache installation point).
 func (s *Server) execute(r *run) (*Result, []byte, error) {
-	out := &Result{ID: r.id, Kind: r.req.kind, Digest: r.req.digest}
+	opts := sweep.Options{Workers: 1, Context: r.ctx}
+	var res *core.Result
+	var err error
 	switch r.req.kind {
 	case KindServe:
-		results := sweep.Serve(sweep.Options{Workers: 1, Context: r.ctx},
-			[]sweep.ServeScenario{{Name: r.id, Build: func() core.ServeConfig {
+		results := sweep.Serve(opts, []sweep.ServeScenario{{Name: r.id,
+			Build: func() core.ServeConfig {
 				cfg, err := r.req.serveConfig()
 				if err != nil {
 					// compile() validated the same constructors; reaching
@@ -429,18 +431,12 @@ func (s *Server) execute(r *run) (*Result, []byte, error) {
 				cfg.Context = r.ctx
 				return cfg
 			}}})
-		if err := results[0].Err; err != nil {
-			return nil, nil, err
+		if err = results[0].Err; err == nil {
+			res = &results[0].Value.Res.Result
 		}
-		sr := results[0].Value.Res
-		out.TotalSec = sr.TotalTime.Seconds()
-		out.Events = sr.Events
-		out.EventDigest = fmt.Sprintf("%#x", sr.EventDigest)
-		report, err := renderReport(sr.Report)
-		return out, report, err
 	default:
-		results := sweep.Simulate(sweep.Options{Workers: 1, Context: r.ctx},
-			[]sweep.Scenario{{Name: r.id, Build: func() core.Config {
+		results := sweep.Simulate(opts, []sweep.Scenario{{Name: r.id,
+			Build: func() core.Config {
 				cfg, err := r.req.coreConfig()
 				if err != nil {
 					panic(err)
@@ -449,16 +445,17 @@ func (s *Server) execute(r *run) (*Result, []byte, error) {
 				cfg.Cache = s.cache
 				return cfg
 			}}})
-		if err := results[0].Err; err != nil {
-			return nil, nil, err
+		if err = results[0].Err; err == nil {
+			res = results[0].Value.Res
 		}
-		sr := results[0].Value.Res
-		out.TotalSec = sr.TotalTime.Seconds()
-		out.Events = sr.Events
-		out.EventDigest = fmt.Sprintf("%#x", sr.EventDigest)
-		report, err := renderReport(sr.Report)
-		return out, report, err
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	report, err := renderReport(res.Report)
+	return &Result{ID: r.id, Kind: r.req.kind, Digest: r.req.digest,
+		TotalSec: res.TotalTime.Seconds(), Events: res.Events,
+		EventDigest: fmt.Sprintf("%#x", res.EventDigest)}, report, err
 }
 
 // finalizeLocked moves a run to its terminal state: classify, close the

@@ -235,3 +235,27 @@ func TestCounterSameTimestampOverwrite(t *testing.T) {
 		t.Fatalf("got %+v, want [(1,20) (2,30)]", cs.Samples)
 	}
 }
+
+// TestQueueDepthPerTimestampMax: QueueDepth keeps the deepest depth fed at
+// each timestamp and flushes it when time advances; Finalize flushes the
+// last timestamp.
+func TestQueueDepthPerTimestampMax(t *testing.T) {
+	r := NewRecorder(nil, nil)
+	for _, d := range []struct {
+		at    sim.VTime
+		depth int
+	}{{1, 4}, {1, 7}, {1, 2}, {2, 3}, {3, 1}, {3, 5}} {
+		r.QueueDepth(d.at, d.depth)
+	}
+	cs := r.Finalize().Counters[0]
+	want := []CounterSample{{1, 7}, {2, 3}, {3, 5}}
+	if cs.Name != CounterQueueDepth || len(cs.Samples) != len(want) {
+		t.Fatalf("got %s %+v, want %s %+v", cs.Name, cs.Samples,
+			CounterQueueDepth, want)
+	}
+	for i, s := range cs.Samples {
+		if s != want[i] {
+			t.Fatalf("sample %d = %+v, want %+v", i, s, want[i])
+		}
+	}
+}

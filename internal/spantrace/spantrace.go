@@ -1,12 +1,13 @@
 // Package spantrace records a deterministic, virtual-time span log of one
 // simulation: one span per executed task (compute, communication, host
 // staging, barrier, delay) and per fault window, plus counter series sampled
-// from the engine and the flow network. The recorder hooks into the run the
-// same way sim.DigestHook and the telemetry Collector do — as a task.Observer,
-// a network.FlowObserver, and an engine hook — and is strictly observation-
-// only: it never schedules events, so the dispatched event schedule (and the
-// replay digest) is byte-identical with or without it. core's regression test
-// pins that identity.
+// from the engine and the flow network. The recorder observes the run the
+// same way the telemetry Collector does — as a task.Observer and a
+// network.FlowObserver, with queue depths fed by the run's after-dispatch
+// hook (QueueDepth) — and is strictly observation-only: it never schedules
+// events, so the dispatched event schedule (and the replay digest) is
+// byte-identical with or without it. core's regression test pins that
+// identity.
 //
 // The completed Log supports critical-path extraction (critpath.go) and
 // Chrome trace-event export for Perfetto / chrome://tracing (chrome.go).
@@ -136,9 +137,9 @@ const spanChunk = 4096
 // Recorder accumulates spans and counters during a run. All methods are
 // invoked on the engine goroutine; the recorder never schedules events.
 //
-// Construct with NewRecorder, register via task.Executor.Observe /
-// network observer / sim engine hook, and call Finalize after the engine
-// drains.
+// Construct with NewRecorder, register via task.Executor.Observe and
+// FlowNetwork.Observe, feed QueueDepth after each dispatch, and call
+// Finalize after the engine drains.
 type Recorder struct {
 	graph *task.Graph
 	topo  *network.Topology
@@ -173,9 +174,9 @@ type Recorder struct {
 	// direction-name id.
 	links []*CounterSeries
 
-	// Queue-depth sampling state: the engine hook tracks the running max
-	// within the current timestamp and flushes one sample when virtual time
-	// advances, bounding the series by distinct dispatch times.
+	// Queue-depth sampling state: QueueDepth tracks the running max within
+	// the current timestamp and flushes one sample when virtual time
+	// advances.
 	queueAt    sim.VTime
 	queueCur   int
 	queueArmed bool
@@ -410,8 +411,9 @@ func (r *Recorder) series(name string) *CounterSeries {
 	return cs
 }
 
-// Sample records one externally observed counter point (core injects
-// end-of-run totals like queue high-water and trace-cache hit counts here).
+// Sample records one externally observed counter point (core records
+// end-of-run totals like queue high-water and trace-cache hit counts here,
+// before Finalize).
 func (r *Recorder) Sample(name string, t sim.VTime, v float64) {
 	r.series(name).sample(t, v)
 }
@@ -451,28 +453,23 @@ func (r *Recorder) RatesRecomputed(flows int, now sim.VTime) {
 	r.series(CounterRateResolves).sample(now, float64(r.recomputes))
 }
 
-// EngineHook returns the queue-depth sampling hook. pending is the engine's
-// pending-event probe (sim.SerialEngine.Pending); the hook records the
-// per-timestamp maximum depth, flushed when virtual time advances.
-func (r *Recorder) EngineHook(pending func() int) sim.Hook {
-	return sim.HookFunc(func(ctx sim.HookCtx) {
-		if ctx.Pos != sim.HookPosAfterEvent || pending == nil {
-			return
+// QueueDepth records the engine's pending-event depth d after one dispatch
+// at now. The recorder keeps the per-timestamp maximum and flushes one
+// sample when virtual time advances, bounding the series by distinct
+// dispatch times.
+func (r *Recorder) QueueDepth(now sim.VTime, d int) {
+	switch {
+	case !r.queueArmed:
+		r.queueArmed = true
+		r.queueAt, r.queueCur = now, d
+	case now.After(r.queueAt):
+		r.series(CounterQueueDepth).sample(r.queueAt, float64(r.queueCur))
+		r.queueAt, r.queueCur = now, d
+	default:
+		if d > r.queueCur {
+			r.queueCur = d
 		}
-		d := pending()
-		switch {
-		case !r.queueArmed:
-			r.queueArmed = true
-			r.queueAt, r.queueCur = ctx.Now, d
-		case ctx.Now.After(r.queueAt):
-			r.series(CounterQueueDepth).sample(r.queueAt, float64(r.queueCur))
-			r.queueAt, r.queueCur = ctx.Now, d
-		default:
-			if d > r.queueCur {
-				r.queueCur = d
-			}
-		}
-	})
+	}
 }
 
 // Log is the completed, immutable span log Finalize produces.
@@ -543,18 +540,4 @@ func (l *Log) Deps(fn func(from, to int)) {
 			}
 		}
 	}
-}
-
-// Sample appends one counter point to a finalized log (core attaches
-// end-of-run totals — e.g. trace-cache counters — after Finalize).
-func (l *Log) Sample(name string, t sim.VTime, v float64) {
-	for _, cs := range l.Counters {
-		if cs.Name == name {
-			cs.sample(t, v)
-			return
-		}
-	}
-	cs := &CounterSeries{Name: name}
-	cs.sample(t, v)
-	l.Counters = append(l.Counters, cs)
 }

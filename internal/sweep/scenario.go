@@ -24,6 +24,20 @@ func SanitizeName(name string) string {
 	return string(out)
 }
 
+// WriteTrace writes a run's Chrome trace into dir, named
+// SanitizeName(name)+".trace.json". It does nothing when dir is empty or
+// the run recorded no spans.
+func WriteTrace(dir, name string, res *core.Result) error {
+	if dir == "" || res == nil || res.Spans == nil {
+		return nil
+	}
+	path := filepath.Join(dir, SanitizeName(name)+".trace.json")
+	if err := res.Spans.WriteChromeTraceFile(path); err != nil {
+		return fmt.Errorf("write trace: %w", err)
+	}
+	return nil
+}
+
 // Scenario is one named simulation configuration in a sweep.
 type Scenario struct {
 	// Name labels the scenario in results and reports.
@@ -80,14 +94,9 @@ func Simulate(opts Options, scenarios []Scenario) []Result[SimResult] {
 				return SimResult{Name: sc.Name},
 					fmt.Errorf("sweep: scenario %q: %w", sc.Name, err)
 			}
-			if opts.TraceDir != "" && res.Spans != nil {
-				path := filepath.Join(opts.TraceDir,
-					SanitizeName(sc.Name)+".trace.json")
-				if err := res.Spans.WriteChromeTraceFile(path); err != nil {
-					return SimResult{Name: sc.Name},
-						fmt.Errorf("sweep: scenario %q: write trace: %w",
-							sc.Name, err)
-				}
+			if err := WriteTrace(opts.TraceDir, sc.Name, res); err != nil {
+				return SimResult{Name: sc.Name},
+					fmt.Errorf("sweep: scenario %q: %w", sc.Name, err)
 			}
 			return SimResult{Name: sc.Name, Res: res}, nil
 		}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 
 	"triosim/internal/core"
 )
@@ -44,14 +43,10 @@ func Serve(opts Options, scenarios []ServeScenario) []Result[ServeResult] {
 				return ServeResult{Name: sc.Name},
 					fmt.Errorf("sweep: scenario %q: %w", sc.Name, err)
 			}
-			if opts.TraceDir != "" && res.Spans != nil {
-				path := filepath.Join(opts.TraceDir,
-					SanitizeName(sc.Name)+".trace.json")
-				if err := res.Spans.WriteChromeTraceFile(path); err != nil {
-					return ServeResult{Name: sc.Name},
-						fmt.Errorf("sweep: scenario %q: write trace: %w",
-							sc.Name, err)
-				}
+			if err := WriteTrace(opts.TraceDir, sc.Name,
+				&res.Result); err != nil {
+				return ServeResult{Name: sc.Name},
+					fmt.Errorf("sweep: scenario %q: %w", sc.Name, err)
 			}
 			return ServeResult{Name: sc.Name, Res: res}, nil
 		}

@@ -69,7 +69,7 @@ type collAgg struct {
 
 // Collector is the run-wide telemetry sink: it observes completed tasks
 // (task.Observer), finished flows and rate recomputations
-// (network.FlowObserver), and engine dispatches (EngineHook), feeding a
+// (network.FlowObserver), and engine dispatches (Dispatched), feeding a
 // Registry and accumulating the state Finalize turns into a RunReport. It
 // keeps no per-task state: per-link statistics are indexed by the
 // topology's direction-name ids, and the per-GPU time partition comes from
@@ -95,15 +95,14 @@ type Collector struct {
 	route []network.DirLink
 
 	// kindCache maps an event's (dynamic type, secondary flag) to its kind
-	// label and triosim_events_total series, so the per-event hook neither
+	// label and triosim_events_total series, so the per-event path neither
 	// formats a type name nor looks the counter up in the registry;
 	// lastKind/lastEntry memoize the most recent key.
-	kindCache  map[kindKey]kindEntry
-	lastKind   kindKey
-	lastEntry  kindEntry
-	queuePeak  int
-	recomputes int
-	lastVTime  float64
+	kindCache map[kindKey]kindEntry
+	lastKind  kindKey
+	lastEntry kindEntry
+	// queuePeak is the deepest pending queue seen after a dispatch.
+	queuePeak int
 }
 
 // NewCollector builds a collector over topo feeding reg. log may be nil when
@@ -225,7 +224,6 @@ func (c *Collector) FlowFinished(route []network.DirLink, bytes float64,
 
 // RatesRecomputed implements network.FlowObserver.
 func (c *Collector) RatesRecomputed(flows int, now sim.VTime) {
-	c.recomputes++
 	c.reg.Counter("triosim_net_rate_recomputes_total", "", "",
 		"Max-min fair-share recomputations performed by the flow network.").Inc()
 }
@@ -273,26 +271,14 @@ func (c *Collector) kindOf(e sim.Event) kindEntry {
 	return ent
 }
 
-// EngineHook returns the self-profiler hook: per-event-kind dispatch counts,
-// the queue-depth high-water mark (via the injected pending-depth probe), and
-// the virtual-time frontier. Register it on the engine before Run.
-func (c *Collector) EngineHook(pending func() int) sim.Hook {
-	return sim.HookFunc(func(ctx sim.HookCtx) {
-		if ctx.Pos != sim.HookPosAfterEvent {
-			return
-		}
-		e, ok := ctx.Item.(sim.Event)
-		if !ok {
-			return
-		}
-		c.kindOf(e).events.Inc()
-		if pending != nil {
-			if d := pending(); d > c.queuePeak {
-				c.queuePeak = d
-			}
-		}
-		c.lastVTime = ctx.Now.Seconds()
-	})
+// Dispatched counts one dispatched event by kind and folds the pending
+// queue depth after it into the dispatch peak. The run's after-dispatch
+// hook calls it once per event.
+func (c *Collector) Dispatched(e sim.Event, pending int) {
+	c.kindOf(e).events.Inc()
+	if pending > c.queuePeak {
+		c.queuePeak = pending
+	}
 }
 
 // RunInfo carries the run-level facts Finalize cannot observe itself.
@@ -308,13 +294,17 @@ type RunInfo struct {
 	Events          uint64
 	// QueueHighWater is the engine's own peak pending-event count
 	// (SerialEngine.QueueHighWater). It is tracked at Schedule time, so it
-	// sees depths the collector's after-event probe misses (the pre-Run
-	// backlog and intra-dispatch peaks); Finalize keeps whichever of the two
-	// observations is larger.
+	// is never below a depth seen after a dispatch.
 	QueueHighWater int
-	// NetTotalBytes / NetTransfers come from the flow network's own stats.
+	// VirtualTimeSec is the engine's time at its last dispatch
+	// (SerialEngine.CurrentTime); a fault window that outlasts the workload
+	// puts it past TotalSec.
+	VirtualTimeSec float64
+	// NetTotalBytes / NetTransfers / NetSolves come from the flow network's
+	// own stats (NetSolves is FlowNetwork.Solves, its max-min re-solves).
 	NetTotalBytes float64
 	NetTransfers  int
+	NetSolves     int
 	// NetSolveSeconds is the host time the flow network spent inside max-min
 	// solves (zero unless the caller injected a clock — see
 	// network.FlowNetwork.SolveClock).
@@ -434,7 +424,7 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 	}
 	rep.Network.TotalBytes = info.NetTotalBytes
 	rep.Network.Transfers = info.NetTransfers
-	rep.Network.RateRecomputes = c.recomputes
+	rep.Network.RateRecomputes = info.NetSolves
 	rep.Network.SolveSeconds = info.NetSolveSeconds
 	if info.NetSolveSeconds > 0 {
 		c.reg.Gauge("triosim_net_solve_wall_seconds", "", "",
@@ -477,10 +467,7 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 
 	// Engine self-profile.
 	rep.Engine.Events = info.Events
-	rep.Engine.QueueHighWater = c.queuePeak
-	if info.QueueHighWater > rep.Engine.QueueHighWater {
-		rep.Engine.QueueHighWater = info.QueueHighWater
-	}
+	rep.Engine.QueueHighWater = info.QueueHighWater
 	// Per-kind counts, read off the cached triosim_events_total series
 	// (types whose names render alike share one series and one row).
 	for _, ent := range c.kindCache {
@@ -494,14 +481,13 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 	c.reg.Gauge("triosim_event_queue_depth_peak", "", "",
 		"High-water mark of the engine's pending-event queue.").
 		Set(float64(c.queuePeak))
-	// The merged high-water (engine's Schedule-time tracking vs the hook's
-	// after-event probe) — the EngineStat value the JSON report carries.
+	// The engine's Schedule-time high water — the EngineStat value the JSON
+	// report carries.
 	c.reg.Gauge("triosim_engine_queue_high_water", "", "",
-		"Peak pending-event count (engine Schedule-time high-water merged "+
-			"with the dispatch-probe peak).").
+		"Peak pending-event count (engine Schedule-time high-water).").
 		Set(float64(rep.Engine.QueueHighWater))
 	c.reg.Gauge("triosim_virtual_time_seconds", "", "",
-		"Virtual-time frontier of the simulation.").Set(c.lastVTime)
+		"Virtual-time frontier of the simulation.").Set(info.VirtualTimeSec)
 
 	rep.Metrics = c.reg.Export()
 	return rep

@@ -8,15 +8,15 @@ import (
 	"triosim/internal/task"
 )
 
-// markEvent is a non-funcEvent kind for the engine-hook tests.
+// markEvent is a non-funcEvent kind for the dispatch-count tests.
 type markEvent struct{ sim.EventBase }
 
-// TestEngineHookKindCache drives the engine hook with primary and secondary
-// events of two types, interleaved, and checks every per-kind count — in the
-// report's engine section and in triosim_events_total — against uncached
-// eventKind labels.
-// The hook must not allocate once each kind has been seen.
-func TestEngineHookKindCache(t *testing.T) {
+// TestDispatchedKindCache feeds Dispatched primary and secondary events of
+// two types, interleaved, and checks every per-kind count — in the report's
+// engine section and in triosim_events_total — against uncached eventKind
+// labels, and the dispatch peak against the deepest depth fed.
+// Dispatched must not allocate once each kind has been seen.
+func TestDispatchedKindCache(t *testing.T) {
 	noop := func(sim.VTime) error { return nil }
 	events := []sim.Event{
 		sim.NewFuncEvent(1, noop),
@@ -28,10 +28,9 @@ func TestEngineHookKindCache(t *testing.T) {
 	}
 	reg := NewRegistry()
 	c := NewCollector(reg, network.NewTopology(), nil)
-	hook := c.EngineHook(nil)
 	dispatch := func() {
-		for _, e := range events {
-			hook.Func(sim.HookCtx{Pos: sim.HookPosAfterEvent, Now: e.Time(), Item: e})
+		for i, e := range events {
+			c.Dispatched(e, i)
 		}
 	}
 	const passes = 3
@@ -42,7 +41,8 @@ func TestEngineHookKindCache(t *testing.T) {
 	for _, e := range events {
 		want[eventKind(e)] += passes
 	}
-	byKind := c.Finalize(RunInfo{}).Engine.ByKind
+	rep := c.Finalize(RunInfo{QueueHighWater: len(events)})
+	byKind := rep.Engine.ByKind
 	if len(want) != 4 || len(byKind) != len(want) {
 		t.Fatalf("kinds %v, want %v", byKind, want)
 	}
@@ -61,8 +61,17 @@ func TestEngineHookKindCache(t *testing.T) {
 			t.Errorf("triosim_events_total{kind=%q} = %v, want %d", kind, got, n)
 		}
 	}
+	peak := reg.Gauge("triosim_event_queue_depth_peak", "", "", "").Value()
+	if peak != float64(len(events)-1) {
+		t.Errorf("triosim_event_queue_depth_peak = %v, want %d", peak,
+			len(events)-1)
+	}
+	if rep.Engine.QueueHighWater != len(events) {
+		t.Errorf("engine queue_high_water = %d, want RunInfo's %d",
+			rep.Engine.QueueHighWater, len(events))
+	}
 	if allocs := testing.AllocsPerRun(20, dispatch); allocs != 0 {
-		t.Fatalf("engine hook allocates %v times per pass, want 0", allocs)
+		t.Fatalf("Dispatched allocates %v times per pass, want 0", allocs)
 	}
 }
 

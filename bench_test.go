@@ -603,18 +603,64 @@ func BenchmarkEngineQueue(b *testing.B) {
 		base := eng.CurrentTime()
 		for j := 0; j < events; j++ {
 			// A spread of timestamps with heavy same-time collision exercises
-			// the 4-ary sift and the (time, secondary, seq) tie-break.
+			// the radix refill and the (time, secondary, seq) tie-break.
 			sim.ScheduleFunc(eng, base+sim.VTime(j%7)*sim.USec, benchNop)
 		}
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	cycle() // warm the free list and the heap
+	cycle() // warm the free list and the slot store
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cycle()
+	}
+}
+
+// BenchmarkEngineQueueExactPath gives the event queue the exact solver's
+// shape on the 2,048-GPU step: about 85,000 pending events, and a secondary
+// re-solve every microsecond that reschedules 200 deliveries to one shared
+// time 425 µs ahead (in the exact path the superseded deliveries stay
+// queued until they dispatch, which is what keeps the queue that deep). One
+// op is 100 re-solves and their 20,000 deliveries. The
+// warm-up fills the queue and then cycles every pooled event through one
+// dispatch, so the loop must run at 0 allocs/op (gated via BENCH_*.json).
+func BenchmarkEngineQueueExactPath(b *testing.B) {
+	const (
+		burst       = 200
+		lead        = 425 // re-solves between a burst's schedule and its dispatch
+		solvesPerOp = 100
+	)
+	eng := sim.NewSerialEngine()
+	solves := 0
+	var solve func(now sim.VTime) error
+	solve = func(now sim.VTime) error {
+		due := now + lead*sim.USec
+		for j := 0; j < burst; j++ {
+			sim.ScheduleFunc(eng, due, benchNop)
+		}
+		sim.ScheduleSecondaryFunc(eng, now+sim.USec, solve)
+		if solves++; solves%solvesPerOp == 0 {
+			eng.Terminate()
+		}
+		return nil
+	}
+	sim.ScheduleSecondaryFunc(eng, 0, solve)
+	for solves < 3*lead {
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if p := eng.Pending(); p < lead*burst {
+		b.Fatalf("warm-up left %d events pending, want at least %d", p, lead*burst)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

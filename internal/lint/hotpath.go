@@ -18,7 +18,7 @@ func describeCompositeKind(t types.Type) string {
 }
 
 // HotpathAlloc enforces the zero-allocation contract of functions annotated
-// //triosim:hotpath (the engine dispatch loop, the 4-ary heap operations,
+// //triosim:hotpath (the engine dispatch loop, the event queue operations,
 // the max-min rate solver). These run millions of times per simulated
 // second; one heap allocation per call turns the "lightweight" in TrioSim's
 // title into GC pressure that dominates the profile. The benchdiff gate

@@ -720,9 +720,8 @@ func (n *FlowNetwork) visitLink(st *linkState, gen int) {
 }
 
 // heapPush adds e to the bottleneck min-heap ordered by (fair, sortKey).
-// The heap is 4-ary, like the engine's event queue: supersession pushes far
-// outnumber pops in big solves, and a 4-ary sift-up is half the depth of a
-// binary one. (fair, sortKey) is a strict total order over live entries, so
+// The heap is 4-ary: supersession pushes far outnumber pops in big solves,
+// and a 4-ary sift-up is half the depth of a binary one. (fair, sortKey) is a strict total order over live entries, so
 // the pop sequence is identical at any arity.
 func (n *FlowNetwork) heapPush(e solveEntry) {
 	n.heap = append(n.heap, e)

@@ -289,7 +289,7 @@ func FuzzDigestFold(f *testing.F) {
 func TestDigestHookFuncAllocs(t *testing.T) {
 	eng := NewSerialEngine()
 	ScheduleFunc(eng, 1, func(VTime) error { return nil })
-	pooled := eng.queue.events[0] // a funcEvent from the engine's pool
+	_, pooled := eng.queue.pop() // a funcEvent from the engine's pool
 	events := []Event{
 		pooled,
 		NewFuncEvent(1, func(VTime) error { return nil }),

@@ -33,7 +33,6 @@ type Engine interface {
 type SerialEngine struct {
 	queue      eventQueue
 	now        VTime
-	seq        uint64
 	dispatched uint64
 	terminated bool
 	hooks      []Hook
@@ -60,8 +59,7 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 //
 //triosim:hotpath
 func (eng *SerialEngine) Schedule(e Event) {
-	eng.seq++
-	eng.queue.push(newEventKey(e.Time(), eng.seq, e.IsSecondary()), e)
+	eng.queue.push(e.Time(), e.IsSecondary(), e)
 	if p := eng.queue.len(); p > eng.highWater {
 		eng.highWater = p
 	}
@@ -125,13 +123,13 @@ func (eng *SerialEngine) RegisterHook(h Hook) {
 func (eng *SerialEngine) Run() error {
 	eng.terminated = false
 	for eng.queue.len() > 0 && !eng.terminated {
-		k, e := eng.queue.pop()
-		if eng.started && k.time < eng.now {
+		t, e := eng.queue.pop()
+		if eng.started && t < eng.now {
 			return fmt.Errorf("%w: event at %v, now %v", //triosim:nolint hotpath-alloc -- cold error path: a past-dated event aborts the run
-				ErrPastEvent, k.time, eng.now)
+				ErrPastEvent, t, eng.now)
 		}
 		eng.started = true
-		eng.now = k.time
+		eng.now = t
 		eng.dispatched++
 
 		for _, h := range eng.hooks {

@@ -29,7 +29,7 @@ go test -race -count=2 ./internal/sweep/... ./internal/monitor/... \
   ./internal/faults/... ./internal/tracecache/... ./internal/serving/... \
   ./internal/server/...
 
-echo "==> fuzz smoke (digest table fold vs byte-wise FNV-1a; event heap vs container/heap; CSR graph freeze vs per-task slices; per-GPU time partition vs sorted interval algebra)"
+echo "==> fuzz smoke (digest table fold vs byte-wise FNV-1a; event queue vs container/heap; CSR graph freeze vs per-task slices; per-GPU time partition vs sorted interval algebra)"
 go test -run '^$' -fuzz '^FuzzDigestFold$' -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz '^FuzzEventQueueOrder$' -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz '^FuzzGraphFreeze$' -fuzztime 5s ./internal/task

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -250,27 +251,18 @@ func BuildTopology(p *gpu.Platform) *network.Topology {
 	}
 }
 
-// collectTrace returns the configured trace, collecting one from the model
-// zoo + hardware emulator — or the shared trace cache — when none was
-// supplied. Traces returned through the cache are shared read-only.
-func collectTrace(cfg Config) (*trace.Trace, error) {
-	if cfg.Trace != nil {
-		return cfg.Trace, nil
+// collectTrace returns the zoo trace k names, through the shared trace cache
+// when there is one. Traces returned through the cache are shared read-only.
+func collectTrace(cache *tracecache.Store, k tracecache.Key) (*trace.Trace,
+	error) {
+
+	collect := func() (*trace.Trace, error) {
+		return hwsim.CollectTrace(k.Model, k.Batch, &k.Spec)
 	}
-	if cfg.Model == "" {
-		return nil, fmt.Errorf("core: neither Trace nor Model given")
+	if cache == nil {
+		return collect()
 	}
-	spec, err := gpu.SpecByName(cfg.TraceGPU)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Cache == nil {
-		return hwsim.CollectTrace(cfg.Model, cfg.TraceBatch, spec)
-	}
-	return cfg.Cache.GetTrace(traceKey(cfg.Model, cfg.TraceBatch, spec),
-		func() (*trace.Trace, error) {
-			return hwsim.CollectTrace(cfg.Model, cfg.TraceBatch, spec)
-		})
+	return cache.GetTrace(k, collect)
 }
 
 // traceKey content-addresses a zoo trace: everything that influences the
@@ -285,31 +277,69 @@ func traceKey(model string, batch int, spec *gpu.Spec) tracecache.Key {
 	}
 }
 
-// extrapolate builds the task graph for the configured parallelism.
-func extrapolate(cfg Config, tr *trace.Trace, topo *network.Topology,
-	timer extrapolator.OpTimer, effects hwsim.Effects,
-	collLog *telemetry.CollectiveLog) (*extrapolator.Result, error) {
+// source names the three things prediction and ground truth differ in: the
+// trace (native: Model at the global batch on the platform's own GPU, as real
+// hardware runs it; else Config.Trace or Model at TraceBatch on TraceGPU),
+// the operator timer and the hardware effects.
+type source struct {
+	native  bool
+	timer   func(Config, *trace.Trace) (extrapolator.OpTimer, error)
+	effects func(*gpu.Platform) hwsim.Effects
+}
 
-	ecfg := extrapolator.Config{
-		Trace:        tr,
-		Topo:         topo,
-		NumGPUs:      cfg.NumGPUs,
-		Timer:        timer,
-		Effects:      effects,
-		GlobalBatch:  cfg.GlobalBatch,
-		MicroBatches: cfg.MicroBatches,
-		BucketBytes:  cfg.BucketBytes,
-		Iterations:   cfg.Iterations,
-		Collective:   cfg.Collective,
-		FuseCompute:  cfg.FuseCompute,
-		ForwardOnly:  cfg.InferenceOnly,
-		Collectives:  collLog,
+var (
+	prediction  = source{timer: fitTimerCached, effects: noEffects}
+	groundTruth = source{native: true, timer: exactTimer,
+		effects: hwsim.PlatformEffects}
+)
+
+func exactTimer(cfg Config, _ *trace.Trace) (extrapolator.OpTimer, error) {
+	return hwsim.NewTimer(&cfg.Platform.GPU), nil
+}
+
+func noEffects(*gpu.Platform) hwsim.Effects { return hwsim.NoEffects }
+
+// trace returns the trace s extrapolates for cfg (already defaulted) and the
+// run's pipeline partition over pp stages, balanced on the prediction's trace
+// whichever trace s extrapolates (a native one may balance differently).
+// One stage needs no partition: it is nil, and a native source then reads
+// no prediction trace.
+func (s source) trace(cfg Config, pp int) (*trace.Trace, []int, error) {
+	if cfg.Model == "" && (s.native || cfg.Trace == nil) {
+		return nil, nil, fmt.Errorf(
+			"core: no Model (ground truth needs a zoo model, prediction one or a Trace)")
 	}
-	dp, tp, pp, err := gridPoint(cfg)
-	if err != nil {
-		return nil, err
+	tr, k := cfg.Trace, tracecache.Key{} // a supplied trace keys zero
+	if tr == nil && (!s.native || pp > 1) {
+		spec, err := gpu.SpecByName(cfg.TraceGPU)
+		if err != nil {
+			return nil, nil, err
+		}
+		k = traceKey(cfg.Model, cfg.TraceBatch, spec)
+		if tr, err = collectTrace(cfg.Cache, k); err != nil {
+			return nil, nil, err
+		}
 	}
-	switch cfg.Parallelism {
+	var stageOf []int
+	if pp > 1 {
+		stageOf = extrapolator.StageAssignment(tr, pp)
+	}
+	if !s.native {
+		return tr, stageOf, nil
+	}
+	if nk := traceKey(cfg.Model, cmp.Or(cfg.GlobalBatch, cfg.TraceBatch),
+		&cfg.Platform.GPU); nk != k {
+		tr, err := collectTrace(cfg.Cache, nk)
+		return tr, stageOf, err
+	}
+	return tr, stageOf, nil
+}
+
+// extrapolate builds strategy par's task graph at grid point (dp, tp, pp).
+func extrapolate(par Parallelism, ecfg extrapolator.Config,
+	dp, tp, pp int) (*extrapolator.Result, error) {
+
+	switch par {
 	case Single:
 		ecfg.NumGPUs = 1
 		return extrapolator.SingleGPU(ecfg)
@@ -623,7 +653,7 @@ func (r *run) finish(info telemetry.RunInfo, total,
 
 // run executes the plan's task graph over the platform network and packages
 // results.
-func (p *plan) run() (*Result, error) {
+func (p *runPlan) run() (*Result, error) {
 	cfg, res := p.cfg, p.graph
 	r := newRun(runConfig{topo: p.topo, rampBytes: p.rampBytes,
 		approxTol: cfg.NetApproxTol, clock: cfg.Clock, spanTrace: cfg.SpanTrace,
@@ -713,18 +743,18 @@ func faultReport(inj *faults.Injector, rr *faults.ResilienceResult,
 // hardware protocol overheads, and execute over the lightweight network
 // model.
 func Simulate(cfg Config) (*Result, error) {
-	p, err := planSimulate(cfg)
+	p, err := plan(cfg, prediction)
 	if err != nil {
 		return nil, err
 	}
 	return p.run()
 }
 
-// plan is a run whose task graph is built and ready to execute: the
+// runPlan is a run whose task graph is built and ready to execute: the
 // resolved configuration, its topology and extrapolated graph, and what
 // running it needs besides (ckptCost is the resolved per-checkpoint pause
 // for the resilience overlay, zero without a checkpoint policy).
-type plan struct {
+type runPlan struct {
 	cfg       Config
 	topo      *network.Topology
 	graph     *extrapolator.Result
@@ -733,17 +763,22 @@ type plan struct {
 	ckptCost  sim.VTime
 }
 
-// planSimulate builds Simulate's task graph.
-func planSimulate(cfg Config) (*plan, error) {
+// plan builds the task graph of cfg's run from src, the one path Simulate
+// and GroundTruth share.
+func plan(cfg Config, src source) (*runPlan, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := collectTrace(cfg)
+	dp, tp, pp, err := gridPoint(cfg)
 	if err != nil {
 		return nil, err
 	}
-	timer, err := fitTimerCached(cfg, tr)
+	tr, stageOf, err := src.trace(cfg, pp)
+	if err != nil {
+		return nil, err
+	}
+	timer, err := src.timer(cfg, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -755,11 +790,28 @@ func planSimulate(cfg Config) (*plan, error) {
 	if telemetryOn(cfg.Telemetry, cfg.Metrics) {
 		collLog = telemetry.NewCollectiveLog()
 	}
-	eres, err := extrapolate(cfg, tr, topo, timer, hwsim.NoEffects, collLog)
+	effects := src.effects(cfg.Platform)
+	eres, err := extrapolate(cfg.Parallelism, extrapolator.Config{
+		Trace:        tr,
+		Topo:         topo,
+		NumGPUs:      cfg.NumGPUs,
+		Timer:        timer,
+		Effects:      effects,
+		GlobalBatch:  cfg.GlobalBatch,
+		MicroBatches: cfg.MicroBatches,
+		BucketBytes:  cfg.BucketBytes,
+		Iterations:   cfg.Iterations,
+		Collective:   cfg.Collective,
+		FuseCompute:  cfg.FuseCompute,
+		ForwardOnly:  cfg.InferenceOnly,
+		Collectives:  collLog,
+		StageOf:      stageOf,
+	}, dp, tp, pp)
 	if err != nil {
 		return nil, err
 	}
-	return &plan{cfg: cfg, topo: topo, graph: eres, collLog: collLog,
+	return &runPlan{cfg: cfg, topo: topo, graph: eres,
+		rampBytes: effects.CommRampBytes, collLog: collLog,
 		ckptCost: checkpointCost(cfg, tr)}, nil
 }
 
@@ -847,62 +899,15 @@ func checkpointCost(cfg Config, tr *trace.Trace) sim.VTime {
 // GroundTruth is the reference-hardware path standing in for the paper's
 // physical platforms: the workload is "executed" natively at the simulated
 // sizes with hwsim's nonlinear operator timer and the platform's protocol
-// overheads. TrioSim's predictions are validated against this.
+// overheads, over the prediction's pipeline partition, as real hardware runs
+// the one partition the user picked. TrioSim's predictions are validated
+// against this.
 func GroundTruth(cfg Config) (*Result, error) {
-	p, err := planGroundTruth(cfg)
+	p, err := plan(cfg, groundTruth)
 	if err != nil {
 		return nil, err
 	}
 	return p.run()
-}
-
-// planGroundTruth builds GroundTruth's task graph.
-func planGroundTruth(cfg Config) (*plan, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Model == "" {
-		return nil, fmt.Errorf("core: ground truth requires a zoo model name")
-	}
-	// Native trace on the platform's own GPU at the simulated global batch:
-	// real hardware does not extrapolate across batch sizes or devices.
-	batch := cfg.GlobalBatch
-	if batch == 0 {
-		batch = cfg.TraceBatch
-	}
-	collect := func() (*trace.Trace, error) {
-		return hwsim.CollectTrace(cfg.Model, batch, &cfg.Platform.GPU)
-	}
-	var tr *trace.Trace
-	if cfg.Cache != nil {
-		tr, err = cfg.Cache.GetTrace(traceKey(cfg.Model, batch,
-			&cfg.Platform.GPU), collect)
-	} else {
-		tr, err = collect()
-	}
-	if err != nil {
-		return nil, err
-	}
-	gcfg := cfg
-	gcfg.GlobalBatch = batch
-	topo := cfg.Topology
-	if topo == nil {
-		topo = BuildTopology(cfg.Platform)
-	}
-	timer := hwsim.NewTimer(&cfg.Platform.GPU)
-	effects := hwsim.PlatformEffects(cfg.Platform)
-	var collLog *telemetry.CollectiveLog
-	if telemetryOn(gcfg.Telemetry, gcfg.Metrics) {
-		collLog = telemetry.NewCollectiveLog()
-	}
-	eres, err := extrapolate(gcfg, tr, topo, timer, effects, collLog)
-	if err != nil {
-		return nil, err
-	}
-	return &plan{cfg: gcfg, topo: topo, graph: eres,
-		rampBytes: effects.CommRampBytes, collLog: collLog,
-		ckptCost: checkpointCost(gcfg, tr)}, nil
 }
 
 func hybridGroups(cfg Config) int {
@@ -975,18 +980,17 @@ func MemoryFootprint(cfg Config) (*MemoryReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := collectTrace(cfg)
+	dp, tp, pp, err := gridPoint(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tr, stageOf, err := prediction.trace(cfg, pp)
 	if err != nil {
 		return nil, err
 	}
 	batch := cfg.GlobalBatch
 	if batch == 0 {
 		batch = tr.BatchSize
-	}
-
-	dp, tp, pp, err := gridPoint(cfg)
-	if err != nil {
-		return nil, err
 	}
 	mcfg := memory.Config{Trace: tr, GlobalBatch: batch}
 	switch cfg.Parallelism {
@@ -1005,7 +1009,10 @@ func MemoryFootprint(cfg Config) (*MemoryReport, error) {
 		// only (each stage further TP-shards its weights, so the true
 		// footprint is lower).
 		mcfg.Strategy, mcfg.NumGPUs, mcfg.GlobalBatch = memory.PP, pp, batch/dp
-		mcfg.StageOf = extrapolator.StageAssignment(tr, pp)
+		mcfg.StageOf = stageOf
+		if pp == 1 { // one stage holds every layer
+			mcfg.StageOf = make([]int, tr.NumLayers())
+		}
 	}
 	fp, err := memory.Estimate(mcfg)
 	if err != nil {

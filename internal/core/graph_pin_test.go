@@ -132,9 +132,9 @@ func graphPins(t *testing.T) []string {
 	)
 	paths := []struct {
 		name string
-		plan func(Config) (*plan, error)
+		src  source
 	}{
-		{"sim", planSimulate}, {"gt", planGroundTruth},
+		{"sim", prediction}, {"gt", groundTruth},
 	}
 	var rows []string
 	for _, s := range shapes {
@@ -147,7 +147,7 @@ func graphPins(t *testing.T) []string {
 				if fused {
 					key = s.name + "/fused/" + path.name
 				}
-				p, err := path.plan(cfg)
+				p, err := plan(cfg, path.src)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}

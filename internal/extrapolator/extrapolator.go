@@ -77,6 +77,9 @@ type Config struct {
 	// Collectives optionally records per-collective metadata (algorithm,
 	// ranks, payload bytes) for telemetry. Nil disables recording.
 	Collectives *telemetry.CollectiveLog
+	// StageOf optionally fixes the pipeline layer→stage partition, one stage
+	// per trace layer; nil balances this trace (StageAssignment).
+	StageOf []int
 }
 
 func (c *Config) defaults() Config {

@@ -62,8 +62,15 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 		float64(b.tr.BatchSize)
 	shard := 1.0 / float64(tp)
 
-	// Balanced layer→stage assignment, shared by every replica.
-	stageOf := StageAssignment(b.tr, pp)
+	// The layer→stage assignment, shared by every replica.
+	stageOf := cfg.StageOf
+	if stageOf == nil {
+		stageOf = StageAssignment(b.tr, pp)
+	}
+	if len(stageOf) != b.tr.NumLayers() {
+		return nil, fmt.Errorf("extrapolator: stage map covers %d of %d layers",
+			len(stageOf), b.tr.NumLayers())
+	}
 	fwdOps := make([][]int, pp)
 	bwdOps := make([][]int, pp)
 	optOps := make([][]int, pp)

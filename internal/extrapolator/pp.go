@@ -103,8 +103,8 @@ func HybridDPPP(cfg Config, dpGroups int) (*Result, error) {
 	return res, nil
 }
 
-// StageAssignment exposes the balanced layer→stage mapping for diagnostics
-// and tests.
+// StageAssignment balances the trace's layers over the given number of
+// pipeline stages by their forward op times and returns each layer's stage.
 func StageAssignment(tr *trace.Trace, stages int) []int {
 	layerTime := make([]float64, tr.NumLayers())
 	for i := range tr.Ops {

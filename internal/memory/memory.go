@@ -61,8 +61,8 @@ type Config struct {
 	// OptimizerStatePerParamBytes defaults to 4 (SGD with momentum); use 8
 	// for Adam's two moments.
 	OptimizerStatePerParamBytes int64
-	// StageOf optionally supplies the PP layer→stage mapping; nil uses
-	// equal layer counts.
+	// StageOf is the PP layer→stage mapping, one stage index per trace
+	// layer (required for PP).
 	StageOf []int
 }
 
@@ -153,12 +153,6 @@ func Estimate(cfg Config) ([]Footprint, error) {
 	case PP:
 		stageOf := cfg.StageOf
 		nLayers := tr.NumLayers()
-		if stageOf == nil {
-			stageOf = make([]int, nLayers)
-			for l := 0; l < nLayers; l++ {
-				stageOf[l] = l * n / nLayers
-			}
-		}
 		if len(stageOf) != nLayers {
 			return nil, fmt.Errorf("memory: stage map covers %d of %d layers",
 				len(stageOf), nLayers)

@@ -3,6 +3,7 @@ package memory
 import (
 	"testing"
 
+	"triosim/internal/extrapolator"
 	"triosim/internal/gpu"
 	"triosim/internal/hwsim"
 	"triosim/internal/trace"
@@ -106,7 +107,8 @@ func TestTPShardsWeightsNotActivations(t *testing.T) {
 
 func TestPPPartitionsAcrossStages(t *testing.T) {
 	tr := traceFor(t, "resnet50", 128)
-	pp, err := Estimate(Config{Trace: tr, Strategy: PP, NumGPUs: 4})
+	pp, err := Estimate(Config{Trace: tr, Strategy: PP, NumGPUs: 4,
+		StageOf: extrapolator.StageAssignment(tr, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +182,10 @@ func TestEstimateValidation(t *testing.T) {
 	if _, err := Estimate(Config{Trace: tr, Strategy: "quantum",
 		NumGPUs: 2}); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+	if _, err := Estimate(Config{Trace: tr, Strategy: PP,
+		NumGPUs: 2}); err == nil {
+		t.Fatal("pp without a stage map accepted")
 	}
 	if _, err := Estimate(Config{Trace: tr, Strategy: PP, NumGPUs: 2,
 		StageOf: []int{0}}); err == nil {

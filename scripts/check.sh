@@ -69,6 +69,14 @@ for par in pp tp; do
   go run ./cmd/triosimvet -report "$tmpdir/report-$par.json"
 done
 
+echo "==> experiments smoke (-quick -only fig11 prints its block; an unknown figure id is an error)"
+go run ./cmd/experiments -quick -only fig11 >"$tmpdir/fig11.txt"
+grep -q '^fig11:' "$tmpdir/fig11.txt" ||
+  { echo "experiments: -only fig11 printed no fig11: block"; exit 1; }
+if go run ./cmd/experiments -only nosuchfig 2>/dev/null; then
+  echo "experiments: -only nosuchfig exited 0"; exit 1
+fi
+
 echo "==> serving smoke (-serve-sim + RunReport schema validation)"
 go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 24 \
   -serve-rate 200 -serve-seed 7 -metrics-out "$tmpdir/serving.json" >/dev/null

@@ -159,3 +159,12 @@ func TestParallelSweepSpeedup(t *testing.T) {
 			float64(serial)/float64(parallel), serial, parallel)
 	}
 }
+
+func TestGoldenFig15(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy figure regeneration; run without -short")
+	}
+	checkGolden(t, "fig15", func(o Options) (*Figure, error) {
+		return Fig15Opts(true, o)
+	})
+}

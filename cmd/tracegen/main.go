@@ -9,9 +9,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"triosim"
 )
@@ -19,25 +22,37 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	var (
-		model = flag.String("model", "resnet50", "model zoo workload name")
-		batch = flag.Int("batch", 128, "mini-batch size")
-		gpu   = flag.String("gpu", "A100", "GPU to trace on: A40, A100, H100")
-		out   = flag.String("o", "trace.json", "output path")
-	)
-	flag.Parse()
+// run executes one command line: it writes the trace and prints its summary
+// to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	model := fs.String("model", "resnet50", "model zoo workload name")
+	batch := fs.Int("batch", 128, "mini-batch size")
+	gpu := fs.String("gpu", "A100", "GPU to trace on: A40, A100, H100")
+	out := fs.String("o", "trace.json", "output path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 
 	tr, err := triosim.CollectTrace(*model, *batch, *gpu)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := tr.WriteFile(*out); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s: %d ops, %d tensors, iteration time %v\n",
+	fmt.Fprintf(w, "wrote %s: %d ops, %d tensors, iteration time %v\n",
 		*out, len(tr.Ops), tr.Tensors.Len(), tr.TotalTime())
-	fmt.Printf("weights %.1f MB, gradients %.1f MB, input %.1f MB/iter\n",
+	fmt.Fprintf(w, "weights %.1f MB, gradients %.1f MB, input %.1f MB/iter\n",
 		float64(tr.WeightBytes())/1e6, float64(tr.GradientBytes())/1e6,
 		float64(tr.InputBytes())/1e6)
+	return nil
 }

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -23,30 +25,39 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("traceinfo: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	var (
-		model = flag.String("model", "", "profile a model-zoo trace instead of a file")
-		batch = flag.Int("batch", 128, "batch size for -model")
-		gpu   = flag.String("gpu", "A100", "GPU for -model")
-	)
-	flag.Parse()
+// run executes one command line: it profiles the trace file argument, or
+// the -model zoo trace, onto w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
+	model := fs.String("model", "", "profile a model-zoo trace instead of a file")
+	batch := fs.Int("batch", 128, "batch size for -model")
+	gpu := fs.String("gpu", "A100", "GPU for -model")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tr *triosim.Trace
 	var err error
 	switch {
-	case *model != "":
+	case *model != "" && fs.NArg() == 0:
 		tr, err = triosim.CollectTrace(*model, *batch, *gpu)
-	case flag.NArg() == 1:
-		tr, err = triosim.ReadTrace(flag.Arg(0))
+	case *model == "" && fs.NArg() == 1:
+		tr, err = triosim.ReadTrace(fs.Arg(0))
 	default:
-		log.Fatal("need a trace file argument or -model")
+		return errors.New("need one trace file argument or -model")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stats := tr.ComputeStats()
-	stats.Print(os.Stdout)
-	printCategories(os.Stdout, tr)
+	stats.Print(w)
+	printCategories(w, tr)
+	return nil
 }
 
 // catAgg accumulates one operator category's per-phase time.
@@ -59,7 +70,7 @@ type catAgg struct {
 // printCategories renders the per-category breakdown (conv, gemm, norm, …)
 // with the forward/backward/optimizer split, using the same categorization
 // the telemetry RunReport histograms use.
-func printCategories(w *os.File, tr *triosim.Trace) {
+func printCategories(w io.Writer, tr *triosim.Trace) {
 	cats := map[string]*catAgg{}
 	var total triosim.VTime
 	for i := range tr.Ops {

@@ -2,7 +2,8 @@
 // chiplets on a 12×7 wafer training with data parallelism, comparing an
 // electrical 2-D mesh against a Passage-style circuit-switching photonic
 // interconnect. It demonstrates TrioSim's swappable network model: the same
-// extrapolated workload graph executes over either network.
+// extrapolated workload graph executes over either network, and the
+// topology picks which (network.Topology.Circuits).
 package main
 
 import (

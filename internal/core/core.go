@@ -300,17 +300,18 @@ func exactTimer(cfg Config, _ *trace.Trace) (extrapolator.OpTimer, error) {
 func noEffects(*gpu.Platform) hwsim.Effects { return hwsim.NoEffects }
 
 // trace returns the trace s extrapolates for cfg (already defaulted) and the
-// run's pipeline partition over pp stages, balanced on the prediction's trace
-// whichever trace s extrapolates (a native one may balance differently).
-// One stage needs no partition: it is nil, and a native source then reads
-// no prediction trace.
-func (s source) trace(cfg Config, pp int) (*trace.Trace, []int, error) {
+// run's pipeline partition over pp stages: stageOf if given, else balanced
+// on the prediction's trace whichever trace s extrapolates (a native one may
+// balance differently). A native source reads the prediction's trace only
+// to balance: one stage's partition is nil.
+func (s source) trace(cfg Config, pp int, stageOf []int) (*trace.Trace, []int, error) {
 	if cfg.Model == "" && (s.native || cfg.Trace == nil) {
 		return nil, nil, fmt.Errorf(
 			"core: no Model (ground truth needs a zoo model, prediction one or a Trace)")
 	}
+	balance := pp > 1 && stageOf == nil
 	tr, k := cfg.Trace, tracecache.Key{} // a supplied trace keys zero
-	if tr == nil && (!s.native || pp > 1) {
+	if tr == nil && (!s.native || balance) {
 		spec, err := gpu.SpecByName(cfg.TraceGPU)
 		if err != nil {
 			return nil, nil, err
@@ -320,8 +321,7 @@ func (s source) trace(cfg Config, pp int) (*trace.Trace, []int, error) {
 			return nil, nil, err
 		}
 	}
-	var stageOf []int
-	if pp > 1 {
+	if balance {
 		stageOf = extrapolator.StageAssignment(tr, pp)
 	}
 	if !s.native {
@@ -416,22 +416,24 @@ type runConfig struct {
 // run is the harness every simulation runs in, training and serving alike:
 // the engine with its replay-digest hook, the flow network, the observers
 // and the fault injector. The caller builds its driver (the task executor
-// or the serving cluster) over eng and net, hands it to attach, runs it,
-// and closes the run with finish.
+// or the serving cluster) over eng and fabric, hands it to attach, runs it,
+// and closes the run with finish. Faults and observers act on net alone.
 type run struct {
 	runConfig
 	start   time.Time
 	eng     *sim.SerialEngine
 	digest  *sim.DigestHook
 	net     *network.FlowNetwork
+	fabric  network.Network
 	rec     *spantrace.Recorder
 	coll    *telemetry.Collector
 	gpuTime *task.GPUTime
 	inj     *faults.Injector
 }
 
-// newRun starts the wall clock and builds the engine, its digest hook and
-// the flow network.
+// newRun starts the wall clock and builds the engine, its digest hook, the
+// flow network and the driver's fabric: the flow network, or GPU↔GPU
+// circuits over it when the topology has them.
 func newRun(c runConfig) *run {
 	r := &run{runConfig: c}
 	if c.clock != nil {
@@ -447,6 +449,10 @@ func newRun(c runConfig) *run {
 	// core never reads the host clock itself). Wall time feeds counter
 	// tracks and gauges only — virtual time is unaffected.
 	r.net.SolveClock = c.clock
+	r.fabric = r.net
+	if c.topo.Circuits != nil {
+		r.fabric = c.topo.Circuits.Over(r.eng, c.topo, r.net)
+	}
 	return r
 }
 
@@ -651,7 +657,7 @@ func (r *run) finish(info telemetry.RunInfo, total,
 	return out, nil
 }
 
-// run executes the plan's task graph over the platform network and packages
+// run executes the plan's task graph over the run's network and packages
 // results.
 func (p *runPlan) run() (*Result, error) {
 	cfg, res := p.cfg, p.graph
@@ -660,7 +666,7 @@ func (p *runPlan) run() (*Result, error) {
 		telemetry: telemetryOn(cfg.Telemetry, cfg.Metrics), metrics: cfg.Metrics,
 		collLog: p.collLog, hooks: cfg.Hooks, ctx: cfg.Context, faults: cfg.Faults,
 		cache: cfg.Cache})
-	x := task.NewExecutor(r.eng, r.net, res.Graph, nil)
+	x := task.NewExecutor(r.eng, r.fabric, res.Graph, nil)
 	err := r.attach(res.Graph, x.Observe, &x.GPUTime, &x.Stretch)
 	if err != nil {
 		return nil, err
@@ -743,7 +749,7 @@ func faultReport(inj *faults.Injector, rr *faults.ResilienceResult,
 // hardware protocol overheads, and execute over the lightweight network
 // model.
 func Simulate(cfg Config) (*Result, error) {
-	p, err := plan(cfg, prediction)
+	p, err := plan(cfg, prediction, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -751,12 +757,14 @@ func Simulate(cfg Config) (*Result, error) {
 }
 
 // runPlan is a run whose task graph is built and ready to execute: the
-// resolved configuration, its topology and extrapolated graph, and what
-// running it needs besides (ckptCost is the resolved per-checkpoint pause
-// for the resilience overlay, zero without a checkpoint policy).
+// resolved configuration, its topology, partition and extrapolated graph,
+// and what running it needs besides (ckptCost is the resolved
+// per-checkpoint pause for the resilience overlay, zero without a
+// checkpoint policy).
 type runPlan struct {
 	cfg       Config
 	topo      *network.Topology
+	stageOf   []int
 	graph     *extrapolator.Result
 	rampBytes float64
 	collLog   *telemetry.CollectiveLog
@@ -764,8 +772,9 @@ type runPlan struct {
 }
 
 // plan builds the task graph of cfg's run from src, the one path Simulate
-// and GroundTruth share.
-func plan(cfg Config, src source) (*runPlan, error) {
+// and GroundTruth share. stageOf is the pipeline partition when the caller
+// has already balanced it (a prediction plan's); nil balances it here.
+func plan(cfg Config, src source, stageOf []int) (*runPlan, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -774,7 +783,7 @@ func plan(cfg Config, src source) (*runPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, stageOf, err := src.trace(cfg, pp)
+	tr, stageOf, err := src.trace(cfg, pp, stageOf)
 	if err != nil {
 		return nil, err
 	}
@@ -810,7 +819,7 @@ func plan(cfg Config, src source) (*runPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &runPlan{cfg: cfg, topo: topo, graph: eres,
+	return &runPlan{cfg: cfg, topo: topo, stageOf: stageOf, graph: eres,
 		rampBytes: effects.CommRampBytes, collLog: collLog,
 		ckptCost: checkpointCost(cfg, tr)}, nil
 }
@@ -903,7 +912,7 @@ func checkpointCost(cfg Config, tr *trace.Trace) sim.VTime {
 // the one partition the user picked. TrioSim's predictions are validated
 // against this.
 func GroundTruth(cfg Config) (*Result, error) {
-	p, err := plan(cfg, groundTruth)
+	p, err := plan(cfg, groundTruth, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -937,13 +946,22 @@ func Validate(cfg Config) (*Comparison, error) {
 
 // ValidatePair is Validate returning the two underlying results as well, so
 // callers can export the prediction's telemetry or span trace alongside the
-// comparison (cmd/experiments does).
+// comparison (cmd/experiments does). Ground truth takes the prediction
+// plan's partition instead of fetching the prediction's trace again.
 func ValidatePair(cfg Config) (*Comparison, *Result, *Result, error) {
-	pred, err := Simulate(cfg)
+	pp, err := plan(cfg, prediction, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	actual, err := GroundTruth(cfg)
+	pred, err := pp.run()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	g, err := plan(cfg, groundTruth, pp.stageOf)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	actual, err := g.run()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -984,7 +1002,7 @@ func MemoryFootprint(cfg Config) (*MemoryReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, stageOf, err := prediction.trace(cfg, pp)
+	tr, stageOf, err := prediction.trace(cfg, pp, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -147,7 +147,7 @@ func graphPins(t *testing.T) []string {
 				if fused {
 					key = s.name + "/fused/" + path.name
 				}
-				p, err := plan(cfg, path.src)
+				p, err := plan(cfg, path.src, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}

@@ -54,7 +54,7 @@ func TestExactTimerOracle(t *testing.T) {
 // run sharing the cache, not this one.
 func oracleRow(t *testing.T, key string, cfg Config, src source) string {
 	t.Helper()
-	p, err := plan(cfg, src)
+	p, err := plan(cfg, src, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", key, err)
 	}
@@ -114,11 +114,11 @@ func TestNativeTraceSharedWhenKeysMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, predStages, err := prediction.trace(cfg, 2)
+	pred, predStages, err := prediction.trace(cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, truthStages, err := groundTruth.trace(cfg, 2)
+	truth, truthStages, err := groundTruth.trace(cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,39 @@ func TestNativeTraceSharedWhenKeysMatch(t *testing.T) {
 		t.Fatalf("partitions differ: %v vs %v", predStages, truthStages)
 	}
 	cfg.GlobalBatch, cfg.Cache = 128, tracecache.New()
-	if _, _, err := groundTruth.trace(cfg, 2); err != nil {
+	if _, _, err := groundTruth.trace(cfg, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := cfg.Cache.Stats(); st.TraceMisses != 1 || st.TraceHits != 0 {
 		t.Fatalf("one trace key fetched %d times", st.TraceMisses+st.TraceHits)
+	}
+}
+
+// TestValidatePairFetchesPredictionTraceOnce checks that a validation pair
+// reads each trace it runs once: the ground truth takes the prediction
+// plan's pipeline partition instead of fetching the prediction's trace
+// again to balance it.
+func TestValidatePairFetchesPredictionTraceOnce(t *testing.T) {
+	p1 := gpu.P1
+	cache := tracecache.New()
+	cmp, _, _, err := ValidatePair(Config{Model: "vgg13", Platform: &p1,
+		Parallelism: PP, GlobalBatch: 256, MicroBatches: 4, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.TraceMisses != 2 || st.TraceHits != 0 {
+		t.Fatalf("trace cache %d misses, %d hits; want 2 misses (the "+
+			"prediction's and the native trace), 0 hits", st.TraceMisses,
+			st.TraceHits)
+	}
+	// The same pair without a cache: the comparison does not depend on it.
+	want, err := Validate(Config{Model: "vgg13", Platform: &p1,
+		Parallelism: PP, GlobalBatch: 256, MicroBatches: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *cmp != *want {
+		t.Fatalf("cached pair %+v, uncached %+v", *cmp, *want)
 	}
 }
 

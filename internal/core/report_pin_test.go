@@ -91,8 +91,9 @@ func duplicateLinkTopology() *network.Topology {
 
 // reportPins runs the paths strategy_pins.txt does not reach — the
 // single-GPU and data-parallel strategies, a 64-GPU DP×TP×PP cluster step,
-// two faulted DDP runs, a serving run with and without faults and a
-// topology with two same-named links — and returns one pinRow per run, plus
+// two faulted DDP runs, a serving run with and without faults, a topology
+// with two same-named links and Fig 15's wafer on its mesh and under
+// photonic circuits — and returns one pinRow per run, plus
 // the Chrome trace hash of every run that records spans, in a fixed order.
 func reportPins(t *testing.T) []string {
 	t.Helper()
@@ -161,6 +162,10 @@ func reportPins(t *testing.T) []string {
 	}
 	addServe("serve/gpt2/P1/fifo", serveConfig())
 	addServe("serve/gpt2/P1/fifo/faults", serveFaultsConfig(t))
+	res, err = Simulate(waferConfig(false))
+	add("ddp/resnet50/wafer-electrical/sim", res, err)
+	res, err = Simulate(waferConfig(true))
+	add("ddp/resnet50/wafer-photonic/sim", res, err)
 	return rows
 }
 

@@ -84,7 +84,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		telemetry: telemetryOn(cfg.Telemetry, cfg.Metrics), metrics: cfg.Metrics,
 		hooks: cfg.Hooks, ctx: cfg.Context, faults: cfg.Faults})
 	spec := cfg.Platform.GPU
-	cl, err := serving.New(r.eng, r.net, topo, &spec, cfg.Serving)
+	cl, err := serving.New(r.eng, r.fabric, topo, &spec, cfg.Serving)
 	if err != nil {
 		return nil, err
 	}

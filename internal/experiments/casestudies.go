@@ -4,113 +4,39 @@ import (
 	"context"
 	"fmt"
 
-	"triosim/internal/extrapolator"
+	"triosim/internal/core"
 	"triosim/internal/gpu"
 	"triosim/internal/hop"
 	"triosim/internal/hwsim"
 	"triosim/internal/network"
-	"triosim/internal/perfmodel"
 	"triosim/internal/sim"
 	"triosim/internal/sweep"
-	"triosim/internal/task"
-	"triosim/internal/trace"
-	"triosim/internal/tracecache"
 )
 
-// Wafer-scale case study parameters (§7.1): 12×7 = 84 A100-class chiplets.
-// Passage provides 484 GB/s across 8 photonic links per GPU (60.5 GB/s per
-// circuit) with a 20 ms link-establishment latency; the electrical baseline
-// is a 2-D mesh of inter-reticle links.
-const (
-	waferRows             = 12
-	waferCols             = 7
-	waferElectricalLinkBW = 30e9
-	waferPhotonicPerLink  = 484e9 / 8
-	waferPhotonicPorts    = 8
-	waferPhotonicSetup    = 20 * sim.MSec
-	waferIterations       = 3
-	waferTotalBatch       = 128
-)
-
-// snakeOrder returns the boustrophedon (snake) traversal of the wafer mesh:
-// consecutive ring positions are always mesh neighbors, so the electrical
-// ring AllReduce never pays multi-hop congestion.
-func snakeOrder(rows, cols int) []int {
-	out := make([]int, 0, rows*cols)
-	for r := 0; r < rows; r++ {
-		if r%2 == 0 {
-			for c := 0; c < cols; c++ {
-				out = append(out, r*cols+c)
-			}
-		} else {
-			for c := cols - 1; c >= 0; c-- {
-				out = append(out, r*cols+c)
-			}
-		}
+// waferConfig is one Fig 15 cell: DDP training of model on 84 A100-class
+// chiplets, a 12×7 wafer, at a fixed total batch. The electrical wafer is a
+// 2-D mesh of inter-reticle links, and a ring over the whole mesh runs in
+// its snake order; the photonic wafer lays Passage-style circuits over the
+// same mesh, which then carries only host staging (§7.1).
+func waferConfig(model string, photonic bool) core.Config {
+	p := gpu.Platform{Name: "wafer-electrical", GPU: gpu.A100, NumGPUs: 84,
+		Topology: gpu.TopoMesh, LinkBandwidth: 30e9, LinkLatency: sim.USec,
+		HostBandwidth: 30e9, HostLatency: 5 * sim.USec}
+	topo := network.Mesh(12, 7, network.Config{
+		LinkBandwidth: p.LinkBandwidth, LinkLatency: p.LinkLatency,
+		HostBandwidth: p.HostBandwidth, HostLatency: p.HostLatency,
+	})
+	if photonic {
+		passage := network.Passage
+		p.Name, topo.Circuits = "wafer-photonic", &passage
 	}
-	return out
-}
-
-// runWafer extrapolates DDP training for one model across the wafer and
-// executes it on the given network, returning per-iteration total and
-// communication time. The trace and fitted model come from cache when one is
-// supplied (the electrical and photonic variants share both).
-func runWafer(model string, topo *network.Topology, net network.Network,
-	eng *sim.SerialEngine, ringOrder []int,
-	cache *tracecache.Store) (total, comm sim.VTime, err error) {
-
-	key := tracecache.Key{
-		Model:    model,
-		Batch:    traceBatchFor(model),
-		Spec:     gpu.A100,
-		NoiseAmp: hwsim.DefaultNoiseAmp,
-	}
-	collect := func() (*trace.Trace, error) {
-		return hwsim.CollectTrace(model, traceBatchFor(model), &gpu.A100)
-	}
-	var tr *trace.Trace
-	if cache != nil {
-		tr, err = cache.GetTrace(key, collect)
-	} else {
-		tr, err = collect()
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	var pm extrapolator.OpTimer
-	fit := func() (tracecache.OpTimer, error) { return perfmodel.Fit(tr) }
-	if cache != nil {
-		pm, err = cache.GetTimer(tracecache.TimerKey{
-			Trace: key, ComputeModel: "li", Target: gpu.A100}, fit)
-	} else {
-		pm, err = fit()
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := extrapolator.DataParallel(extrapolator.Config{
-		Trace:       tr,
-		Topo:        topo,
-		NumGPUs:     waferRows * waferCols,
-		Timer:       pm,
-		GlobalBatch: waferTotalBatch,
-		Iterations:  waferIterations,
-		RingOrder:   ringOrder,
+	return core.Config{Model: model, Platform: &p, Topology: topo,
+		Parallelism: core.DDP, TraceBatch: traceBatchFor(model),
+		GlobalBatch: 128, Iterations: 3,
 		// Large gradient buckets keep the 84-rank collective count sane for
 		// billion-parameter models (240 buckets × 166 ring steps × 84 ranks
 		// would otherwise dominate graph size, not fidelity).
-		BucketBytes: 256 << 20,
-	}, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	x := task.NewExecutor(eng, net, res.Graph, nil)
-	makespan, err := x.Run()
-	if err != nil {
-		return 0, 0, err
-	}
-	iters := sim.VTime(waferIterations)
-	return makespan / iters, x.BusyTime(task.Comm) / iters, nil
+		BucketBytes: 256 << 20}
 }
 
 // waferModels picks the case-study workloads.
@@ -136,12 +62,6 @@ func Fig15Opts(quick bool, opts Options) (*Figure, error) {
 		Title:   "Wafer-scale 84-GPU DP: electrical mesh vs photonic",
 		Columns: []string{"total_s", "comm_s", "comm_ratio"},
 	}
-	meshCfg := network.Config{
-		LinkBandwidth: waferElectricalLinkBW,
-		LinkLatency:   1 * sim.USec,
-		HostBandwidth: 30e9,
-		HostLatency:   5 * sim.USec,
-	}
 	opts = opts.withCache()
 	type cellID struct{ model, variant string }
 	var grid []cellID
@@ -151,33 +71,22 @@ func Fig15Opts(quick bool, opts Options) (*Figure, error) {
 	cells := make([]sweep.Job[vals], len(grid))
 	for i, c := range grid {
 		c := c
-		cells[i] = func(context.Context) (vals, error) {
-			// Engine, topology (route cache!), and network are all private
-			// to the cell.
-			topo := network.Mesh(waferRows, waferCols, meshCfg)
-			eng := sim.NewSerialEngine()
-			var net network.Network
-			var ringOrder []int
-			if c.variant == "electrical" {
-				// Electrical: flow network over the mesh.
-				net = network.NewFlowNetwork(eng, topo)
-				ringOrder = snakeOrder(waferRows, waferCols)
-			} else {
-				// Photonic: same workload graph, circuit-switching network.
-				// The mesh topology still provides node IDs and the host
-				// staging path; inter-GPU transfers ride photonic circuits.
-				net = newHybridPhotonic(eng, topo)
-			}
-			total, comm, err := runWafer(c.model, topo, net, eng, ringOrder,
-				opts.cache)
+		cells[i] = func(ctx context.Context) (vals, error) {
+			cfg := opts.cached(waferConfig(c.model, c.variant == "photonic"))
+			cfg.Context = ctx
+			res, err := core.Simulate(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig15/%s/%s: %w", c.model,
 					c.variant, err)
 			}
+			if err := opts.exportSpans(cfg, res); err != nil {
+				return nil, err
+			}
+			comm := res.CommTime / sim.VTime(cfg.Iterations)
 			return vals{
-				"total_s":    float64(total),
+				"total_s":    float64(res.PerIteration),
 				"comm_s":     float64(comm),
-				"comm_ratio": float64(comm) / float64(total),
+				"comm_ratio": float64(comm) / float64(res.PerIteration),
 			}, nil
 		}
 	}
@@ -195,35 +104,6 @@ func Fig15Opts(quick bool, opts Options) (*Figure, error) {
 		100*(1-f.MeanValue("comm_s", "photonic")/
 			f.MeanValue("comm_s", "electrical")))
 	return f, nil
-}
-
-// hybridPhotonic routes host staging over the electrical flow network and
-// GPU↔GPU transfers over photonic circuits, mirroring the case study's
-// "swap the network model, keep the devices" integration (§7.1).
-type hybridPhotonic struct {
-	photonic *network.PhotonicNetwork
-	hostNet  *network.FlowNetwork
-	topo     *network.Topology
-}
-
-func newHybridPhotonic(eng *sim.SerialEngine,
-	topo *network.Topology) *hybridPhotonic {
-	return &hybridPhotonic{
-		photonic: network.NewPhotonicNetwork(eng, waferPhotonicPerLink,
-			waferPhotonicSetup, waferPhotonicPorts),
-		hostNet: network.NewFlowNetwork(eng, topo),
-		topo:    topo,
-	}
-}
-
-func (h *hybridPhotonic) Send(src, dst network.NodeID, bytes float64,
-	onDone func(now sim.VTime)) {
-	if h.topo.Nodes[src].Kind == network.HostNode ||
-		h.topo.Nodes[dst].Kind == network.HostNode {
-		h.hostNet.Send(src, dst, bytes, onDone)
-		return
-	}
-	h.photonic.Send(src, dst, bytes, onDone)
 }
 
 // Fig16 — Hop heterogeneous training: speedup from one backup worker across

@@ -293,36 +293,3 @@ func TestTable1BaselineGap(t *testing.T) {
 		t.Fatalf("TrioSim symmetric error %.2f%% out of band", sym)
 	}
 }
-
-func TestSnakeOrderAdjacency(t *testing.T) {
-	order := snakeOrder(4, 3)
-	if len(order) != 12 {
-		t.Fatalf("len = %d", len(order))
-	}
-	seen := map[int]bool{}
-	for i, idx := range order {
-		if seen[idx] {
-			t.Fatalf("index %d repeated", idx)
-		}
-		seen[idx] = true
-		if i == 0 {
-			continue
-		}
-		// Consecutive entries are mesh neighbors (Manhattan distance 1).
-		prev := order[i-1]
-		pr, pc := prev/3, prev%3
-		cr, cc := idx/3, idx%3
-		dist := abs(pr-cr) + abs(pc-cc)
-		if dist != 1 {
-			t.Fatalf("order[%d]=%d and order[%d]=%d not adjacent",
-				i-1, prev, i, idx)
-		}
-	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

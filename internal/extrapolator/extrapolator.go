@@ -69,11 +69,6 @@ type Config struct {
 	// no gradient synchronization or optimizer step occurs (the workload
 	// class Li's Model originally targeted).
 	ForwardOnly bool
-	// RingOrder optionally permutes the GPUs' ring positions for
-	// collective communication (e.g., a snake order that makes every ring
-	// hop a mesh neighbor on wafer-scale systems). It must be a
-	// permutation of [0, NumGPUs).
-	RingOrder []int
 	// Collectives optionally records per-collective metadata (algorithm,
 	// ranks, payload bytes) for telemetry. Nil disables recording.
 	Collectives *telemetry.CollectiveLog
@@ -108,19 +103,6 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("extrapolator: unknown collective %q", c.Collective)
 	}
-	if c.RingOrder != nil {
-		if len(c.RingOrder) != c.NumGPUs {
-			return fmt.Errorf("extrapolator: ring order has %d entries for %d GPUs",
-				len(c.RingOrder), c.NumGPUs)
-		}
-		seen := make([]bool, c.NumGPUs)
-		for _, idx := range c.RingOrder {
-			if idx < 0 || idx >= c.NumGPUs || seen[idx] {
-				return fmt.Errorf("extrapolator: ring order is not a permutation")
-			}
-			seen[idx] = true
-		}
-	}
 	if c.Timer == nil {
 		return fmt.Errorf("extrapolator: nil op timer")
 	}
@@ -151,6 +133,10 @@ type builder struct {
 	// Hybrid parallelism runs tpLayers per replica or pipeline stage with
 	// a window into the physical GPU range.
 	logMap []int
+	// ring is the topology's ring order when the run spans all of the GPUs
+	// it orders (nil = index order); a hybrid logical window rings in
+	// window order.
+	ring []int
 	// lastBuckets is the DDP gradient-bucket count of the most recently
 	// emitted iteration (telemetry metadata).
 	lastBuckets int
@@ -209,10 +195,14 @@ func newBuilder(cfg Config) (*builder, error) {
 	if cfg.ForwardOnly {
 		b.bwd, b.opt = nil, nil
 	}
+	if order := cfg.Topo.RingOrder(); len(order) == cfg.NumGPUs {
+		b.ring = order
+	}
 	return b, nil
 }
 
-// ringNodes returns the GPUs in collective ring order. Under a hybrid
+// ringNodes returns the GPUs in collective ring order: the topology's ring
+// order when the run spans all of its GPUs, else index order. Under a hybrid
 // logical window it returns only the window's GPUs.
 func (b *builder) ringNodes() []network.NodeID {
 	if b.logMap != nil {
@@ -222,11 +212,11 @@ func (b *builder) ringNodes() []network.NodeID {
 		}
 		return out
 	}
-	if b.cfg.RingOrder == nil {
+	if b.ring == nil {
 		return b.gpus
 	}
 	out := make([]network.NodeID, len(b.gpus))
-	for k, idx := range b.cfg.RingOrder {
+	for k, idx := range b.ring {
 		out[k] = b.gpus[idx]
 	}
 	return out
@@ -234,11 +224,11 @@ func (b *builder) ringNodes() []network.NodeID {
 
 // permuteGates reorders per-GPU gate tasks to match ringNodes positions.
 func (b *builder) permuteGates(gates []*task.Task) []*task.Task {
-	if b.logMap != nil || b.cfg.RingOrder == nil || gates == nil {
+	if b.logMap != nil || b.ring == nil || gates == nil {
 		return gates
 	}
 	out := make([]*task.Task, len(gates))
-	for k, idx := range b.cfg.RingOrder {
+	for k, idx := range b.ring {
 		out[k] = gates[idx]
 	}
 	return out

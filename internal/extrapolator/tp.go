@@ -63,8 +63,8 @@ func checkGroups(cfg Config, dpGroups int) error {
 
 // dpTP emits dpGroups tensor-parallel replicas. Replica g runs its ranks on
 // physical GPUs [g·R, (g+1)·R), R = NumGPUs/dpGroups, through a logMap
-// window; a single replica keeps the identity map (so RingOrder applies)
-// and unsuffixed labels, and has no cross-replica AllReduce.
+// window; a single replica keeps the identity map (so the topology's ring
+// order applies) and unsuffixed labels, and has no cross-replica AllReduce.
 func dpTP(cfg Config, dpGroups int) (*Result, error) {
 	b, err := newBuilder(cfg)
 	if err != nil {

@@ -187,3 +187,47 @@ func (n *PhotonicNetwork) destroy(c *circuit) {
 
 // Circuits returns the number of currently established circuits (test hook).
 func (n *PhotonicNetwork) Circuits() int { return len(n.circuits) }
+
+// Circuits parameterizes a circuit-switching photonic fabric laid over a
+// topology (Topology.Circuits): each GPU terminates PortsPerNode circuits,
+// each circuit moves BandwidthPerLink bytes/s and takes SetupLatency to
+// establish.
+type Circuits struct {
+	BandwidthPerLink float64
+	SetupLatency     sim.VTime
+	PortsPerNode     int
+}
+
+// Passage is Lightmatter's Passage as the wafer-scale case study (§7.1)
+// configures it: 484 GB/s across 8 photonic ports per GPU (60.5 GB/s per
+// circuit) with a 20 ms circuit-establishment latency.
+var Passage = Circuits{
+	BandwidthPerLink: 484e9 / 8,
+	SetupLatency:     20 * sim.MSec,
+	PortsPerNode:     8,
+}
+
+// Over returns the network a run on topo sends through: GPU↔GPU transfers
+// ride photonic circuits driven by eng, and transfers touching a host (input
+// staging) go over links, the network of topo's links — the case study's
+// swap of the GPU interconnect that keeps the devices and the host path.
+func (c *Circuits) Over(eng sim.Engine, topo *Topology, links Network) Network {
+	return &circuitNetwork{NewPhotonicNetwork(eng, c.BandwidthPerLink,
+		c.SetupLatency, c.PortsPerNode), links, topo}
+}
+
+// circuitNetwork splits traffic between photonic circuits and the links.
+type circuitNetwork struct {
+	circuits *PhotonicNetwork
+	links    Network
+	topo     *Topology
+}
+
+func (n *circuitNetwork) Send(src, dst NodeID, bytes float64,
+	onDone func(now sim.VTime)) {
+	if n.topo.Nodes[src].Kind == HostNode || n.topo.Nodes[dst].Kind == HostNode {
+		n.links.Send(src, dst, bytes, onDone)
+		return
+	}
+	n.circuits.Send(src, dst, bytes, onDone)
+}

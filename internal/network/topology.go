@@ -8,7 +8,8 @@
 // all in-transit messages are rescheduled (Figure 5 semantics).
 //
 // The model is swappable: PhotonicNetwork implements the same Network
-// interface with circuit-switching semantics (case study §7.1), and
+// interface with circuit-switching semantics (case study §7.1) — a topology
+// whose Circuits field is set sends its GPU↔GPU traffic over one — and
 // IdealNetwork provides an uncontended reference for tests and ablations.
 package network
 
@@ -75,6 +76,15 @@ type DirLink struct {
 type Topology struct {
 	Nodes []Node
 	Links []Link
+
+	// Circuits, when set, lays a circuit-switching photonic fabric over the
+	// GPUs: GPU↔GPU transfers ride circuits and only host staging uses the
+	// links (see Circuits.Over). Nil sends every transfer over the links.
+	Circuits *Circuits
+
+	// ringOrder lists GPU indices (positions in GPUs()) in the order a
+	// collective ring over all GPUs visits them; nil means index order.
+	ringOrder []int
 
 	// adj[n] lists the IDs of the links incident to node n in ascending
 	// order: AddLink appends increasing IDs, so no list ever needs sorting.
@@ -394,6 +404,11 @@ type Config struct {
 	HostLatency   sim.VTime
 }
 
+// RingOrder returns the GPU indices (positions in GPUs()) in the order a
+// collective ring spanning every GPU should visit them, or nil for index
+// order. The slice is shared; callers must not modify it.
+func (t *Topology) RingOrder() []int { return t.ringOrder }
+
 func addGPUs(t *Topology, n int) []NodeID {
 	ids := make([]NodeID, n)
 	for i := 0; i < n; i++ {
@@ -454,10 +469,23 @@ func PCIeTree(cfg Config) *Topology {
 }
 
 // Mesh builds a rows×cols 2-D mesh of GPUs (wafer-scale case study) plus a
-// host attached to every GPU.
+// host attached to every GPU. Its ring order is the boustrophedon (snake)
+// traversal: consecutive ring positions are mesh neighbors, so only the
+// wrap-around step of a ring over the whole mesh crosses more than one link
+// (none on two rows, where the snake is a cycle).
 func Mesh(rows, cols int, cfg Config) *Topology {
 	t := NewTopology()
 	gpus := addGPUs(t, rows*cols)
+	t.ringOrder = make([]int, 0, rows*cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			col := c
+			if r%2 == 1 {
+				col = cols - 1 - c
+			}
+			t.ringOrder = append(t.ringOrder, r*cols+col)
+		}
+	}
 	at := func(r, c int) NodeID { return gpus[r*cols+c] }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {

@@ -89,6 +89,49 @@ func TestMeshTopology(t *testing.T) {
 	}
 }
 
+// TestMeshSnakeRingOrder checks that a mesh's ring order is its snake
+// traversal: a permutation of the GPU indices whose consecutive entries are
+// mesh neighbors, one link apart. On two rows the snake closes into a
+// cycle, so the wrap-around step is one link as well.
+func TestMeshSnakeRingOrder(t *testing.T) {
+	for _, shape := range [][2]int{{4, 3}, {12, 7}, {2, 3}, {1, 5}, {3, 1}} {
+		rows, cols := shape[0], shape[1]
+		topo := Mesh(rows, cols, cfg(0))
+		gpus := topo.GPUs()
+		order := topo.RingOrder()
+		if len(order) != len(gpus) {
+			t.Fatalf("%dx%d: ring order has %d entries for %d GPUs",
+				rows, cols, len(order), len(gpus))
+		}
+		seen := make([]bool, len(gpus))
+		for i, idx := range order {
+			if idx < 0 || idx >= len(gpus) || seen[idx] {
+				t.Fatalf("%dx%d: ring order %v is not a permutation",
+					rows, cols, order)
+			}
+			seen[idx] = true
+			if i == 0 {
+				continue
+			}
+			r, err := topo.Route(gpus[order[i-1]], gpus[idx])
+			if err != nil || len(r) != 1 {
+				t.Fatalf("%dx%d: order[%d]=%d and order[%d]=%d are %d links apart (%v)",
+					rows, cols, i-1, order[i-1], i, idx, len(r), err)
+			}
+		}
+		if rows == 2 {
+			r, err := topo.Route(gpus[order[len(order)-1]], gpus[order[0]])
+			if err != nil || len(r) != 1 {
+				t.Fatalf("2x%d: wrap-around step is %d links (%v)",
+					cols, len(r), err)
+			}
+		}
+	}
+	if order := Ring(cfg(4)).RingOrder(); order != nil {
+		t.Fatalf("ring topology has ring order %v, want index order", order)
+	}
+}
+
 func TestRingWithChords(t *testing.T) {
 	topo := RingWithChords(cfg(8))
 	gpus := topo.GPUs()

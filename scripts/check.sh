@@ -69,6 +69,13 @@ for par in pp tp; do
   go run ./cmd/triosimvet -report "$tmpdir/report-$par.json"
 done
 
+echo "==> trace tools smoke (tracegen writes a trace; traceinfo profiles that file)"
+go run ./cmd/tracegen -model resnet18 -batch 32 -gpu A100 \
+  -o "$tmpdir/resnet18.trace.json" >/dev/null
+go run ./cmd/traceinfo "$tmpdir/resnet18.trace.json" >"$tmpdir/traceinfo.txt"
+grep -q '^trace: resnet18 on A100, batch 32' "$tmpdir/traceinfo.txt" ||
+  { echo "traceinfo: no trace header for the tracegen file"; exit 1; }
+
 echo "==> experiments smoke (-quick -only fig11 prints its block; an unknown figure id is an error)"
 go run ./cmd/experiments -quick -only fig11 >"$tmpdir/fig11.txt"
 grep -q '^fig11:' "$tmpdir/fig11.txt" ||

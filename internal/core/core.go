@@ -414,19 +414,21 @@ type runConfig struct {
 }
 
 // run is the harness every simulation runs in, training and serving alike:
-// the engine with its replay-digest hook, the flow network, the observers
+// the engine with its replay-digest hook, the flow network, the observer
 // and the fault injector. The caller builds its driver (the task executor
 // or the serving cluster) over eng and fabric, hands it to attach, runs it,
-// and closes the run with finish. Faults and observers act on net alone.
+// and closes the run with finish. Faults and the observer act on net alone.
 type run struct {
 	runConfig
-	start   time.Time
-	eng     *sim.SerialEngine
-	digest  *sim.DigestHook
-	net     *network.FlowNetwork
-	fabric  network.Network
+	start  time.Time
+	eng    *sim.SerialEngine
+	digest *sim.DigestHook
+	net    *network.FlowNetwork
+	fabric network.Network
+	// obs is the run's one observer (nil when spans and telemetry are both
+	// off); rec is its span store (nil unless spans are on).
+	obs     *telemetry.Collector
 	rec     *spantrace.Recorder
-	coll    *telemetry.Collector
 	gpuTime *task.GPUTime
 	inj     *faults.Injector
 }
@@ -456,31 +458,32 @@ func newRun(c runConfig) *run {
 	return r
 }
 
-// attach wires the observers and faults into the run's driver in the order
-// the pins rely on: the span recorder, the telemetry collector, the run's
-// after-dispatch hook, the caller's hooks, then the fault injector. observe
-// registers a task observer with the driver; g names the recorder's tasks
-// (nil for serving). The driver's GPUTime and Stretch fields receive the
-// per-GPU time partition and the straggler model. Observation never
-// schedules events, so the replay digest is the same with or without it.
+// attach wires the observer and faults into the run's driver in the order
+// the pins rely on: the observer, the run's after-dispatch hook, the
+// caller's hooks, then the fault injector. observe registers a task
+// observer with the driver; g names the span log's tasks (nil for
+// serving). The driver's GPUTime and Stretch fields receive the per-GPU
+// time partition and the straggler model. Observation never schedules
+// events, so the replay digest is the same with or without it.
 func (r *run) attach(g *task.Graph, observe func(task.Observer),
 	gpuTime **task.GPUTime, stretch *func(gpu int, at sim.VTime) float64) error {
 
-	if r.spanTrace {
-		r.rec = spantrace.NewRecorder(g, r.topo)
-		observe(r.rec)
-		r.net.Observe(r.rec)
-	}
-	if r.telemetry {
-		reg := r.metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
+	if r.spanTrace || r.telemetry {
+		var reg *telemetry.Registry
+		if r.spanTrace {
+			r.rec = spantrace.NewRecorder(g, r.topo)
 		}
-		r.coll = telemetry.NewCollector(reg, r.topo, r.collLog)
-		observe(r.coll)
-		r.net.Observe(r.coll)
-		r.gpuTime = task.NewGPUTime(r.topo)
-		*gpuTime = r.gpuTime
+		if r.telemetry {
+			reg = r.metrics
+			if reg == nil {
+				reg = telemetry.NewRegistry()
+			}
+			r.gpuTime = task.NewGPUTime(r.topo)
+			*gpuTime = r.gpuTime
+		}
+		r.obs = telemetry.NewCollector(reg, r.rec, r.topo, r.collLog)
+		observe(r.obs)
+		r.net.Observe(r.obs)
 	}
 	if r.ctx != nil {
 		if err := r.ctx.Err(); err != nil {
@@ -489,7 +492,7 @@ func (r *run) attach(g *task.Graph, observe func(task.Observer),
 	}
 	// The one observer hook goes before the caller's, so a monitor hook
 	// reads a registry that already counts the event it sees.
-	if r.rec != nil || r.coll != nil || r.ctx != nil {
+	if r.obs != nil || r.ctx != nil {
 		r.eng.RegisterHook(sim.HookFunc(r.afterDispatch))
 	}
 	for _, h := range r.hooks {
@@ -520,21 +523,17 @@ func (r *run) attach(g *task.Graph, observe func(task.Observer),
 	return nil
 }
 
-// afterDispatch is the run's one observer hook. After each dispatch it reads
-// the queue depth once for the span recorder and the collector, and polls
-// the context every 1024 dispatches: ctx.Err() is a mutex acquisition, too
+// afterDispatch is the run's one observer hook. After each dispatch it
+// hands the event and the queue depth to the observer, and polls the
+// context every 1024 dispatches: ctx.Err() is a mutex acquisition, too
 // expensive per event, and cancellation latency of ~1k events is fine for
 // sweep timeouts.
 func (r *run) afterDispatch(hc sim.HookCtx) {
 	if hc.Pos != sim.HookPosAfterEvent {
 		return
 	}
-	d := r.eng.Pending()
-	if r.rec != nil {
-		r.rec.QueueDepth(hc.Now, d)
-	}
-	if r.coll != nil {
-		r.coll.Dispatched(hc.Item.(sim.Event), d)
+	if r.obs != nil {
+		r.obs.Dispatched(hc.Item.(sim.Event), hc.Now, r.eng.Pending())
 	}
 	if r.ctx != nil && r.eng.EventCount()&1023 == 0 && r.ctx.Err() != nil {
 		r.eng.Terminate()
@@ -606,21 +605,18 @@ func (r *run) finish(info telemetry.RunInfo, total,
 			r.rec.Sample(spantrace.CounterCacheTmMiss, total, float64(cache.TimerMisses))
 			r.rec.Sample(spantrace.CounterCacheBytes, total, float64(cache.Bytes))
 		}
-		out.Spans = r.rec.Finalize()
+		out.Spans = r.obs.SpanLog()
 	}
-	if r.coll == nil {
+	if !r.telemetry {
 		return out, nil
 	}
 	info.TotalSec = total.Seconds()
 	info.Events = out.Events
 	info.QueueHighWater = r.eng.QueueHighWater()
 	info.VirtualTimeSec = r.eng.CurrentTime().Seconds()
-	info.NetTotalBytes = r.net.TotalBytes
-	info.NetTransfers = r.net.TotalTransfers
-	info.NetSolves = r.net.Solves
-	info.NetSolveSeconds = r.net.SolveWall.Seconds()
+	info.Net = r.net
 	info.GPUTime = r.gpuTime
-	out.Report = r.coll.Finalize(info)
+	out.Report = r.obs.Finalize(info)
 	out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)
 	if out.WallClock > 0 {
 		out.Report.Engine.WallSeconds = out.WallClock.Seconds()
@@ -631,15 +627,7 @@ func (r *run) finish(info telemetry.RunInfo, total,
 		out.Report.Faults = faultReport(r.inj, out.Resilience, total)
 	}
 	if r.cache != nil {
-		out.Report.TraceCache = &telemetry.TraceCacheStat{
-			TraceHits:   cache.TraceHits,
-			TraceMisses: cache.TraceMisses,
-			TimerHits:   cache.TimerHits,
-			TimerMisses: cache.TimerMisses,
-			Traces:      cache.Traces,
-			Timers:      cache.Timers,
-			Bytes:       cache.Bytes,
-		}
+		out.Report.TraceCache = &cache
 		// Set after Finalize, so these gauges stay out of report.metrics.
 		if reg := r.metrics; reg != nil {
 			reg.Gauge("triosim_tracecache_trace_hits", "", "",

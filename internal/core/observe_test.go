@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -177,6 +178,81 @@ func TestFaultWindowPastRunEnd(t *testing.T) {
 		if at != r.TotalTime || !sim.VTime(5).After(at) {
 			t.Errorf("%s: %s stamped at %v, want the run's total %v",
 				name, spantrace.CounterQueueHighWatr, at, r.TotalTime)
+		}
+	}
+}
+
+// TestOutputsIndependent runs the report-pin configurations with spans and
+// telemetry both on, telemetry alone and spans alone. The telemetry-only
+// RunReport JSON equals the both-on one without its critical_path, and the
+// spans-only Chrome trace equals the both-on one byte for byte: the span
+// log and the RunReport share one observer, and neither output depends on
+// the other being on.
+func TestOutputsIndependent(t *testing.T) {
+	withOutputs := func(cfg Config) func(spans, tele bool) (*Result, error) {
+		return func(spans, tele bool) (*Result, error) {
+			cfg.SpanTrace, cfg.Telemetry = spans, tele
+			return Simulate(cfg)
+		}
+	}
+	serve := serveFaultsConfig(t)
+	runs := map[string]func(spans, tele bool) (*Result, error){
+		"ddp": withOutputs(Config{Model: "resnet18", Platform: p2(),
+			Parallelism: DDP, TraceBatch: 32}),
+		"ddp-faults":   withOutputs(faultedDDPConfig()),
+		"gpufail-ckpt": withOutputs(gpuFailCheckpointConfig()),
+		"dp+tp+pp-64":  withOutputs(clusterPinConfig()),
+		"serve-faults": func(spans, tele bool) (*Result, error) {
+			cfg := serve
+			cfg.SpanTrace, cfg.Telemetry = spans, tele
+			res, err := Serve(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Result, nil
+		},
+	}
+	for name, run := range runs {
+		both, err := run(true, true)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tele, err := run(false, true)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		spans, err := run(true, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tele.Spans != nil || spans.Report != nil {
+			t.Fatalf("%s: an output that is off was produced", name)
+		}
+
+		var want, got bytes.Buffer
+		both.Report.CriticalPath = nil
+		if err := both.Report.WriteJSON(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := tele.Report.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: telemetry-only RunReport differs from the both-on one",
+				name)
+		}
+
+		want.Reset()
+		got.Reset()
+		if err := both.Spans.WriteChromeTrace(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := spans.Spans.WriteChromeTrace(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: spans-only Chrome trace differs from the both-on one",
+				name)
 		}
 	}
 }

@@ -144,23 +144,12 @@ func servingStat(m *serving.Metrics) *telemetry.ServingStat {
 		MakespanSec:        m.MakespanSec,
 		ThroughputRPS:      m.ThroughputRPS,
 		TokensPerSec:       m.TokensPerSec,
-		Latency:            quantiles(m.Latency),
-		TTFT:               quantiles(m.TTFT),
+		Latency:            telemetry.LatencyQuantiles(m.Latency),
+		TTFT:               telemetry.LatencyQuantiles(m.TTFT),
 		Steps:              m.Steps,
 		MeanBatch:          m.MeanBatch,
 		BatchingEfficiency: m.BatchingEfficiency,
 		GeneratedTokens:    m.GeneratedTokens,
 		KVPeakBytes:        m.KVPeakBytes,
-	}
-}
-
-func quantiles(ls serving.LatencyStats) telemetry.LatencyQuantiles {
-	return telemetry.LatencyQuantiles{
-		MeanSec: ls.MeanSec,
-		P50Sec:  ls.P50Sec,
-		P90Sec:  ls.P90Sec,
-		P99Sec:  ls.P99Sec,
-		P999Sec: ls.P999Sec,
-		MaxSec:  ls.MaxSec,
 	}
 }

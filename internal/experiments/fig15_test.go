@@ -64,3 +64,25 @@ func TestFig15CellHonorsContext(t *testing.T) {
 		t.Fatalf("err = %v, want the simulation to stop the cell", err)
 	}
 }
+
+// TestCellNameResolvesDefaults checks that trace-file names carry the
+// values core runs with: Fig 15's quick cells leave NumGPUs to the 84-GPU
+// platform, and two cells that differ only in TraceBatch (GlobalBatch left
+// to default to it) get different names.
+func TestCellNameResolvesDefaults(t *testing.T) {
+	for _, m := range waferModels(true) {
+		for _, photonic := range []bool{false, true} {
+			if name := cellName(waferConfig(m, photonic)); !strings.Contains(name, "_g84_") {
+				t.Errorf("%s (photonic %v) named %q, want the 84-GPU platform's g84",
+					m, photonic, name)
+			}
+		}
+	}
+	a := waferConfig("vgg19", false)
+	a.GlobalBatch, a.TraceBatch = 0, 32
+	b := a
+	b.TraceBatch = 64
+	if cellName(a) == cellName(b) {
+		t.Fatalf("trace batches 32 and 64 share the name %q", cellName(a))
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -73,18 +74,20 @@ func (o Options) cached(cfg core.Config) core.Config {
 }
 
 // cellName renders a config-addressed name for one cell's trace file
-// (sweep.WriteTrace sanitizes it into a filename stem).
+// (sweep.WriteTrace sanitizes it into a filename stem) from the values core
+// resolves: the platform's GPU count when NumGPUs is 0, the global batch as
+// core defaults it (GlobalBatch, else TraceBatch, else 128), and the trace
+// batch, so cells that differ only in TraceBatch get their own file.
 func cellName(cfg core.Config) string {
-	platform := "none"
+	platform, gpus := "none", cfg.NumGPUs
 	if cfg.Platform != nil {
 		platform = cfg.Platform.Name
+		gpus = cmp.Or(gpus, cfg.Platform.NumGPUs)
 	}
-	par := string(cfg.Parallelism)
-	if par == "" {
-		par = "single"
-	}
-	return fmt.Sprintf("%s_%s_%s_g%d_b%d_i%d", cfg.Model, platform, par,
-		cfg.NumGPUs, cfg.GlobalBatch, cfg.Iterations)
+	par := cmp.Or(string(cfg.Parallelism), string(core.Single))
+	trace := cmp.Or(cfg.TraceBatch, 128)
+	return fmt.Sprintf("%s_%s_%s_g%d_b%d_t%d_i%d", cfg.Model, platform, par,
+		gpus, cmp.Or(cfg.GlobalBatch, trace), trace, cmp.Or(cfg.Iterations, 1))
 }
 
 // exportSpans writes one simulation's Chrome trace into TraceDir (no-op when

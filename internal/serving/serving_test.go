@@ -10,6 +10,7 @@ import (
 	"triosim/internal/sim"
 	"triosim/internal/spantrace"
 	"triosim/internal/task"
+	"triosim/internal/telemetry"
 )
 
 // testTopo builds a small switch topology for direct cluster runs.
@@ -95,9 +96,10 @@ func (c *countObs) TaskDone(t *task.Task, start, end sim.VTime) { c.steps++ }
 func TestServingObserversDoNotChangeDigest(t *testing.T) {
 	_, bare := runCluster(t, 2, smallConfig(7, "sjf"))
 	topo := testTopo(2)
-	rec := spantrace.NewRecorder(nil, topo)
+	spans := telemetry.NewCollector(nil, spantrace.NewRecorder(nil, topo),
+		topo, nil)
 	cnt := &countObs{}
-	m, observed := runCluster(t, 2, smallConfig(7, "sjf"), rec, cnt)
+	m, observed := runCluster(t, 2, smallConfig(7, "sjf"), spans, cnt)
 	if bare != observed {
 		t.Fatalf("observers changed the digest: %#x vs %#x", bare, observed)
 	}
@@ -165,7 +167,7 @@ func TestServingRequestSpansRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := spantrace.NewRecorder(nil, topo)
-	cl.Observe(rec)
+	cl.Observe(telemetry.NewCollector(nil, rec, topo, nil))
 	cl.Spans = rec
 	cl.Start()
 	if err := eng.Run(); err != nil {

@@ -10,6 +10,12 @@ import (
 	"triosim/internal/task"
 )
 
+// addTask records t's span as the run's observer does, with its label
+// rendered once.
+func addTask(r *Recorder, t *task.Task, start, end sim.VTime) {
+	r.AddTask(t, t.AppendLabel(nil), start, end)
+}
+
 // fixtureLog builds a small mixed log: compute on two GPUs, a dependent
 // cross-GPU transfer, a barrier, a fault window, and a counter series.
 func fixtureLog(t *testing.T) *Log {
@@ -26,10 +32,10 @@ func fixtureLog(t *testing.T) *Log {
 		t.Fatalf("fixture: %v", err)
 	}
 	r := NewRecorder(g, nil)
-	r.TaskDone(a, 0, 1)
-	r.TaskDone(b, 0, 1)
-	r.TaskDone(x, 1, 1.5)
-	r.TaskDone(bar, 1.5, 1.5)
+	addTask(r, a, 0, 1)
+	addTask(r, b, 0, 1)
+	addTask(r, x, 1, 1.5)
+	addTask(r, bar, 1.5, 1.5)
 	r.AddFault("gpu1-straggler", 0.5, 1)
 	r.Sample(CounterQueueDepth, 0, 3)
 	r.Sample(CounterQueueDepth, 1, 5)
@@ -104,8 +110,8 @@ func TestChromeTraceMonotonicPerTrack(t *testing.T) {
 	a := g.AddCompute(0, 1, "late")
 	b := g.AddCompute(0, 1, "early")
 	r := NewRecorder(g, nil)
-	r.TaskDone(a, 5, 6)
-	r.TaskDone(b, 0, 1)
+	addTask(r, a, 5, 6)
+	addTask(r, b, 0, 1)
 	var buf bytes.Buffer
 	if err := r.Finalize().WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
@@ -173,9 +179,9 @@ func TestRecorderInterning(t *testing.T) {
 	b := g.AddCompute(0, 1, "step")
 	c := g.AddCompute(1, 1, "step")
 	r := NewRecorder(g, nil)
-	r.TaskDone(a, 0, 1)
-	r.TaskDone(b, 1, 2)
-	r.TaskDone(c, 0, 1)
+	addTask(r, a, 0, 1)
+	addTask(r, b, 1, 2)
+	addTask(r, c, 0, 1)
 	l := r.Finalize()
 	if l.Spans[0].Name != l.Spans[1].Name || l.Spans[1].Name != l.Spans[2].Name {
 		t.Fatalf("same label interned to different ids: %d %d %d",
@@ -233,29 +239,5 @@ func TestCounterSameTimestampOverwrite(t *testing.T) {
 	cs := r.Finalize().Counters[0]
 	if len(cs.Samples) != 2 || cs.Samples[0].V != 20 || cs.Samples[1].V != 30 {
 		t.Fatalf("got %+v, want [(1,20) (2,30)]", cs.Samples)
-	}
-}
-
-// TestQueueDepthPerTimestampMax: QueueDepth keeps the deepest depth fed at
-// each timestamp and flushes it when time advances; Finalize flushes the
-// last timestamp.
-func TestQueueDepthPerTimestampMax(t *testing.T) {
-	r := NewRecorder(nil, nil)
-	for _, d := range []struct {
-		at    sim.VTime
-		depth int
-	}{{1, 4}, {1, 7}, {1, 2}, {2, 3}, {3, 1}, {3, 5}} {
-		r.QueueDepth(d.at, d.depth)
-	}
-	cs := r.Finalize().Counters[0]
-	want := []CounterSample{{1, 7}, {2, 3}, {3, 5}}
-	if cs.Name != CounterQueueDepth || len(cs.Samples) != len(want) {
-		t.Fatalf("got %s %+v, want %s %+v", cs.Name, cs.Samples,
-			CounterQueueDepth, want)
-	}
-	for i, s := range cs.Samples {
-		if s != want[i] {
-			t.Fatalf("sample %d = %+v, want %+v", i, s, want[i])
-		}
 	}
 }

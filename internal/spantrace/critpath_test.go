@@ -8,8 +8,8 @@ import (
 	"triosim/internal/task"
 )
 
-// record drives the recorder as the executor would: TaskDone per task with
-// hand-chosen observed windows.
+// window is one task's hand-chosen observed window; buildLog records one
+// span per window, as the run's observer would.
 type window struct {
 	t          *task.Task
 	start, end sim.VTime
@@ -22,7 +22,7 @@ func buildLog(t *testing.T, g *task.Graph, ws []window) *Log {
 	}
 	r := NewRecorder(g, nil)
 	for _, w := range ws {
-		r.TaskDone(w.t, w.start, w.end)
+		addTask(r, w.t, w.start, w.end)
 	}
 	return r.Finalize()
 }
@@ -164,7 +164,7 @@ func TestCriticalPathExcludesFaultWindows(t *testing.T) {
 	g := task.NewGraph()
 	a := g.AddCompute(0, 1, "a")
 	r := NewRecorder(g, nil)
-	r.TaskDone(a, 0, 1)
+	addTask(r, a, 0, 1)
 	r.AddFault("link0-degrade", 0, 10) // far past the last task
 	l := r.Finalize()
 

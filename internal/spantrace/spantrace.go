@@ -1,13 +1,12 @@
-// Package spantrace records a deterministic, virtual-time span log of one
+// Package spantrace stores a deterministic, virtual-time span log of one
 // simulation: one span per executed task (compute, communication, host
 // staging, barrier, delay) and per fault window, plus counter series sampled
-// from the engine and the flow network. The recorder observes the run the
-// same way the telemetry Collector does — as a task.Observer and a
-// network.FlowObserver, with queue depths fed by the run's after-dispatch
-// hook (QueueDepth) — and is strictly observation-only: it never schedules
-// events, so the dispatched event schedule (and the replay digest) is
-// byte-identical with or without it. core's regression test pins that
-// identity.
+// from the engine and the flow network. The Recorder is a passive store: it
+// builds and interns spans and holds counter series, and the run's one
+// observer (telemetry.Collector) feeds it from the same callbacks that build
+// the RunReport. It never schedules events, so the dispatched event schedule
+// (and the replay digest) is byte-identical with or without it. core's
+// regression test pins that identity.
 //
 // The completed Log supports critical-path extraction (critpath.go) and
 // Chrome trace-event export for Perfetto / chrome://tracing (chrome.go).
@@ -24,9 +23,10 @@ import (
 // Category classifies a span for attribution and coloring.
 type Category uint8
 
-// Span categories. The first five mirror task.Kind; Fault marks an injected
-// fault window rather than an executed task, and Request marks a serving
-// request's arrival-to-delivery lifetime.
+// Span categories. The first five mirror task.Kind value for value (AddTask
+// converts one to the other); Fault marks an injected fault window rather
+// than an executed task, and Request marks a serving request's
+// arrival-to-delivery lifetime.
 const (
 	Compute Category = iota
 	Comm
@@ -87,8 +87,6 @@ type CounterSeries struct {
 	Name    string
 	Samples []CounterSample
 
-	// cum accumulates for cumulative series (link bytes).
-	cum float64
 	// stride/skip implement deterministic decimation: when a series hits
 	// maxCounterSamples the recorder halves it in place and doubles the
 	// stride, so long runs keep a bounded, evenly thinned series instead of
@@ -100,9 +98,9 @@ type CounterSeries struct {
 // maxCounterSamples bounds one series before decimation kicks in.
 const maxCounterSamples = 1 << 14
 
-// sample appends (t, v), overwriting the previous point when the timestamp
+// Sample appends (t, v), overwriting the previous point when the timestamp
 // has not advanced (same-timestamp bursts carry no extra information).
-func (cs *CounterSeries) sample(t sim.VTime, v float64) {
+func (cs *CounterSeries) Sample(t sim.VTime, v float64) {
 	if n := len(cs.Samples); n > 0 && !t.After(cs.Samples[n-1].T) {
 		cs.Samples[n-1].V = v
 		return
@@ -137,9 +135,8 @@ const spanChunk = 4096
 // Recorder accumulates spans and counters during a run. All methods are
 // invoked on the engine goroutine; the recorder never schedules events.
 //
-// Construct with NewRecorder, register via task.Executor.Observe and
-// FlowNetwork.Observe, feed QueueDepth after each dispatch, and call
-// Finalize after the engine drains.
+// Construct with NewRecorder, hand it to the run's telemetry.Collector (or
+// call AddTask directly), and call Finalize after the engine drains.
 type Recorder struct {
 	graph *task.Graph
 	topo  *network.Topology
@@ -157,8 +154,6 @@ type Recorder struct {
 	// String interning: every Span.Name/Track/Coll indexes names.
 	strs  map[string]int32
 	names []string
-	// label is the scratch buffer task labels are rendered into for lookup.
-	label []byte
 
 	// gpuTracks caches interned "gpu<N>" track ids (+1) by GPU index;
 	// routeTracks caches interned "a->b" track ids (+1) by packed
@@ -170,21 +165,9 @@ type Recorder struct {
 	// Counter series, in first-touch order (export sorts).
 	counters   []*CounterSeries
 	counterIdx map[string]int
-	// links caches each link direction's bytes series by the topology's
-	// direction-name id.
-	links []*CounterSeries
-
-	// Queue-depth sampling state: QueueDepth tracks the running max within
-	// the current timestamp and flushes one sample when virtual time
-	// advances.
-	queueAt    sim.VTime
-	queueCur   int
-	queueArmed bool
-
-	recomputes int
 }
 
-// Counter track names used by the recorder itself.
+// Counter track names the run samples.
 const (
 	CounterQueueDepth    = "sim.event_queue_depth"
 	CounterQueueHighWatr = "sim.event_queue_high_water"
@@ -206,8 +189,8 @@ const (
 )
 
 // NewRecorder builds a recorder for one run of g. topo names the
-// communication tracks and link series (network.Topology.PairName and
-// LinkName) and may be nil (names fall back to raw node and link ids).
+// communication tracks (network.Topology.PairName) and may be nil (names
+// fall back to raw node ids).
 func NewRecorder(g *task.Graph, topo *network.Topology) *Recorder {
 	r := &Recorder{
 		graph:       g,
@@ -223,43 +206,31 @@ func NewRecorder(g *task.Graph, topo *network.Topology) *Recorder {
 	return r
 }
 
-var _ task.Observer = (*Recorder)(nil)
-var _ network.FlowObserver = (*Recorder)(nil)
-
-// TaskDone implements task.Observer: it records one span per completed task.
-// This is the span-recording hot path — one call per task in the graph — so
-// it is a struct store into pooled chunk storage plus interned-id lookups;
-// the cold branches (chunk growth, first-sight labels) live in their own
-// un-annotated methods.
+// AddTask records one span for a task that ran over [start, end]; label is
+// the task's rendered label (task.Task.AppendLabel), which the caller
+// renders once for every sink that reads it. This is the span-recording hot
+// path — one call per task in the graph — so it is a struct store into
+// pooled chunk storage plus interned-id lookups; the cold branches (chunk
+// growth, first-sight labels) live in their own un-annotated methods.
 //
 //triosim:hotpath
-func (r *Recorder) TaskDone(t *task.Task, start, end sim.VTime) {
-	var sp Span
-	sp.TaskID = t.ID
-	sp.Start = start
-	sp.End = end
-	r.label = t.AppendLabel(r.label[:0])
-	sp.Name = r.internBytes(r.label)
-	sp.Coll = -1
+func (r *Recorder) AddTask(t *task.Task, label []byte, start, end sim.VTime) {
+	sp := Span{TaskID: t.ID, Name: r.internBytes(label), Coll: -1,
+		Cat: Category(t.Kind), Start: start, End: end}
 	switch t.Kind {
 	case task.Compute:
-		sp.Cat = Compute
 		sp.Nominal = t.Duration
 		sp.Track = r.gpuTrack(int(t.GPU))
 	case task.Comm:
-		sp.Cat = Comm
 		sp.Track = r.routeTrack(t.Src, t.Dst)
 		if c := t.Collective(); c != "" {
 			sp.Coll = r.intern(c)
 		}
 	case task.HostLoad:
-		sp.Cat = HostLoad
 		sp.Track = r.routeTrack(t.Src, t.Dst)
 	case task.Barrier:
-		sp.Cat = Barrier
 		sp.Track = r.syncTrack()
 	case task.Delay:
-		sp.Cat = Delay
 		sp.Nominal = t.Duration
 		sp.Track = r.syncTrack()
 	}
@@ -400,8 +371,9 @@ func (r *Recorder) AddSpan(track, label string, cat Category,
 	})
 }
 
-// series returns (creating on first use) the named counter series.
-func (r *Recorder) series(name string) *CounterSeries {
+// Series returns (creating on first use) the named counter series. Callers
+// on a hot path keep the returned series and Sample it directly.
+func (r *Recorder) Series(name string) *CounterSeries {
 	if i, ok := r.counterIdx[name]; ok {
 		return r.counters[i]
 	}
@@ -415,61 +387,7 @@ func (r *Recorder) series(name string) *CounterSeries {
 // end-of-run totals like queue high-water and trace-cache hit counts here,
 // before Finalize).
 func (r *Recorder) Sample(name string, t sim.VTime, v float64) {
-	r.series(name).sample(t, v)
-}
-
-// FlowFinished implements network.FlowObserver: cumulative per-link traffic
-// counters, one series per directed link the flow crossed.
-func (r *Recorder) FlowFinished(route []network.DirLink, bytes float64,
-	start, end sim.VTime) {
-	for _, dl := range route {
-		cs := r.linkSeries(dl)
-		cs.cum += bytes
-		cs.sample(end, cs.cum)
-	}
-}
-
-// linkSeries returns the cumulative-bytes series "link.<name>.bytes" of one
-// link direction, cached by the topology's direction-name id.
-func (r *Recorder) linkSeries(dl network.DirLink) *CounterSeries {
-	if r.topo == nil {
-		return r.series("link.link" + strconv.Itoa(dl.Link) + ".bytes")
-	}
-	id := r.topo.LinkID(dl)
-	for id >= len(r.links) {
-		r.links = append(r.links, nil)
-	}
-	if r.links[id] == nil {
-		r.links[id] = r.series("link." + r.topo.LinkName(id) + ".bytes")
-	}
-	return r.links[id]
-}
-
-// RatesRecomputed implements network.FlowObserver: in-flight flow count and
-// the cumulative max-min re-solve count, sampled at each recomputation.
-func (r *Recorder) RatesRecomputed(flows int, now sim.VTime) {
-	r.recomputes++
-	r.series(CounterFlowsInFlight).sample(now, float64(flows))
-	r.series(CounterRateResolves).sample(now, float64(r.recomputes))
-}
-
-// QueueDepth records the engine's pending-event depth d after one dispatch
-// at now. The recorder keeps the per-timestamp maximum and flushes one
-// sample when virtual time advances, bounding the series by distinct
-// dispatch times.
-func (r *Recorder) QueueDepth(now sim.VTime, d int) {
-	switch {
-	case !r.queueArmed:
-		r.queueArmed = true
-		r.queueAt, r.queueCur = now, d
-	case now.After(r.queueAt):
-		r.series(CounterQueueDepth).sample(r.queueAt, float64(r.queueCur))
-		r.queueAt, r.queueCur = now, d
-	default:
-		if d > r.queueCur {
-			r.queueCur = d
-		}
-	}
+	r.Series(name).Sample(t, v)
 }
 
 // Log is the completed, immutable span log Finalize produces.
@@ -487,10 +405,6 @@ type Log struct {
 // Finalize flattens the recorder into a Log. Call once, after the engine has
 // drained; the recorder must not be reused afterwards.
 func (r *Recorder) Finalize() *Log {
-	if r.queueArmed {
-		r.series(CounterQueueDepth).sample(r.queueAt, float64(r.queueCur))
-		r.queueArmed = false
-	}
 	spans := make([]Span, 0, r.total)
 	for i, c := range r.chunks {
 		if i == len(r.chunks)-1 {

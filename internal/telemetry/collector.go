@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"triosim/internal/network"
 	"triosim/internal/sim"
+	"triosim/internal/spantrace"
 	"triosim/internal/task"
 )
 
@@ -63,29 +65,48 @@ func (l *CollectiveLog) Get(label string) *CollectiveEntry {
 type collAgg struct {
 	moved      float64
 	start, end float64
-	started    bool
 	minLinkBw  float64
+	// bytes is the triosim_collective_bytes_total series of the instance's
+	// algorithm.
+	bytes *Counter
 }
 
-// Collector is the run-wide telemetry sink: it observes completed tasks
-// (task.Observer), finished flows and rate recomputations
-// (network.FlowObserver), and engine dispatches (Dispatched), feeding a
-// Registry and accumulating the state Finalize turns into a RunReport. It
-// keeps no per-task state: per-link statistics are indexed by the
-// topology's direction-name ids, and the per-GPU time partition comes from
-// a task.GPUTime the executor or the serving cluster feeds.
+// Collector is the run's one observer: it sees completed tasks
+// (task.Observer), finished flows and rate re-solves (network.FlowObserver)
+// and engine dispatches (Dispatched), and feeds two optional outputs from
+// that one stream. spans, when set, receives the span log; reg, when set,
+// receives the metric series and the state Finalize turns into a RunReport.
+// The state both outputs read exists once: one per-direction link table
+// indexed by the topology's direction-name ids (network.Topology.LinkID),
+// one re-solve count, one per-timestamp queue-depth tracker, and one label
+// render per task. It keeps no per-task state; the per-GPU time partition
+// comes from a task.GPUTime the executor or the serving cluster feeds.
 //
 // All methods are invoked on the engine goroutine; the Collector never
 // schedules events, so the dispatched event schedule — and therefore the
 // replay digest — is identical with or without it.
 type Collector struct {
-	reg  *Registry
-	topo *network.Topology
-	log  *CollectiveLog
+	topo  *network.Topology
+	spans *spantrace.Recorder // nil when spans are off
+	reg   *Registry           // nil when telemetry is off
+	log   *CollectiveLog
 
 	// links holds per-direction statistics, indexed by the topology's
-	// direction-name id (network.Topology.LinkID).
+	// direction-name id.
 	links []linkAgg
+	// solves counts max-min re-solves: the registry's
+	// triosim_net_rate_recomputes_total series when telemetry is on, else
+	// ownSolves.
+	solves    *Counter
+	ownSolves Counter
+	// The queue-depth tracker: queueCur is the deepest pending-event depth
+	// seen after a dispatch at queueAt, closed into one span sample when
+	// virtual time advances; queuePeak is the running max of those depths.
+	queueAt             sim.VTime
+	queueCur, queuePeak int
+	queueArmed          bool
+	// label is the scratch buffer each task's label is rendered into once.
+	label []byte
 
 	tierBytes map[string]float64
 	tierFlows map[string]int
@@ -94,6 +115,12 @@ type Collector struct {
 	// route is scratch for observeCollective's route lookups.
 	route []network.DirLink
 
+	// Cached series: compute seconds by GPU index, op durations by
+	// category, and flow durations.
+	gpuCompute []*Counter
+	opHist     map[string]*Histogram
+	flowHist   *Histogram
+
 	// kindCache maps an event's (dynamic type, secondary flag) to its kind
 	// label and triosim_events_total series, so the per-event path neither
 	// formats a type name nor looks the counter up in the registry;
@@ -101,21 +128,23 @@ type Collector struct {
 	kindCache map[kindKey]kindEntry
 	lastKind  kindKey
 	lastEntry kindEntry
-	// queuePeak is the deepest pending queue seen after a dispatch.
-	queuePeak int
 }
 
-// NewCollector builds a collector over topo feeding reg. log may be nil when
-// the workload has no collectives (or they were generated without a log).
-func NewCollector(reg *Registry, topo *network.Topology,
-	log *CollectiveLog) *Collector {
+// NewCollector builds the run observer over topo. reg receives the metric
+// series and the RunReport state, spans the span log; either may be nil to
+// leave that output off. log may be nil when the workload has no
+// collectives (or they were generated without a log).
+func NewCollector(reg *Registry, spans *spantrace.Recorder,
+	topo *network.Topology, log *CollectiveLog) *Collector {
 	return &Collector{
-		reg:       reg,
 		topo:      topo,
+		spans:     spans,
+		reg:       reg,
 		log:       log,
 		tierBytes: map[string]float64{},
 		tierFlows: map[string]int{},
 		coll:      map[string]*collAgg{},
+		opHist:    map[string]*Histogram{},
 		kindCache: map[kindKey]kindEntry{},
 	}
 }
@@ -123,23 +152,53 @@ func NewCollector(reg *Registry, topo *network.Topology,
 var _ task.Observer = (*Collector)(nil)
 var _ network.FlowObserver = (*Collector)(nil)
 
-// TaskDone implements task.Observer.
+// TaskDone implements task.Observer. It renders the task's label once, for
+// the span and for a compute task's op category.
+//
+//triosim:hotpath
 func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
+	compute := t.Kind == task.Compute
+	if c.spans != nil || (compute && c.reg != nil) {
+		c.label = t.AppendLabel(c.label[:0])
+	}
+	if c.spans != nil {
+		c.spans.AddTask(t, c.label, start, end)
+	}
+	if c.reg == nil {
+		return
+	}
 	s, e := start.Seconds(), end.Seconds()
-	switch t.Kind {
-	case task.Compute:
-		c.reg.Counter("triosim_gpu_compute_seconds_total", "gpu",
-			fmt.Sprintf("gpu%d", t.GPU),
-			"Serial compute-stream occupancy per GPU.").Add(e - s)
-		c.reg.Histogram("triosim_op_duration_seconds", "category",
-			OpCategory(t.Label()),
-			"Per-operator compute durations by category.",
-			DurationBuckets).Observe(e - s)
-	case task.Comm:
+	switch {
+	case compute:
+		c.gpuCounter(int(t.GPU)).Add(e - s)
+		// The op category reads the rendered label, lower-cased in place.
+		cat := opCategory(toLower(c.label))
+		h := c.opHist[cat]
+		if h == nil {
+			h = c.reg.Histogram("triosim_op_duration_seconds", "category", cat,
+				"Per-operator compute durations by category.", DurationBuckets)
+			c.opHist[cat] = h
+		}
+		h.Observe(e - s)
+	case t.Kind == task.Comm:
 		if name := t.Collective(); name != "" {
 			c.observeCollective(t, name, s, e)
 		}
 	}
+}
+
+// gpuCounter returns gpu's triosim_gpu_compute_seconds_total series,
+// registering it on the GPU's first compute task.
+func (c *Collector) gpuCounter(gpu int) *Counter {
+	for gpu >= len(c.gpuCompute) {
+		c.gpuCompute = append(c.gpuCompute, nil)
+	}
+	if c.gpuCompute[gpu] == nil {
+		c.gpuCompute[gpu] = c.reg.Counter("triosim_gpu_compute_seconds_total",
+			"gpu", "gpu"+strconv.Itoa(gpu),
+			"Serial compute-stream occupancy per GPU.")
+	}
+	return c.gpuCompute[gpu]
 }
 
 // observeCollective folds one step of collective instance name into its
@@ -147,17 +206,22 @@ func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 func (c *Collector) observeCollective(t *task.Task, name string, s, e float64) {
 	a := c.coll[name]
 	if a == nil {
-		a = &collAgg{minLinkBw: math.Inf(1)}
+		algo := "unknown"
+		if entry := c.log.Get(name); entry != nil {
+			algo = entry.Algo
+		}
+		a = &collAgg{start: math.Inf(1), minLinkBw: math.Inf(1),
+			bytes: c.reg.Counter("triosim_collective_bytes_total", "algo", algo,
+				"Bytes moved by collective communication, per algorithm.")}
 		c.coll[name] = a
 	}
 	a.moved += t.Bytes
-	if !a.started || s < a.start {
+	if s < a.start {
 		a.start = s
 	}
 	if e > a.end {
 		a.end = e
 	}
-	a.started = true
 	// A pair with no route appends nothing, so it leaves minLinkBw as is.
 	c.route, _ = c.topo.AppendRoute(c.route[:0], t.Src, t.Dst)
 	for _, dl := range c.route {
@@ -165,67 +229,103 @@ func (c *Collector) observeCollective(t *task.Task, name string, s, e float64) {
 			a.minLinkBw = bw
 		}
 	}
-	algo := "unknown"
-	if entry := c.log.Get(name); entry != nil {
-		algo = entry.Algo
-	}
-	c.reg.Counter("triosim_collective_bytes_total", "algo", algo,
-		"Bytes moved by collective communication, per algorithm.").Add(t.Bytes)
+	a.bytes.Add(t.Bytes)
 }
 
 const linkUtilHelp = "Fraction of link capacity used over the run so far."
 
 // linkAgg accumulates one link direction's traffic: bytes and flows, the
-// bandwidth its last flow saw, and its cached metric series.
+// bandwidth its last flow saw, its cached metric series and its span
+// link.<name>.bytes series.
 type linkAgg struct {
-	bytes float64
-	flows int
-	bw    float64
-	total *Counter
-	util  *Gauge
+	bytes  float64
+	flows  int
+	bw     float64
+	total  *Counter
+	util   *Gauge
+	series *spantrace.CounterSeries
+}
+
+// link returns direction id's entry, registering its series on the first
+// flow that crosses it.
+func (c *Collector) link(id int) *linkAgg {
+	for id >= len(c.links) {
+		c.links = append(c.links, linkAgg{})
+	}
+	la := &c.links[id]
+	if la.flows == 0 {
+		name := c.topo.LinkName(id)
+		if c.spans != nil {
+			la.series = c.spans.Series("link." + name + ".bytes")
+		}
+		if c.reg != nil {
+			la.total = c.reg.Counter("triosim_link_bytes_total", "link", name,
+				"Bytes carried per directed link.")
+		}
+	}
+	return la
 }
 
 // FlowFinished implements network.FlowObserver.
+//
+//triosim:hotpath
 func (c *Collector) FlowFinished(route []network.DirLink, bytes float64,
 	start, end sim.VTime) {
 	s, e := start.Seconds(), end.Seconds()
 	for _, dl := range route {
 		id := c.topo.LinkID(dl)
-		for id >= len(c.links) {
-			c.links = append(c.links, linkAgg{})
-		}
-		la := &c.links[id]
+		la := c.link(id)
 		la.bytes += bytes
 		la.flows++
 		lk := &c.topo.Links[dl.Link]
-		bw := lk.Bandwidth
-		la.bw = bw
+		la.bw = lk.Bandwidth
+		if la.series != nil {
+			la.series.Sample(end, la.bytes)
+		}
+		if c.reg == nil {
+			continue
+		}
 		if lk.Tier != "" {
 			c.tierBytes[lk.Tier] += bytes
 			c.tierFlows[lk.Tier]++
 		}
-		if la.total == nil {
-			la.total = c.reg.Counter("triosim_link_bytes_total", "link",
-				c.topo.LinkName(id), "Bytes carried per directed link.")
-		}
 		la.total.Add(bytes)
-		if bw > 0 && e > 0 {
+		if la.bw > 0 && e > 0 {
 			if la.util == nil {
 				la.util = c.reg.Gauge("triosim_link_utilization_ratio", "link",
 					c.topo.LinkName(id), linkUtilHelp)
 			}
-			la.util.Set(la.bytes / (bw * e))
+			la.util.Set(la.bytes / (la.bw * e))
 		}
 	}
-	c.reg.Histogram("triosim_flow_duration_seconds", "", "",
-		"Network flow durations (start of transfer to last byte).",
-		DurationBuckets).Observe(e - s)
+	if c.reg == nil {
+		return
+	}
+	if c.flowHist == nil {
+		c.flowHist = c.reg.Histogram("triosim_flow_duration_seconds", "", "",
+			"Network flow durations (start of transfer to last byte).",
+			DurationBuckets)
+	}
+	c.flowHist.Observe(e - s)
 }
 
-// RatesRecomputed implements network.FlowObserver.
+// RatesRecomputed implements network.FlowObserver: one re-solve, and on the
+// span log the in-flight flow count and the cumulative re-solve count.
+//
+//triosim:hotpath
 func (c *Collector) RatesRecomputed(flows int, now sim.VTime) {
-	c.reg.Counter("triosim_net_rate_recomputes_total", "", "",
-		"Max-min fair-share recomputations performed by the flow network.").Inc()
+	if c.solves == nil {
+		c.solves = &c.ownSolves
+		if c.reg != nil {
+			c.solves = c.reg.Counter("triosim_net_rate_recomputes_total", "", "",
+				"Max-min fair-share recomputations performed by the flow network.")
+		}
+	}
+	c.solves.Inc()
+	if c.spans != nil {
+		c.spans.Sample(spantrace.CounterFlowsInFlight, now, float64(flows))
+		c.spans.Sample(spantrace.CounterRateResolves, now, c.solves.Value())
+	}
 }
 
 // eventKind renders a dispatched event's kind label: the concrete type name
@@ -271,14 +371,39 @@ func (c *Collector) kindOf(e sim.Event) kindEntry {
 	return ent
 }
 
-// Dispatched counts one dispatched event by kind and folds the pending
-// queue depth after it into the dispatch peak. The run's after-dispatch
-// hook calls it once per event.
-func (c *Collector) Dispatched(e sim.Event, pending int) {
-	c.kindOf(e).events.Inc()
-	if pending > c.queuePeak {
-		c.queuePeak = pending
+// Dispatched counts one dispatched event by kind (telemetry on) and feeds
+// the pending queue depth after it, at virtual time now, to the queue
+// tracker. The run's after-dispatch hook calls it once per event.
+//
+//triosim:hotpath
+func (c *Collector) Dispatched(e sim.Event, now sim.VTime, pending int) {
+	if c.reg != nil {
+		c.kindOf(e).events.Inc()
 	}
+	c.queuePeak = max(c.queuePeak, pending)
+	if c.queueArmed && !now.After(c.queueAt) {
+		c.queueCur = max(c.queueCur, pending)
+		return
+	}
+	c.flushQueue()
+	c.queueAt, c.queueCur, c.queueArmed = now, pending, true
+}
+
+// flushQueue closes the current timestamp: its deepest depth becomes one
+// sim.event_queue_depth span sample.
+func (c *Collector) flushQueue() {
+	if c.queueArmed && c.spans != nil {
+		c.spans.Sample(spantrace.CounterQueueDepth, c.queueAt,
+			float64(c.queueCur))
+	}
+	c.queueArmed = false
+}
+
+// SpanLog closes the queue tracker and finalizes the span log. Call it
+// once, after the engine has drained, on a collector built with spans.
+func (c *Collector) SpanLog() *spantrace.Log {
+	c.flushQueue()
+	return c.spans.Finalize()
 }
 
 // RunInfo carries the run-level facts Finalize cannot observe itself.
@@ -300,16 +425,12 @@ type RunInfo struct {
 	// (SerialEngine.CurrentTime); a fault window that outlasts the workload
 	// puts it past TotalSec.
 	VirtualTimeSec float64
-	// NetTotalBytes / NetTransfers / NetSolves come from the flow network's
-	// own stats (NetSolves is FlowNetwork.Solves, its max-min re-solves).
-	NetTotalBytes float64
-	NetTransfers  int
-	NetSolves     int
-	// NetSolveSeconds is the host time the flow network spent inside max-min
-	// solves (zero unless the caller injected a clock — see
-	// network.FlowNetwork.SolveClock).
-	NetSolveSeconds float64
-	Parallel        ParallelStat
+	// Net is the run's flow network: the network section reads its own
+	// totals, Solves (its max-min re-solves) and SolveWall (host time inside
+	// solves, zero unless the caller injected a clock — see
+	// network.FlowNetwork.SolveClock). Nil leaves the section's totals zero.
+	Net      *network.FlowNetwork
+	Parallel ParallelStat
 	// GPUTime is the run's per-GPU time partition, fed by the executor or
 	// the serving cluster; nil reads every GPU as idle.
 	GPUTime *task.GPUTime
@@ -317,7 +438,8 @@ type RunInfo struct {
 
 // Finalize reads the per-GPU time partition off info.GPUTime, computes final
 // link utilizations and collective bandwidths, and assembles the RunReport.
-// Call it once, after the engine has drained.
+// Call it once, after the engine has drained, on a collector built with a
+// registry.
 func (c *Collector) Finalize(info RunInfo) *RunReport {
 	rep := &RunReport{
 		Schema:          ReportSchema,
@@ -422,14 +544,16 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 				Set(util)
 		}
 	}
-	rep.Network.TotalBytes = info.NetTotalBytes
-	rep.Network.Transfers = info.NetTransfers
-	rep.Network.RateRecomputes = info.NetSolves
-	rep.Network.SolveSeconds = info.NetSolveSeconds
-	if info.NetSolveSeconds > 0 {
+	if n := info.Net; n != nil {
+		rep.Network.TotalBytes = n.TotalBytes
+		rep.Network.Transfers = n.TotalTransfers
+		rep.Network.RateRecomputes = n.Solves
+		rep.Network.SolveSeconds = n.SolveWall.Seconds()
+	}
+	if rep.Network.SolveSeconds > 0 {
 		c.reg.Gauge("triosim_net_solve_wall_seconds", "", "",
 			"Host time spent inside max-min fair-share solves.").
-			Set(info.NetSolveSeconds)
+			Set(rep.Network.SolveSeconds)
 	}
 
 	// Collectives, sorted by label.

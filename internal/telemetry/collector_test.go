@@ -5,6 +5,7 @@ import (
 
 	"triosim/internal/network"
 	"triosim/internal/sim"
+	"triosim/internal/spantrace"
 	"triosim/internal/task"
 )
 
@@ -27,10 +28,10 @@ func TestDispatchedKindCache(t *testing.T) {
 		&markEvent{},
 	}
 	reg := NewRegistry()
-	c := NewCollector(reg, network.NewTopology(), nil)
+	c := NewCollector(reg, nil, network.NewTopology(), nil)
 	dispatch := func() {
 		for i, e := range events {
-			c.Dispatched(e, i)
+			c.Dispatched(e, 0, i)
 		}
 	}
 	const passes = 3
@@ -92,7 +93,7 @@ func TestCollectorGPUPartitionOverlapAware(t *testing.T) {
 	xfer := g.AddComm(gpus[0], gpus[2], 1e9, "xfer")
 	stage := g.AddHostLoad(topo.Host(), gpus[0], 1e9, "stage")
 	gt := task.NewGPUTime(topo)
-	c := NewCollector(NewRegistry(), topo, nil)
+	c := NewCollector(NewRegistry(), nil, topo, nil)
 	for _, ev := range []struct {
 		t      *task.Task
 		at     sim.VTime
@@ -131,5 +132,108 @@ func TestCollectorGPUPartitionOverlapAware(t *testing.T) {
 	}
 	if err := rep.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueDepthPerTimestampMax: the queue tracker keeps the deepest depth
+// fed at each timestamp and closes it as one span sample when virtual time
+// advances; SpanLog closes the last timestamp, and the report's
+// triosim_event_queue_depth_peak is the deepest sample.
+func TestQueueDepthPerTimestampMax(t *testing.T) {
+	reg := NewRegistry()
+	c := NewCollector(reg, spantrace.NewRecorder(nil, nil),
+		network.NewTopology(), nil)
+	for _, d := range []struct {
+		at    sim.VTime
+		depth int
+	}{{1, 4}, {1, 7}, {1, 2}, {2, 3}, {3, 1}, {3, 5}} {
+		c.Dispatched(&markEvent{}, d.at, d.depth)
+	}
+	cs := c.SpanLog().Counters[0]
+	want := []spantrace.CounterSample{{T: 1, V: 7}, {T: 2, V: 3}, {T: 3, V: 5}}
+	if cs.Name != spantrace.CounterQueueDepth || len(cs.Samples) != len(want) {
+		t.Fatalf("got %s %+v, want %s %+v", cs.Name, cs.Samples,
+			spantrace.CounterQueueDepth, want)
+	}
+	for i, s := range cs.Samples {
+		if s != want[i] {
+			t.Fatalf("sample %d = %+v, want %+v", i, s, want[i])
+		}
+	}
+	c.Finalize(RunInfo{})
+	peak := reg.Gauge("triosim_event_queue_depth_peak", "", "", "").Value()
+	if peak != 7 {
+		t.Fatalf("triosim_event_queue_depth_peak = %v, want 7", peak)
+	}
+}
+
+// Label forms for TestObserverSteadyStateAllocs: a formatted compute label
+// and a collective step label.
+var (
+	testOpForm   = task.NewLabelForm("L%d/%s/mb%d")
+	testStepForm = task.NewCollectiveLabelForm("%s/step%d")
+)
+
+// TestObserverSteadyStateAllocs checks that once every GPU, label, link and
+// event kind has been seen, the observer's per-task, per-flow, per-solve
+// and per-dispatch calls allocate nothing, with telemetry alone and with
+// the span log on too.
+func TestObserverSteadyStateAllocs(t *testing.T) {
+	topo := network.Switch(network.Config{
+		NumGPUs: 4, LinkBandwidth: 1e9, HostBandwidth: 1e9,
+	})
+	gpus := topo.GPUs()
+	g := task.NewGraph()
+	var tasks []*task.Task
+	for i := range gpus {
+		op := g.AddCompute(i, sim.MSec, "")
+		op.SetLabelf(testOpForm, "encoder.layer.11.attention.output.Conv2d", i, 0)
+		tasks = append(tasks, op)
+	}
+	step := g.AddComm(gpus[0], gpus[1], 1e6, "")
+	step.SetLabelf(testStepForm, "allreduce0", 0)
+	tasks = append(tasks, g.AddCompute(0, sim.MSec, "LayerNorm"), step,
+		g.AddHostLoad(topo.Host(), gpus[0], 1e6, "stage"),
+		g.AddBarrier("sync"))
+	route, err := topo.Route(gpus[0], gpus[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func(sim.VTime) error { return nil }
+	events := []sim.Event{sim.NewFuncEvent(1, noop), &markEvent{}}
+
+	for _, spans := range []bool{false, true} {
+		var rec *spantrace.Recorder
+		if spans {
+			rec = spantrace.NewRecorder(g, topo)
+		}
+		log := NewCollectiveLog()
+		log.Record("allreduce0", "ring-allreduce", 2, 1e6, 1)
+		c := NewCollector(NewRegistry(), rec, topo, log)
+		now := sim.VTime(0)
+		for _, call := range []struct {
+			name string
+			fn   func()
+		}{
+			{"TaskDone", func() {
+				for _, tk := range tasks {
+					c.TaskDone(tk, 0, sim.MSec)
+				}
+			}},
+			{"FlowFinished", func() { c.FlowFinished(route, 1e6, 0, sim.MSec) }},
+			{"RatesRecomputed", func() { c.RatesRecomputed(3, sim.MSec) }},
+			{"Dispatched", func() {
+				now += sim.USec
+				for i, e := range events {
+					c.Dispatched(e, now, i)
+				}
+			}},
+		} {
+			call.fn() // first sight of every GPU, label, link and kind
+			if allocs := testing.AllocsPerRun(100, call.fn); allocs != 0 {
+				t.Errorf("spans %v: %s allocates %v times per call, want 0",
+					spans, call.name, allocs)
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ type taskRun struct {
 func recordRuns(g *task.Graph, runs ...taskRun) *spantrace.Recorder {
 	rec := spantrace.NewRecorder(g, nil)
 	for _, r := range runs {
-		rec.TaskDone(r.t, r.start, r.end)
+		rec.AddTask(r.t, r.t.AppendLabel(nil), r.start, r.end)
 	}
 	return rec
 }

@@ -1,13 +1,16 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"triosim/internal/spantrace"
+	"triosim/internal/tracecache"
 )
 
 // ReportSchema versions the RunReport JSON layout. Consumers (triosimvet
@@ -168,16 +171,9 @@ type EngineStat struct {
 
 // TraceCacheStat is the shared trace cache's counter snapshot at the end of
 // the run: how many trace collections and timer fits were skipped, and the
-// approximate bytes the cached traces retain.
-type TraceCacheStat struct {
-	TraceHits   uint64 `json:"trace_hits"`
-	TraceMisses uint64 `json:"trace_misses"`
-	TimerHits   uint64 `json:"timer_hits"`
-	TimerMisses uint64 `json:"timer_misses"`
-	Traces      int    `json:"traces"`
-	Timers      int    `json:"timers"`
-	Bytes       int64  `json:"bytes"`
-}
+// approximate bytes the cached traces retain. It is the cache's own Stats
+// value, JSON tags included.
+type TraceCacheStat = tracecache.Stats
 
 // KindCount is one per-event-kind dispatch count.
 type KindCount struct {
@@ -417,11 +413,30 @@ var opCategories = []struct{ substr, cat string }{
 // (conv, gemm, norm, pool, activation, elementwise, optimizer, loss, other).
 // Shared by the collector's op-duration histograms and cmd/traceinfo.
 func OpCategory(name string) string {
-	n := strings.ToLower(name)
+	return opCategory(toLower([]byte(name)))
+}
+
+// opCategory classifies a lower-cased operator name without converting it
+// to a string, so the collector classifies a rendered label allocation-free.
+func opCategory(lower []byte) string {
 	for _, e := range opCategories {
-		if strings.Contains(n, e.substr) {
+		if bytes.Contains(lower, []byte(e.substr)) {
 			return e.cat
 		}
 	}
 	return "other"
+}
+
+// toLower lower-cases b as strings.ToLower does: ASCII bytes in place, and a
+// name with any other byte through strings.ToLower.
+func toLower(b []byte) []byte {
+	for i, ch := range b {
+		if ch >= utf8.RuneSelf {
+			return []byte(strings.ToLower(string(b)))
+		}
+		if 'A' <= ch && ch <= 'Z' {
+			b[i] = ch + 'a' - 'A'
+		}
+	}
+	return b
 }

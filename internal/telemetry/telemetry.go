@@ -1,9 +1,11 @@
 // Package telemetry is TrioSim's unified metrics layer: a deterministic,
 // virtual-time-aware registry of counters, gauges, and fixed-bucket
-// histograms, plus the collector that threads instrumentation through the
-// simulator (per-GPU compute/comm/idle accounting, per-link utilization,
-// collective bandwidths, and engine self-profiling). WriteTimelineHTML
-// renders a run's span log and RunReport as a self-contained HTML timeline.
+// histograms, plus the Collector, the run's one observer. From one set of
+// task, flow, re-solve and dispatch callbacks it feeds the span log (a
+// spantrace.Recorder) and the RunReport (per-GPU compute/comm/idle
+// accounting, per-link utilization, collective bandwidths, and engine
+// self-profiling), either of which may be off. WriteTimelineHTML renders a
+// run's span log and RunReport as a self-contained HTML timeline.
 //
 // The package obeys the serial-engine determinism contract (triosimvet):
 // no locks, no goroutines, no wall-clock reads. All mutation happens on the
@@ -20,6 +22,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -60,13 +63,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.value = v }
-
-// SetMax stores v only when it exceeds the current value (high-water marks).
-func (g *Gauge) SetMax(v float64) {
-	if v > g.value {
-		g.value = v
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.value }
@@ -118,28 +114,29 @@ type family struct {
 	labelKey string // "" for unlabeled metrics
 	kind     MetricKind
 	help     string
+	// bounds are a histogram family's bucket edges, fixed at its first
+	// registration.
+	bounds []float64
 }
 
 // Registry holds every metric of one simulation run. It is not safe for
 // concurrent use: all writes happen on the engine goroutine, and readers
 // outside it must go through a boundary snapshot (see internal/monitor).
 type Registry struct {
-	families  map[string]*family
-	order     []string // family registration order (re-sorted at export)
-	counters  map[metricKey]*Counter
-	gauges    map[metricKey]*Gauge
-	hists     map[metricKey]*Histogram
-	histainfo map[string][]float64 // family -> bounds
+	families map[string]*family
+	order    []string // family registration order (re-sorted at export)
+	counters map[metricKey]*Counter
+	gauges   map[metricKey]*Gauge
+	hists    map[metricKey]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		families:  map[string]*family{},
-		counters:  map[metricKey]*Counter{},
-		gauges:    map[metricKey]*Gauge{},
-		hists:     map[metricKey]*Histogram{},
-		histainfo: map[string][]float64{},
+		families: map[string]*family{},
+		counters: map[metricKey]*Counter{},
+		gauges:   map[metricKey]*Gauge{},
+		hists:    map[metricKey]*Histogram{},
 	}
 }
 
@@ -190,17 +187,14 @@ func (r *Registry) Gauge(name, labelKey, labelValue, help string) *Gauge {
 // family; later calls reuse them.
 func (r *Registry) Histogram(name, labelKey, labelValue, help string,
 	bounds []float64) *Histogram {
-	r.familyOf(name, labelKey, help, KindHistogram)
-	if _, ok := r.histainfo[name]; !ok {
-		b := make([]float64, len(bounds))
-		copy(b, bounds)
-		r.histainfo[name] = b
+	f := r.familyOf(name, labelKey, help, KindHistogram)
+	if f.bounds == nil {
+		f.bounds = slices.Clone(bounds)
 	}
 	k := metricKey{name, labelValue}
 	h := r.hists[k]
 	if h == nil {
-		b := r.histainfo[name]
-		h = &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+		h = &Histogram{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
 		r.hists[k] = h
 	}
 	return h

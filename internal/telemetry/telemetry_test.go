@@ -16,9 +16,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 
 	var g Gauge
-	g.Set(2)
-	g.SetMax(1) // ignored
-	g.SetMax(7)
+	g.Set(7)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %v", g.Value())
 	}

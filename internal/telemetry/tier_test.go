@@ -15,7 +15,7 @@ func TestCollectorTierAggregation(t *testing.T) {
 		NVLinkBandwidth: 300e9, NICBandwidth: 50e9,
 		HostBandwidth: 20e9,
 	}, 2, 2)
-	c := NewCollector(NewRegistry(), topo, nil)
+	c := NewCollector(NewRegistry(), nil, topo, nil)
 	gpus := topo.GPUs()
 
 	intra, err := topo.Route(gpus[0], gpus[1]) // same machine: nvlink only
@@ -70,7 +70,7 @@ func TestCollectorTierAggregation(t *testing.T) {
 	flat := network.Ring(network.Config{
 		NumGPUs: 4, LinkBandwidth: 100e9, HostBandwidth: 20e9,
 	})
-	fc := NewCollector(NewRegistry(), flat, nil)
+	fc := NewCollector(NewRegistry(), nil, flat, nil)
 	route, err := flat.Route(flat.GPUs()[0], flat.GPUs()[1])
 	if err != nil {
 		t.Fatal(err)

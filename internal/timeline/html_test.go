@@ -21,7 +21,7 @@ func TestExportHTMLEmptyTimeline(t *testing.T) {
 	tl := timeline.New()
 	x := task.NewExecutor(eng, network.NewIdealNetwork(eng, 1e9, 0), g, tl)
 	rec := spantrace.NewRecorder(g, nil)
-	x.Observe(rec)
+	x.Observe(telemetry.NewCollector(nil, rec, network.NewTopology(), nil))
 	if _, err := x.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -84,6 +84,14 @@ if go run ./cmd/experiments -only nosuchfig 2>/dev/null; then
   echo "experiments: -only nosuchfig exited 0"; exit 1
 fi
 
+echo "==> examples smoke (build and run every examples/* main; a non-zero exit fails)"
+for dir in examples/*/; do
+  name="$(basename "$dir")"
+  go build -o "$tmpdir/example-$name" "./$dir"
+  "$tmpdir/example-$name" >/dev/null ||
+    { echo "examples/$name exited non-zero"; exit 1; }
+done
+
 echo "==> serving smoke (-serve-sim + RunReport schema validation)"
 go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 24 \
   -serve-rate 200 -serve-seed 7 -metrics-out "$tmpdir/serving.json" >/dev/null

@@ -72,22 +72,18 @@ type funcEvent struct {
 	EventBase
 	body   Caller
 	pooled bool
-	// hf caches the HandlerFunc method value for e.run. Building it on every
-	// Handler() call would allocate a closure per dispatch; caching it keeps
-	// the pooled schedule/dispatch path allocation-free while preserving the
-	// handler's dynamic type (sim.HandlerFunc), which the replay digest folds
-	// into its event names.
-	hf HandlerFunc
 }
 
-func (e *funcEvent) Handler() Handler {
-	if e.hf == nil {
-		e.hf = e.run
-	}
-	return e.hf
+// runFuncEvent is every funcEvent's handler. One package-level HandlerFunc
+// that reads its event's body binds no per-event method value, so
+// dispatch allocates nothing, and the handler's dynamic type stays
+// sim.HandlerFunc, which the replay digest folds into its event names.
+var runFuncEvent HandlerFunc = func(e Event) error {
+	fe := e.(*funcEvent)
+	return fe.body.Call(fe.EventTime)
 }
 
-func (e *funcEvent) run(Event) error { return e.body.Call(e.EventTime) }
+func (e *funcEvent) Handler() Handler { return runFuncEvent }
 
 // NewFuncEvent wraps fn in an event that fires at time t. It is the most
 // convenient way for components to schedule one-off future work.

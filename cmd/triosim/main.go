@@ -254,6 +254,7 @@ func runTraining(o *options, cfg triosim.Config, w io.Writer) error {
 	fmt.Fprintf(w, "simulator:       %d tasks, %d events, %v wall clock\n",
 		res.Tasks, res.Events, res.WallClock)
 	fmt.Fprintf(w, "event digest:    %#x\n", res.EventDigest)
+	fmt.Fprintf(w, "outcome digest:  %#x\n", res.OutcomeDigest)
 	if cp := res.CriticalPath; cp != nil && cp.LengthSec > 0 {
 		pct := func(v float64) float64 { return 100 * v / cp.LengthSec }
 		fmt.Fprintf(w, "critical path:   %d steps over %.6gs — compute %.1f%%, comm %.1f%%, idle %.1f%%, fault-stretch %.1f%%\n",

@@ -106,8 +106,11 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	// end. Serving has no checkpoint policy or failures, so its resilience
 	// accounting is the degenerate one: useful = extended = total.
 	var total sim.VTime
+	var outcome sim.OutcomeDigest
 	for _, pr := range m.PerRequest {
-		if done := sim.VTime(pr.DoneSec); done.After(total) {
+		done := sim.VTime(pr.DoneSec)
+		outcome.Add(uint64(pr.ID), done, done)
+		if done.After(total) {
 			total = done
 		}
 	}
@@ -122,7 +125,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 			Strategy: "serving-" + m.Scheduler,
 			Replicas: m.Replicas,
 		},
-	}, total, 0)
+	}, total, 0, outcome)
 	if err != nil {
 		return nil, err
 	}

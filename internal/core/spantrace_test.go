@@ -41,7 +41,8 @@ func TestSpanTraceDoesNotPerturbSchedule(t *testing.T) {
 		t.Fatalf("span tracing perturbed the event schedule: %#x vs %#x",
 			traced.EventDigest, plain.EventDigest)
 	}
-	if traced.Events != plain.Events || traced.TotalTime != plain.TotalTime {
+	if traced.Events != plain.Events || traced.TotalTime != plain.TotalTime ||
+		traced.OutcomeDigest != plain.OutcomeDigest {
 		t.Fatalf("span tracing changed the outcome: %d events %v vs %d events %v",
 			traced.Events, traced.TotalTime, plain.Events, plain.TotalTime)
 	}

@@ -34,8 +34,8 @@ func pinRow(key string, res *Result) (string, error) {
 
 // strategyPins runs the pipeline and tensor families (pp, tp, dp+pp, dp+tp)
 // over three models, the three validation platforms and four run shapes,
-// through both Simulate and GroundTruth, and returns one pinRow per run in a
-// fixed order.
+// through both Simulate and GroundTruth, and returns one pinRow per run, with
+// the outcome digest appended, in a fixed order.
 func strategyPins(t *testing.T) []string {
 	t.Helper()
 	variants := []struct {
@@ -73,7 +73,8 @@ func strategyPins(t *testing.T) []string {
 						if err != nil {
 							t.Fatalf("%s: %v", key, err)
 						}
-						rows = append(rows, row)
+						rows = append(rows, fmt.Sprintf("%s %#016x", row,
+							res.OutcomeDigest))
 					}
 				}
 			}
@@ -83,9 +84,10 @@ func strategyPins(t *testing.T) []string {
 }
 
 // TestStrategyPins pins the outcome of every pipeline- and tensor-family run
-// in testdata/strategy_pins.txt: makespan bits, event count, event digest and
-// RunReport hash. The named strategies are presets of the DP×TP×PP grid
-// generator, so a refactor of the generator must leave every row unmoved.
+// in testdata/strategy_pins.txt: makespan bits, event count, event digest,
+// RunReport hash and outcome digest. The named strategies are presets of the
+// DP×TP×PP grid generator, so a refactor of the generator must leave every
+// row unmoved.
 // Regenerate deliberately with
 //
 //	go test ./internal/core -run TestStrategyPins -update-pins
@@ -96,7 +98,7 @@ func TestStrategyPins(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		data := "# key makespan-bits events event-digest runreport-sha256\n" +
+		data := "# key makespan-bits events event-digest runreport-sha256 outcome-digest\n" +
 			strings.Join(got, "\n") + "\n"
 		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 			t.Fatal(err)

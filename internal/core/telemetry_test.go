@@ -37,7 +37,8 @@ func TestTelemetryDoesNotPerturbSchedule(t *testing.T) {
 		t.Fatalf("telemetry perturbed the event schedule: %#x vs %#x",
 			instr.EventDigest, plain.EventDigest)
 	}
-	if instr.Events != plain.Events || instr.TotalTime != plain.TotalTime {
+	if instr.Events != plain.Events || instr.TotalTime != plain.TotalTime ||
+		instr.OutcomeDigest != plain.OutcomeDigest {
 		t.Fatalf("telemetry changed the outcome: %d events %v vs %d events %v",
 			instr.Events, instr.TotalTime, plain.Events, plain.TotalTime)
 	}

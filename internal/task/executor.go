@@ -72,6 +72,8 @@ type Executor struct {
 
 	startTime sim.VTime
 	lastEnd   sim.VTime
+	// outcome folds every finished task's (ID, start, end); see Outcome.
+	outcome sim.OutcomeDigest
 }
 
 // laneState is one GPU's compute stream: a head-indexed FIFO whose backing
@@ -119,10 +121,16 @@ func (x *Executor) Observe(o Observer) {
 	x.obs = append(x.obs, o)
 }
 
-// notify reports a finished resource-occupying task to every observer.
+// notify reports a finished task to every observer and folds it into the
+// outcome digest. Every task passes through here exactly once.
 func (x *Executor) notify(t *Task, start, end sim.VTime) {
+	x.outcome.Add(uint64(t.ID), start, end)
 	x.obs.TaskDone(t, start, end)
 }
+
+// Outcome returns the order-free digest of every finished task's ID, start
+// and end time (sim.OutcomeDigest). Read it after Run.
+func (x *Executor) Outcome() sim.OutcomeDigest { return x.outcome }
 
 // BusyTime returns the union time during which at least one task of kind k
 // (Compute, Comm or HostLoad) was running: the value

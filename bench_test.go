@@ -618,8 +618,9 @@ func BenchmarkEngineQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineQueueExactPath gives the event queue the exact solver's
-// shape on the 2,048-GPU step: about 85,000 pending events, and a secondary
+// BenchmarkEngineQueueExactPath gives the event queue the shape the eager
+// exact solver, which rescheduled every in-flight flow on every solve, gave
+// it on the 2,048-GPU step: about 85,000 pending events, and a secondary
 // re-solve every microsecond that reschedules 200 deliveries to one shared
 // time 425 µs ahead (in the exact path the superseded deliveries stay
 // queued until they dispatch, which is what keeps the queue that deep). One

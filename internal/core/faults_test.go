@@ -213,7 +213,7 @@ func TestGPUFailCheckpointResilience(t *testing.T) {
 // schedule from faults.Generate(7, ...) over the resnet18/P1/DDP baseline.
 // If this value changes, fault arming order or the flow network's
 // degradation path changed — update only when the change is intentional.
-const goldenFaultDigest = uint64(0xdbc390ae391fdfd9)
+const goldenFaultDigest = uint64(0x67984f77be12aa9c)
 
 func seededFaultConfig(t *testing.T) (Config, *Result) {
 	t.Helper()

@@ -517,13 +517,54 @@ func TestFlowPoolingReusesObjects(t *testing.T) {
 	}
 }
 
-// TestExactResolveSteadyStateAllocs gates the exact solver's per-event path:
-// once the engine, flow and delivery free lists are warm, admitting N
-// contending flows and draining them — N completions, each re-solving and
-// rescheduling every flow still in flight — allocates nothing. That holds
-// for routes copied from the BFS cache (the ring) and for routes a
-// structural router appends (the rail fat tree) alike: each pooled flow
-// keeps its route buffer.
+// A solve that leaves a flow's rate where it was leaves its delivery event
+// alone: a flow arriving in another link-sharing component re-solves only
+// that component, so the first flow keeps its event. The two-flow run
+// dispatches exactly the events of the two one-flow runs, and the first
+// flow delivers at the same time, bit for bit, as when it runs alone.
+func TestUnchangedRateKeepsDelivery(t *testing.T) {
+	run := func(first, second bool) (sim.VTime, uint64) {
+		eng := sim.NewSerialEngine()
+		topo, n := lineTopo()
+		net := NewFlowNetwork(eng, topo)
+		var done sim.VTime
+		if first { // a→b
+			eng.Schedule(sim.NewFuncEvent(0, func(sim.VTime) error {
+				net.Send(n[0], n[1], 3e9, func(now sim.VTime) { done = now })
+				return nil
+			}))
+		}
+		if second { // b→c: no link in common with a→b
+			eng.Schedule(sim.NewFuncEvent(7*sim.MSec, func(sim.VTime) error {
+				net.Send(n[1], n[2], 1e9, func(sim.VTime) {})
+				return nil
+			}))
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return done, eng.EventCount()
+	}
+	alone, aloneEvents := run(true, false)
+	_, secondEvents := run(false, true)
+	both, bothEvents := run(true, true)
+	if math.Float64bits(float64(both)) != math.Float64bits(float64(alone)) {
+		t.Errorf("a→b delivered at %v beside b→c, %v alone", both, alone)
+	}
+	if want := aloneEvents + secondEvents; bothEvents != want {
+		t.Errorf("two-flow run dispatched %d events, want %d (%d + %d): "+
+			"the disjoint arrival rescheduled a→b", bothEvents, want,
+			aloneEvents, secondEvents)
+	}
+}
+
+// TestExactResolveSteadyStateAllocs gates the per-event path at tolerance
+// 0: once the engine, flow and delivery free lists are warm, admitting N
+// contending flows and draining them — N completions, each re-solving the
+// component it leaves and rescheduling the flows whose rate moved —
+// allocates nothing. That holds for routes copied from the BFS cache (the
+// ring) and for routes a structural router appends (the rail fat tree)
+// alike: each pooled flow keeps its route buffer.
 func TestExactResolveSteadyStateAllocs(t *testing.T) {
 	topos := map[string]func() *Topology{
 		"ring8": func() *Topology {

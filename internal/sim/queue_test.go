@@ -137,8 +137,8 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 		}
 	})
 
-	// The exact solver's shape: every re-solve (a secondary event) pops and
-	// reschedules a burst of deliveries to one shared future time, so over
+	// The eager exact solver's shape: every re-solve (a secondary event) pops
+	// and reschedules a burst of deliveries to one shared future time, so over
 	// 10,000 events wait at that time, and more primaries and secondaries
 	// join the group at its own time while it drains. Never below the last
 	// popped time.

@@ -200,3 +200,32 @@ func ReplayCheck(runs int, workload func(eng *SerialEngine) error) (uint64, erro
 	}
 	return first.Sum64(), nil
 }
+
+// OutcomeDigest digests what a run computed, not the order it computed it
+// in: a wrapping sum of a 64-bit mix of each record, an ID and two times'
+// bits. The sum commutes, so same-time events that reorder leave it alone,
+// and it stores nothing per record.
+type OutcomeDigest uint64
+
+// OutcomeMakespanID is the record ID a run's makespan is folded under. Task
+// and request IDs are non-negative, so it never collides with one.
+const OutcomeMakespanID = math.MaxUint64
+
+// Add folds one record.
+//
+//triosim:hotpath
+func (d *OutcomeDigest) Add(id uint64, start, end VTime) {
+	h := mix64(id)
+	h = mix64(h ^ math.Float64bits(float64(start)))
+	h = mix64(h ^ math.Float64bits(float64(end)))
+	*d += OutcomeDigest(h)
+}
+
+// mix64 is SplitMix64's output function: a bijective avalanche mix, offset
+// so that zero does not map to zero.
+func mix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}

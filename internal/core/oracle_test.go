@@ -16,9 +16,10 @@ import (
 // ground truth extrapolates a native trace at the global batch. Whatever
 // separates the paths besides the timer and the effects — the trace batch,
 // the batch rescaling, the pipeline partition — would show here. Every zoo
-// model, the three validation platforms, every data, tensor and pipeline
-// strategy and one and two iterations: 756 runs, each compared on its
-// makespan bits, event count, event digest and RunReport bytes.
+// model, the three validation platforms, all nine strategies (dp+tp+pp with
+// two TP ranks and, on P2 and P3, two pipeline stages) and one and two
+// iterations: 972 runs, each compared on its makespan bits, event count,
+// event digest and RunReport bytes.
 func TestExactTimerOracle(t *testing.T) {
 	exact := source{timer: exactTimer, effects: noEffects}
 	native := source{native: true, timer: exactTimer, effects: noEffects}
@@ -27,14 +28,17 @@ func TestExactTimerOracle(t *testing.T) {
 		t.Run(model, func(t *testing.T) {
 			t.Parallel()
 			for _, plat := range []gpu.Platform{gpu.P1, gpu.P2, gpu.P3} {
-				for _, par := range []Parallelism{DP, DDP, TP, PP, DPTP, DPPP,
-					ZeRO1} {
+				for _, par := range []Parallelism{Single, DP, DDP, TP, PP,
+					DPTP, DPPP, ZeRO1, DPTPPP} {
 					for _, iters := range []int{1, 2} {
 						pl := plat
 						cfg := Config{Model: model, Platform: &pl,
 							Parallelism: par, TraceBatch: 128, GlobalBatch: 256,
 							MicroBatches: 4, Iterations: iters, Telemetry: true,
 							Cache: cache}
+						if par == DPTPPP {
+							cfg.TPRanks, cfg.PPStages = 2, min(2, pl.NumGPUs/2)
+						}
 						key := fmt.Sprintf("%s/%s/%s/it%d", model, par,
 							plat.Name, iters)
 						want := oracleRow(t, key, cfg, native)

@@ -339,33 +339,6 @@ func (s source) trace(cfg Config, pp int, stageOf []int) (*trace.Trace, []int, e
 	return tr, stageOf, nil
 }
 
-// extrapolate builds strategy par's task graph at grid point (dp, tp, pp).
-func extrapolate(par Parallelism, ecfg extrapolator.Config,
-	dp, tp, pp int) (*extrapolator.Result, error) {
-
-	switch par {
-	case Single:
-		ecfg.NumGPUs = 1
-		return extrapolator.SingleGPU(ecfg)
-	case DP:
-		return extrapolator.DataParallel(ecfg, false)
-	case DDP:
-		return extrapolator.DataParallel(ecfg, true)
-	case ZeRO1:
-		return extrapolator.DataParallelZeRO(ecfg)
-	case TP:
-		return extrapolator.TensorParallel(ecfg)
-	case DPTP:
-		return extrapolator.HybridDPTP(ecfg, dp)
-	case PP:
-		return extrapolator.PipelineParallel(ecfg)
-	case DPPP:
-		return extrapolator.HybridDPPP(ecfg, dp)
-	}
-	// dp+tp+pp: gridPoint has rejected every other strategy.
-	return extrapolator.Hybrid3D(ecfg, dp, tp, pp)
-}
-
 // gridPoint resolves the configured strategy to its (dp, tp, pp) point of
 // the DP×TP×PP grid: the data-parallel family and single-GPU runs are pure
 // replicas, TP and PP one replica, the two-way hybrids split NumGPUs into
@@ -794,10 +767,10 @@ func plan(cfg Config, src source, stageOf []int) (*runPlan, error) {
 		collLog = telemetry.NewCollectiveLog()
 	}
 	effects := src.effects(cfg.Platform)
-	eres, err := extrapolate(cfg.Parallelism, extrapolator.Config{
+	eres, err := extrapolator.Build(string(cfg.Parallelism), extrapolator.Config{
 		Trace:        tr,
 		Topo:         topo,
-		NumGPUs:      cfg.NumGPUs,
+		NumGPUs:      dp * tp * pp,
 		Timer:        timer,
 		Effects:      effects,
 		GlobalBatch:  cfg.GlobalBatch,

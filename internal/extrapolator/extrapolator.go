@@ -14,6 +14,7 @@ package extrapolator
 import (
 	"fmt"
 
+	"triosim/internal/collective"
 	"triosim/internal/hwsim"
 	"triosim/internal/network"
 	"triosim/internal/sim"
@@ -137,19 +138,22 @@ type builder struct {
 	// it orders (nil = index order); a hybrid logical window rings in
 	// window order.
 	ring []int
-	// lastBuckets is the DDP gradient-bucket count of the most recently
-	// emitted iteration (telemetry metadata).
-	lastBuckets int
+	// infl stretches every tpLayers compute task (1 but under standard
+	// DataParallel's compute inflation), and dispatch, when set, holds the
+	// iteration's per-layer dispatch delays that gate each forward op of
+	// the layer (standard DataParallel's single-process dispatch).
+	infl     sim.VTime
+	dispatch []*task.Task
 	// labels interns op.Name+labelSuffix task labels for the current suffix:
 	// a trace has hundreds of ops but only a handful of distinct op names, so
-	// emitSeq would otherwise rebuild the same few strings once per op.
+	// tpLayers would otherwise rebuild the same few strings once per op.
 	labels      map[string]string
 	labelSuffix string
 }
 
 // label returns the interned name+suffix task label, switching the intern
 // table when the suffix changes (suffixes change per iteration/replica/stage,
-// i.e. between emitSeq calls, so the table stays hot within each sequence).
+// i.e. between tpLayers calls, so the table stays hot within each sequence).
 func (b *builder) label(name, suffix string) string {
 	if b.labels == nil {
 		b.labels = make(map[string]string, 16)
@@ -191,6 +195,7 @@ func newBuilder(cfg Config) (*builder, error) {
 		fwd:  cfg.Trace.OpsInPhase(trace.Forward),
 		bwd:  cfg.Trace.OpsInPhase(trace.Backward),
 		opt:  cfg.Trace.OpsInPhase(trace.Optimizer),
+		infl: 1,
 	}
 	if cfg.ForwardOnly {
 		b.bwd, b.opt = nil, nil
@@ -273,13 +278,13 @@ func (b *builder) outBytes(op *trace.Op, scale float64) float64 {
 	return total
 }
 
-// gradBytesOf sums the gradient-category output bytes of an op (the data a
-// data-parallel AllReduce must move for it).
-func (b *builder) gradBytesOf(op *trace.Op) float64 {
+// catBytes sums the bytes of the tensors of category cat among ids: a
+// backward op's gradient outputs are what a data-parallel AllReduce moves
+// for it, a forward op's weight inputs are the parameters it reads.
+func (b *builder) catBytes(ids []tensor.ID, cat tensor.Category) float64 {
 	var total float64
-	for _, id := range op.Outputs {
-		t := b.tr.Tensors.Get(id)
-		if t != nil && t.Category == tensor.Gradient {
+	for _, id := range ids {
+		if t := b.tr.Tensors.Get(id); t != nil && t.Category == cat {
 			total += float64(t.Bytes())
 		}
 	}
@@ -303,20 +308,27 @@ func (b *builder) inputBytes(scale float64) float64 {
 	return float64(b.tr.InputBytes()) * scale
 }
 
-// emitSeq emits the ops (by index) as a dependency chain on one GPU at the
-// given scales, gated on start. Returns the last task (or start if none).
-func (b *builder) emitSeq(gpu int, ops []int, batchScale, shard float64,
-	start *task.Task, labelSuffix string) *task.Task {
-	prev := start
-	for _, idx := range ops {
-		op := &b.tr.Ops[idx]
-		dur := b.opDuration(op, batchScale, shard)
-		t := b.g.AddCompute(b.phys(gpu), dur, b.label(op.Name, labelSuffix))
-		t.Layer = int32(op.Layer)
-		b.g.AddDep(prev, t)
-		prev = t
+// allReduce dispatches to the configured AllReduce algorithm. With the
+// default "auto" selection, topologies that declare link tiers get the
+// hierarchical schedule (intra-machine reduce-scatter → per-rail
+// inter-machine ring/tree → intra-machine all-gather); flat topologies keep
+// the ring, so paper-scale replays are unchanged.
+func (b *builder) allReduce(ring []network.NodeID, bytes float64,
+	after []*task.Task, opt collective.Options) *task.Task {
+	switch b.cfg.Collective {
+	case "tree":
+		return collective.TreeAllReduce(b.g, ring, bytes, after, opt)
+	case "ring":
+		return collective.RingAllReduce(b.g, ring, bytes, after, opt)
+	case "hier":
+		return collective.HierAllReduce(b.g, b.cfg.Topo, ring, bytes,
+			after, opt)
 	}
-	return prev
+	if b.cfg.Topo.Tiered() {
+		return collective.HierAllReduce(b.g, b.cfg.Topo, ring, bytes,
+			after, opt)
+	}
+	return collective.RingAllReduce(b.g, ring, bytes, after, opt)
 }
 
 // stageInput emits the host-load of the input batch portion to one GPU.
@@ -335,31 +347,4 @@ type Result struct {
 	// Meta describes the generated parallelism structure (strategy, replica
 	// and stage counts, DDP bucket count, layer→stage map) for telemetry.
 	Meta telemetry.ParallelStat
-}
-
-// SingleGPU replays the trace on one GPU, optionally rescaled to a new
-// global batch size (the paper's single-GPU batch-size what-if, Fig 6).
-func SingleGPU(cfg Config) (*Result, error) {
-	b, err := newBuilder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = b.cfg
-	scale := float64(cfg.GlobalBatch) / float64(b.tr.BatchSize)
-
-	res := &Result{Graph: b.g,
-		Meta: telemetry.ParallelStat{Strategy: "single", Replicas: 1}}
-	var gate *task.Task = b.g.AddBarrier("start")
-	for it := 0; it < cfg.Iterations; it++ {
-		suffix := fmt.Sprintf("-it%d", it)
-		load := b.stageInput(b.node(0), scale, gate, "stage-input"+suffix)
-		last := b.emitSeq(0, b.fwd, scale, 1, load, suffix)
-		last = b.emitSeq(0, b.bwd, scale, 1, last, suffix)
-		last = b.emitSeq(0, b.opt, scale, 1, last, suffix)
-		end := b.g.AddBarrier("iter-done" + suffix)
-		b.g.AddDep(last, end)
-		res.IterationEnds = append(res.IterationEnds, end)
-		gate = end
-	}
-	return res, nil
 }

@@ -67,31 +67,54 @@ func TestHybrid3DStructure(t *testing.T) {
 // task carries the summed op duration and the fused ring step the summed
 // sync bytes. What fusion drops is the per-step route latency of the
 // (N−1)-step rings it replaces, so the fused makespan is slightly
-// optimistic — bounded here at 2% — and never slower.
+// optimistic — bounded here at 2% — and never slower. The data-parallel
+// presets fuse each chunk, and each DDP gradient bucket, the same way; with
+// no TP syncs to drop, their fused makespan differs from the unfused one by
+// the summation order of the op durations only.
 func TestHybrid3DFusedMatchesUnfused(t *testing.T) {
 	tr, m, topo := testSetup(t, "resnet18", 64, 4)
 	base := Config{Trace: tr, Topo: topo, NumGPUs: 4, Timer: m,
 		MicroBatches: 1, GlobalBatch: 64}
-
-	plain, err := Hybrid3D(base, 1, 4, 1)
-	if err != nil {
-		t.Fatal(err)
+	builds := []struct {
+		name   string
+		build  func(Config) (*Result, error)
+		tpSync bool
+	}{
+		{"dp+tp+pp 1×4×1", func(c Config) (*Result, error) {
+			return Hybrid3D(c, 1, 4, 1)
+		}, true},
+		{"dp", func(c Config) (*Result, error) { return DataParallel(c, false) },
+			false},
+		{"ddp", func(c Config) (*Result, error) { return DataParallel(c, true) },
+			false},
+		{"zero1", zero1, false},
 	}
-	fusedCfg := base
-	fusedCfg.FuseCompute = true
-	fused, err := Hybrid3D(fusedCfg, 1, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tPlain, _, _ := runCfg(t, base.defaults(), plain)
-	tFused, _, _ := runCfg(t, fusedCfg.defaults(), fused)
-	rel := math.Abs(float64(tFused-tPlain)) / float64(tPlain)
-	if rel > 0.02 || tFused > tPlain {
-		t.Fatalf("fused %v vs unfused %v (rel %g)", tFused, tPlain, rel)
-	}
-	if fused.Graph.Len()*4 > plain.Graph.Len() {
-		t.Fatalf("fusion barely shrank the graph: %d vs %d tasks",
-			fused.Graph.Len(), plain.Graph.Len())
+	for _, bc := range builds {
+		plain, err := bc.build(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fusedCfg := base
+		fusedCfg.FuseCompute = true
+		fused, err := bc.build(fusedCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tPlain, _, _ := runCfg(t, base.defaults(), plain)
+		tFused, _, _ := runCfg(t, fusedCfg.defaults(), fused)
+		rel := math.Abs(float64(tFused-tPlain)) / float64(tPlain)
+		bad := rel > 1e-12 // no TP sync: fusion only reorders the sums
+		if bc.tpSync {
+			bad = rel > 0.02 || tFused > tPlain
+		}
+		if bad {
+			t.Errorf("%s: fused %v vs unfused %v (rel %g)", bc.name, tFused,
+				tPlain, rel)
+		}
+		if fused.Graph.Len()*4 > plain.Graph.Len() {
+			t.Errorf("%s: fusion barely shrank the graph: %d vs %d tasks",
+				bc.name, fused.Graph.Len(), plain.Graph.Len())
+		}
 	}
 }
 

@@ -89,8 +89,8 @@ func strategyPins(t *testing.T) []string {
 // TestStrategyPins pins the outcome of every pipeline-, tensor- and
 // data-parallel-family run in testdata/strategy_pins.txt: makespan bits,
 // event count, event digest, RunReport hash and outcome digest. Every named
-// strategy but tp and dp+tp is a preset of the DP×TP×PP grid generator, so
-// a refactor of the generator must leave every row unmoved.
+// strategy is a preset of the DP×TP×PP grid generator, so a refactor of the
+// generator must leave every row unmoved.
 // Regenerate deliberately with
 //
 //	go test ./internal/core -run TestStrategyPins -update-pins

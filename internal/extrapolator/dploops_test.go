@@ -407,6 +407,7 @@ func matchLoop(t *testing.T, key string, cfg Config,
 	if !slices.Equal(got.Meta.StageOfLayer, want.Meta.StageOfLayer) ||
 		got.Meta.Strategy != want.Meta.Strategy ||
 		got.Meta.Replicas != want.Meta.Replicas ||
+		got.Meta.TPRanks != want.Meta.TPRanks ||
 		got.Meta.Buckets != want.Meta.Buckets {
 		t.Errorf("%s: meta %+v, loop %+v", key, got.Meta, want.Meta)
 	}
@@ -435,72 +436,89 @@ func platformTopology(p *gpu.Platform) *network.Topology {
 	return network.Switch(cfg)
 }
 
+// eachZooConfig calls f with one Config per run shape of the model on the
+// validation platforms P1–P3: predicted (fitted timer, no effects) and
+// ground truth (hwsim timer, the platform's effects), for one and two
+// training iterations and for inference, on all of the platform's GPUs at a
+// global batch that leaves P3's replicas a fractional share. key names the
+// model, platform, path and shape.
+func eachZooConfig(t *testing.T, model string, f func(key string, cfg Config)) {
+	t.Helper()
+	for _, plat := range []gpu.Platform{gpu.P1, gpu.P2, gpu.P3} {
+		tr, err := hwsim.CollectTrace(model, 32, &plat.GPU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fitted, err := perfmodel.Fit(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := platformTopology(&plat)
+		paths := []struct {
+			name    string
+			timer   OpTimer
+			effects hwsim.Effects
+		}{
+			{"sim", fitted, hwsim.NoEffects},
+			{"gt", hwsim.NewTimer(&plat.GPU), hwsim.PlatformEffects(&plat)},
+		}
+		for _, path := range paths {
+			for _, shape := range []struct {
+				name        string
+				iterations  int
+				forwardOnly bool
+			}{{"it1", 1, false}, {"it2", 2, false}, {"inference", 1, true}} {
+				f(fmt.Sprintf("%s/%s/%s/%s", model, plat.Name, path.name,
+					shape.name), Config{Trace: tr, Topo: topo,
+					NumGPUs: plat.NumGPUs, Timer: path.timer,
+					Effects: path.effects, GlobalBatch: 36,
+					Iterations:  shape.iterations,
+					ForwardOnly: shape.forwardOnly})
+			}
+		}
+	}
+}
+
+// scaleTopologies returns the two topologies whose collectives take
+// another path than the platforms': Fig 15's 84-GPU wafer mesh, whose ring
+// order is its snake, and a 16-GPU rail fat tree, where the auto collective
+// goes hierarchical.
+func scaleTopologies() (mesh, rail *network.Topology) {
+	mesh = network.Mesh(12, 7, network.Config{LinkBandwidth: 30e9,
+		LinkLatency: sim.USec, HostBandwidth: 30e9,
+		HostLatency: 5 * sim.USec})
+	rail = network.RailFatTree(network.ClusterConfig{
+		Machines: 2, GPUsPerMachine: 8,
+		NVLinkBandwidth: 300e9, NVLinkLatency: sim.USec,
+		NICBandwidth: 50e9, NICLatency: 2 * sim.USec,
+		FabricBandwidth: 100e9, FabricLatency: 2 * sim.USec,
+		HostBandwidth: 20e9, HostLatency: 5 * sim.USec,
+	}, 8, 2)
+	return mesh, rail
+}
+
 // TestDPPresetsMatchLoops checks that the grid generator's single, dp, ddp
 // and zero1 presets simulate exactly what the hand-written loops they
-// replaced did: every zoo model on P1–P3, predicted (fitted timer, no
-// effects) and ground truth (hwsim timer, the platform's effects), for one
-// and two training iterations and for inference, at a global batch that
-// leaves P3's replicas a fractional share; and DDP on Fig 15's 84-GPU wafer
-// mesh, whose ring order is its snake, and on a 16-GPU rail fat tree, where
-// the auto collective goes hierarchical.
+// replaced did: every zoo model in every eachZooConfig shape, and DDP on
+// both scaleTopologies.
 func TestDPPresetsMatchLoops(t *testing.T) {
 	for _, model := range models.List() {
 		t.Run(model, func(t *testing.T) {
 			t.Parallel()
-			for _, plat := range []gpu.Platform{gpu.P1, gpu.P2, gpu.P3} {
-				tr, err := hwsim.CollectTrace(model, 32, &plat.GPU)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fitted, err := perfmodel.Fit(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				topo := platformTopology(&plat)
-				paths := []struct {
-					name    string
-					timer   OpTimer
-					effects hwsim.Effects
-				}{
-					{"sim", fitted, hwsim.NoEffects},
-					{"gt", hwsim.NewTimer(&plat.GPU), hwsim.PlatformEffects(&plat)},
-				}
-				for _, path := range paths {
-					for _, shape := range []struct {
-						name        string
-						iterations  int
-						forwardOnly bool
-					}{{"it1", 1, false}, {"it2", 2, false}, {"inference", 1, true}} {
-						for _, bc := range dpBuilds {
-							cfg := Config{Trace: tr, Topo: topo,
-								NumGPUs: plat.NumGPUs, Timer: path.timer,
-								Effects: path.effects, GlobalBatch: 36,
-								Iterations:  shape.iterations,
-								ForwardOnly: shape.forwardOnly}
-							if bc.name == "single" {
-								cfg.NumGPUs = 1
-							}
-							matchLoop(t, fmt.Sprintf("%s/%s/%s/%s/%s", bc.name,
-								model, plat.Name, path.name, shape.name), cfg,
-								bc.preset, bc.loop)
-						}
+			eachZooConfig(t, model, func(key string, cfg Config) {
+				for _, bc := range dpBuilds {
+					cfg := cfg
+					if bc.name == "single" {
+						cfg.NumGPUs = 1
 					}
+					matchLoop(t, bc.name+"/"+key, cfg, bc.preset, bc.loop)
 				}
-			}
+			})
 		})
 	}
 	t.Run("ddp-at-scale", func(t *testing.T) {
 		t.Parallel()
-		mesh := network.Mesh(12, 7, network.Config{LinkBandwidth: 30e9,
-			LinkLatency: sim.USec, HostBandwidth: 30e9,
-			HostLatency: 5 * sim.USec})
-		rail := network.RailFatTree(network.ClusterConfig{
-			Machines: 2, GPUsPerMachine: 8,
-			NVLinkBandwidth: 300e9, NVLinkLatency: sim.USec,
-			NICBandwidth: 50e9, NICLatency: 2 * sim.USec,
-			FabricBandwidth: 100e9, FabricLatency: 2 * sim.USec,
-			HostBandwidth: 20e9, HostLatency: 5 * sim.USec,
-		}, 8, 2)
+		mesh, rail := scaleTopologies()
 		for _, c := range []struct {
 			name, model string
 			topo        *network.Topology

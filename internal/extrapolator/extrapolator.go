@@ -131,13 +131,14 @@ type builder struct {
 	bwd  []int
 	opt  []int
 	// logMap maps logical GPU indices to physical ones (nil = identity).
-	// Hybrid parallelism runs tpLayers per replica or pipeline stage with
-	// a window into the physical GPU range.
+	// The grid runs tpLayers per (replica, stage) chunk with a window into
+	// the physical GPU range.
 	logMap []int
 	// ring is the topology's ring order when the run spans all of the GPUs
-	// it orders (nil = index order); a hybrid logical window rings in
-	// window order.
-	ring []int
+	// it orders (nil = index order), and ringAll the run's GPUs in that
+	// order; a logical window rings in window order, through winRing.
+	ring             []int
+	ringAll, winRing []network.NodeID
 	// infl stretches every tpLayers compute task (1 but under standard
 	// DataParallel's compute inflation), and dispatch, when set, holds the
 	// iteration's per-layer dispatch delays that gate each forward op of
@@ -178,9 +179,6 @@ func (b *builder) phys(l int) int {
 	return b.logMap[l]
 }
 
-// node resolves a logical GPU index to its topology node.
-func (b *builder) node(l int) network.NodeID { return b.gpus[b.phys(l)] }
-
 func newBuilder(cfg Config) (*builder, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -200,31 +198,31 @@ func newBuilder(cfg Config) (*builder, error) {
 	if cfg.ForwardOnly {
 		b.bwd, b.opt = nil, nil
 	}
+	b.ringAll = b.gpus
 	if order := cfg.Topo.RingOrder(); len(order) == cfg.NumGPUs {
 		b.ring = order
+		b.ringAll = make([]network.NodeID, len(order))
+		for k, idx := range order {
+			b.ringAll[k] = b.gpus[idx]
+		}
 	}
 	return b, nil
 }
 
 // ringNodes returns the GPUs in collective ring order: the topology's ring
-// order when the run spans all of its GPUs, else index order. Under a hybrid
-// logical window it returns only the window's GPUs.
+// order when the run spans all of its GPUs, else index order. Under a
+// logical window it returns only the window's GPUs, in a buffer the next
+// call reuses (the collective generators read their ring only while
+// emitting).
 func (b *builder) ringNodes() []network.NodeID {
-	if b.logMap != nil {
-		out := make([]network.NodeID, len(b.logMap))
-		for k, idx := range b.logMap {
-			out[k] = b.gpus[idx]
-		}
-		return out
+	if b.logMap == nil {
+		return b.ringAll
 	}
-	if b.ring == nil {
-		return b.gpus
+	b.winRing = b.winRing[:0]
+	for _, idx := range b.logMap {
+		b.winRing = append(b.winRing, b.gpus[idx])
 	}
-	out := make([]network.NodeID, len(b.gpus))
-	for k, idx := range b.ring {
-		out[k] = b.gpus[idx]
-	}
-	return out
+	return b.winRing
 }
 
 // permuteGates reorders per-GPU gate tasks to match ringNodes positions.

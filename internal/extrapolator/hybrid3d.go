@@ -3,6 +3,7 @@ package extrapolator
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"triosim/internal/collective"
 	"triosim/internal/network"
@@ -30,16 +31,16 @@ func Hybrid3D(cfg Config, dp, tp, pp int) (*Result, error) {
 	return Build("dp+tp+pp", cfg, dp, tp, pp)
 }
 
-// grid is the one generator of every strategy but tp and dp+tp: the
-// DP×TP×PP grid, run as preset ps (named name) directs.
+// grid is the one generator of every strategy: the DP×TP×PP grid, run as
+// preset ps (named name) directs.
 //
 // GPU layout (machine-major clusters line up automatically when tp equals
 // the machine size): replica d, stage s, rank r → physical GPU
 // d·tp·pp + s·tp + r. Stage boundaries ship sharded activations rank-to-rank
 // (rail-aligned); each (stage, rank) gradient shard then synchronizes
 // across the dp replicas as ps.sync says, through builder.allReduce, which
-// selects the hierarchical schedule on tiered topologies. A dp ring that
-// spans all of the run's GPUs rings in the topology's ring order.
+// selects the hierarchical schedule on tiered topologies. Any ring, dp or
+// TP, that spans all of the run's GPUs rings in the topology's ring order.
 //
 // Unfused, each chunk runs its stage's ops through tpLayers, the one
 // per-layer tensor-parallel loop (which emits no sync for a single rank),
@@ -88,9 +89,8 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 		return nil, fmt.Errorf("extrapolator: stage map covers %d of %d layers",
 			len(stageOf), b.tr.NumLayers())
 	}
-	// byStage splits op indices by their layer's stage, in order.
-	byStage := func(ops []int) [][]int {
-		out := make([][]int, pp)
+	// byStage splits op indices by their layer's stage, in order, into out.
+	byStage := func(ops []int, out [][]int) [][]int {
 		if pp == 1 {
 			out[0] = ops
 			return out
@@ -101,7 +101,10 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 		}
 		return out
 	}
-	fwdOps, bwdOps, optOps := byStage(b.fwd), byStage(b.bwd), byStage(b.opt)
+	split := make([][]int, 3*pp)
+	fwdOps := byStage(b.fwd, split[:pp:pp])
+	bwdOps := byStage(b.bwd, split[pp:2*pp:2*pp])
+	optOps := byStage(b.opt, split[2*pp:])
 
 	// Per-stage precomputation: the chunks' segments, stage boundary bytes,
 	// owned gradient and weight bytes and, for fused chunks, the summed
@@ -114,8 +117,9 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 		syncSize float64   // fused only: TP bytes per chunk
 	}
 	type stagePre struct {
-		fwd, bwd      []segment // bwd: one, or the gradient buckets in fill order
-		boundary      float64   // activation bytes leaving the stage
+		fwd           [1]segment // an array, so both phases slice alike
+		bwd           []segment  // one, or the gradient buckets in fill order
+		boundary      float64    // activation bytes leaving the stage
 		grad, weights float64
 		optDur        sim.VTime // fused only
 		buckets       int       // bucket sync: the bwd segments with gradients
@@ -136,14 +140,7 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 	syncBytes := func(runs []layerGroup) float64 {
 		var total float64
 		for _, grp := range runs {
-			par := false
-			for _, idx := range grp.ops {
-				if b.tr.Ops[idx].Parallelizable {
-					par = true
-					break
-				}
-			}
-			if par && len(grp.ops) > 0 {
+			if grp.sync {
 				last := &b.tr.Ops[grp.ops[len(grp.ops)-1]]
 				total += b.outBytes(last, microScale)
 			}
@@ -156,13 +153,13 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 			sg.grad += b.catBytes(b.tr.Ops[idx].Outputs, tensor.Gradient)
 		}
 		if cfg.FuseCompute {
-			sg.dur, sg.syncSize = sumDur(ops), syncBytes(sg.runs)
+			sg.dur = sumDur(ops)
 		}
 		return sg
 	}
 	for s := 0; s < pp; s++ {
 		p := &pre[s]
-		p.fwd = []segment{newSegment(fwdOps[s])}
+		p.fwd[0] = newSegment(fwdOps[s])
 		// Split the backward ops into buckets: a bucket closes once its
 		// gradients reach the bucket size (without bucket sync, never).
 		ops, start, grad := bwdOps[s], 0, 0.0
@@ -175,6 +172,20 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 		}
 		if start < len(ops) || len(p.bwd) == 0 {
 			p.bwd = append(p.bwd, newSegment(ops[start:]))
+		}
+		// A layer whose ops straddle a bucket boundary syncs once, at its
+		// end in the later bucket.
+		for k := 1; k < len(p.bwd); k++ {
+			a := &p.bwd[k-1].runs[len(p.bwd[k-1].runs)-1]
+			if z := &p.bwd[k].runs[0]; z.layer == a.layer {
+				z.sync, a.sync = z.sync || a.sync, false
+			}
+		}
+		if cfg.FuseCompute {
+			p.fwd[0].syncSize = syncBytes(p.fwd[0].runs)
+			for k := range p.bwd {
+				p.bwd[k].syncSize = syncBytes(p.bwd[k].runs)
+			}
 		}
 		for _, sg := range p.bwd {
 			p.grad += sg.grad
@@ -201,67 +212,80 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 	gpuAt := func(d, s, r int) int { return d*tp*pp + s*tp + r }
 
 	cpu := cfg.Effects.CPUSchedPerMicroBatch
-	prevCPU := make([]*task.Task, cfg.NumGPUs) // serializes each GPU's host dispatch
-	win := make([]int, tp)                     // the (d, s) window tpLayers runs on
+	var prevCPU []*task.Task // serializes each GPU's host dispatch
+	if ps.pipeline && cpu.After(0) {
+		prevCPU = make([]*task.Task, cfg.NumGPUs)
+	}
+	// A TP ring that spans all of the run's GPUs rings in the topology's
+	// ring order, as a spanning dp ring does: its chunks run on no window.
+	// Any other chunk runs on its (d, s) rank window.
+	var win []int
+	if tp < cfg.NumGPUs {
+		win = make([]int, tp)
+	}
 	// ready holds, per (stage, rank), each replica's bucket gates in fill
 	// order, replica-major (bucket sync only).
 	var ready [][]*task.Task
+	if ps.sync == bucketSync {
+		ready = make([][]*task.Task, pp*tp)
+	}
 
 	// emitChunk runs one (replica, stage, micro-batch) chunk across the tp
 	// ranks: per segment, compute (fused or per-op) then the TP boundary
 	// syncs and, under bucket sync, a gate per rank for the bucket's
-	// AllReduce. deps[r] gates rank r; nil entries gate nothing. Returns the
-	// per-rank completion tasks.
-	ring := make([]network.NodeID, tp) // the fused TP sync's ring, reused
+	// AllReduce. deps[r] gates rank r; nil entries gate nothing. It leaves
+	// the per-rank completion tasks in last.
 	emitChunk := func(d, s, mb int, deps [][3]*task.Task, fwd bool,
-		dsuffix string) []*task.Task {
+		dsuffix string, last []*task.Task) {
 
 		p := &pre[s]
-		phase, segs, form := "fwd", p.fwd, fusedFwdLabel
+		phase, segs, form := "fwd", p.fwd[:], fusedFwdLabel
 		if !fwd {
 			phase, segs, form = "bwd", p.bwd, fusedBwdLabel
 		}
-		last := make([]*task.Task, tp)
-		var csuffix string
-		if !cfg.FuseCompute {
-			// Unfused: per rank the pipeline presets' entry barrier and the
-			// host's per-micro-batch scheduling delay (a data-parallel
-			// chunk has one gate and chains onto it), then tpLayers on the
-			// chunk's rank window.
-			csuffix = fmt.Sprintf("-s%d-mb%d%s", s, mb, dsuffix)
-			label := phase + csuffix
-			for r := 0; r < tp; r++ {
-				if !ps.pipeline {
-					last[r] = deps[r][0]
-					continue
-				}
-				entry := b.g.AddBarrier(label + "-entry")
-				for _, dep := range deps[r] {
-					b.g.AddDep(dep, entry)
-				}
-				last[r] = entry
-				if cpu.After(0) {
-					gpu := gpuAt(d, s, r)
-					delay := b.g.AddDelay(cpu, label+"-cpusched")
-					b.g.AddDep(entry, delay)
-					if prevCPU[gpu] != nil {
-						b.g.AddDep(prevCPU[gpu], delay)
-					}
-					prevCPU[gpu] = delay
-					last[r] = delay
-				}
-			}
+		if win != nil {
 			for r := range win {
 				win[r] = gpuAt(d, s, r)
 			}
 			b.logMap = win
 		}
+		var csuffix string
+		if !cfg.FuseCompute {
+			// Unfused: per rank the pipeline presets' entry barrier and the
+			// host's per-micro-batch scheduling delay (any other chunk has
+			// one gate and chains onto it), then tpLayers.
+			csuffix = "-s" + strconv.Itoa(s) + "-mb" + strconv.Itoa(mb) +
+				dsuffix
+			if !ps.pipeline {
+				for r := range last {
+					last[r] = deps[r][0]
+				}
+			} else {
+				label := phase + csuffix
+				for r := range last {
+					entry := b.g.AddBarrier(label + "-entry")
+					for _, dep := range deps[r] {
+						b.g.AddDep(dep, entry)
+					}
+					last[r] = entry
+					if prevCPU != nil {
+						gpu := gpuAt(d, s, r)
+						delay := b.g.AddDelay(cpu, label+"-cpusched")
+						b.g.AddDep(entry, delay)
+						if prevCPU[gpu] != nil {
+							b.g.AddDep(prevCPU[gpu], delay)
+						}
+						prevCPU[gpu] = delay
+						last[r] = delay
+					}
+				}
+			}
+		}
 		for k, sg := range segs {
 			if !cfg.FuseCompute {
-				last = b.tpLayers(sg.runs, microScale, shard, last, csuffix,
-					phase)
+				b.tpLayers(sg.runs, microScale, shard, last, csuffix, phase)
 			} else {
-				for r := 0; r < tp; r++ {
+				for r := range last {
 					t := b.g.AddCompute(gpuAt(d, s, r), sg.dur, "")
 					t.SetLabelf(form, dsuffix, s, mb)
 					if k > 0 {
@@ -283,23 +307,26 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 					if !fwd {
 						bus *= 2 // allreduce, not allgather
 					}
-					for r := range ring {
-						ring[r] = b.gpus[gpuAt(d, s, r)]
+					label := fmt.Sprintf("%s-s%d-mb%d%s-tpsync", phase, s,
+						mb, dsuffix)
+					if len(segs) > 1 { // one sync per gradient bucket
+						label = fmt.Sprintf("%s-s%d-mb%d%s-b%d-tpsync", phase,
+							s, mb, dsuffix, k)
 					}
-					coll := collective.FusedRingStep(b.g, ring, sg.syncSize,
-						bus, last, collective.Options{
+					coll := collective.FusedRingStep(b.g, b.ringNodes(),
+						sg.syncSize, bus, b.permuteGates(last),
+						collective.Options{
 							StepDelay: b.cfg.Effects.CommStepLatency,
-							Label: fmt.Sprintf("%s-s%d-mb%d%s-tpsync", phase,
-								s, mb, dsuffix),
-							Log: b.cfg.Collectives,
+							Label:     label,
+							Log:       b.cfg.Collectives,
 						})
-					for r := 0; r < tp; r++ {
+					for r := range last {
 						last[r] = coll
 					}
 				}
 			}
 			if !fwd && ps.sync == bucketSync && dp > 1 && sg.grad > 0 {
-				for r := 0; r < tp; r++ {
+				for r := range last {
 					gate := b.g.AddBarrier(fmt.Sprintf("bucket%d-ready-s%d%s",
 						k, s, dsuffix))
 					b.g.AddDep(last[r], gate)
@@ -308,28 +335,35 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 			}
 		}
 		b.logMap = nil
-		return last
 	}
 
-	// syncOpts names a gradient-sync collective: the pipeline presets name
-	// the (stage, rank) shard, the data-parallel presets sync one shard and
-	// name it by the iteration alone.
+	// syncOpts names a gradient-sync collective. Labels are unique within a
+	// graph, since the collective log is keyed by them: the pipeline
+	// presets, and any grid with more than one (stage, rank) shard, name
+	// the shard; a data-parallel preset's one shard is named by the
+	// iteration alone.
+	namedShards := ps.pipeline || tp*pp > 1
 	syncOpts := func(kind string, s, r int, suffix string) collective.Options {
 		label := kind + suffix
-		if ps.pipeline {
+		if namedShards {
 			label = fmt.Sprintf("3d-%s-s%d-r%d%s", kind, s, r, suffix)
 		}
 		return collective.Options{StepDelay: b.cfg.Effects.CommStepLatency,
 			Label: label, Log: b.cfg.Collectives}
 	}
-	// inRing orders per-replica gates as the dp ring: the topology's ring
-	// order when the ring spans the run's GPUs, else replica order.
+	// A dp ring that spans the run's GPUs rings in the topology's ring
+	// order, with its per-replica gates permuted to match; any other rings
+	// the shard's replicas in replica order.
 	spans := dp == cfg.NumGPUs
 	inRing := func(gates []*task.Task) []*task.Task {
 		if spans {
 			return b.permuteGates(gates)
 		}
 		return gates
+	}
+	dpRing := b.ringNodes()
+	if !spans && dp > 1 {
+		dpRing = make([]network.NodeID, dp)
 	}
 
 	res := &Result{Graph: b.g, Meta: telemetry.ParallelStat{Strategy: name}}
@@ -347,18 +381,43 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 			res.Meta.Buckets += pre[s].buckets
 		}
 	}
+
+	// The build's bookkeeping, made once and overwritten by every replica
+	// and iteration. The chunk tables of the replica being emitted hold per
+	// (stage, micro-batch) a run of tp entries: each forward chunk's
+	// per-rank ends, what arrives at it (the staged input at stage 0, the
+	// previous stage's activations after), and the gradients arriving at
+	// each backward chunk from the next stage. done holds each replica's
+	// last backward (for inference, forward) tasks per (stage, rank). The
+	// per-replica gates of the (stage, rank) shard being synchronized are
+	// each replica's backward end, the gates of the bucket being
+	// AllReduced, what each optimizer waits for and each optimizer's end.
+	cells := pp * m * tp
+	tables := make([]*task.Task, 3*cells+dp*pp*tp+4*dp)
+	take := func(n int) []*task.Task { // the next n entries of tables
+		t := tables[:n:n]
+		tables = tables[n:]
+		return t
+	}
+	fwdLast, arrive, gradArrive := take(cells), take(cells), take(cells)
+	done := take(dp * pp * tp)
+	gates, bucketGates, optGates, optDone := take(dp), take(dp), take(dp),
+		take(dp)
+	chunk := func(tab []*task.Task, s, mb int) []*task.Task {
+		i := (s*m + mb) * tp
+		return tab[i : i+tp : i+tp]
+	}
+	doneAt := func(d, s int) []*task.Task {
+		i := (d*pp + s) * tp
+		return done[i : i+tp : i+tp]
+	}
+
 	gate := b.g.AddBarrier("start")
 	deps := make([][3]*task.Task, tp) // the gates of the chunk being emitted
-	// Per-replica gates of the (stage, rank) shard being synchronized: each
-	// replica's backward end, the gates of the bucket being AllReduced,
-	// what each optimizer waits for and each optimizer's end.
-	gates, bucketGates := make([]*task.Task, dp), make([]*task.Task, dp)
-	optGates, optDone := make([]*task.Task, dp), make([]*task.Task, dp)
 	for it := 0; it < cfg.Iterations; it++ {
 		suffix := fmt.Sprintf("-it%d", it)
-		bwdDone := make([][][]*task.Task, dp) // [d][s][r]
-		if ps.sync == bucketSync {
-			ready = make([][]*task.Task, pp*tp)
+		for i := range ready {
+			ready[i] = ready[i][:0]
 		}
 		if ps.gil && cfg.Effects.DPDispatchPerLayer.After(0) {
 			// Standard DataParallel's host dispatches layer by layer for
@@ -374,105 +433,94 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 		}
 
 		for d := 0; d < dp; d++ {
-			dsuffix := fmt.Sprintf("%s-d%d", suffix, d)
+			dsuffix := suffix + "-d" + strconv.Itoa(d)
 
+			// Stage the input: each micro-batch to the first stage's rank
+			// 0 under a pipeline preset, whose ranks all wait for it, and
+			// the batch to every rank of the first stage otherwise.
+			for mb := 0; mb < m; mb++ {
+				in := chunk(arrive, 0, mb)
+				label := "stage-input-mb" + strconv.Itoa(mb) + dsuffix
+				for r := range in {
+					if r > 0 && ps.pipeline {
+						in[r] = in[0]
+						continue
+					}
+					in[r] = b.stageInput(b.gpus[gpuAt(d, 0, r)], microScale,
+						gate, label)
+				}
+			}
 			// Forward pipeline (GPipe) with sharded rank-to-rank boundary
 			// sends: rank r of stage s ships its 1/tp activation slice to
 			// rank r of stage s+1 over the rail.
-			fwdLast := make([][][]*task.Task, pp) // [s][mb][r]
-			arrive := make([][][]*task.Task, pp)
-			for s := 0; s < pp; s++ {
-				fwdLast[s] = make([][]*task.Task, m)
-				arrive[s] = make([][]*task.Task, m)
-			}
-			for mb := 0; mb < m; mb++ {
-				load := b.stageInput(b.gpus[gpuAt(d, 0, 0)], microScale, gate,
-					fmt.Sprintf("stage-input-mb%d%s", mb, dsuffix))
-				arrive[0][mb] = make([]*task.Task, tp)
-				for r := 0; r < tp; r++ {
-					arrive[0][mb][r] = load
-				}
-			}
 			for s := 0; s < pp; s++ {
 				for mb := 0; mb < m; mb++ {
-					for r := 0; r < tp; r++ {
-						deps[r] = [3]*task.Task{arrive[s][mb][r]}
+					in, last := chunk(arrive, s, mb), chunk(fwdLast, s, mb)
+					for r := range deps {
+						deps[r] = [3]*task.Task{in[r]}
 						if mb > 0 {
-							deps[r][1] = fwdLast[s][mb-1][r]
+							deps[r][1] = chunk(fwdLast, s, mb-1)[r]
 						}
 					}
-					last := emitChunk(d, s, mb, deps, true, dsuffix)
-					fwdLast[s][mb] = last
+					emitChunk(d, s, mb, deps, true, dsuffix, last)
 					if s+1 < pp {
-						arrive[s+1][mb] = make([]*task.Task, tp)
-						for r := 0; r < tp; r++ {
+						next := chunk(arrive, s+1, mb)
+						for r := range next {
 							send := b.g.AddComm(b.gpus[gpuAt(d, s, r)],
 								b.gpus[gpuAt(d, s+1, r)],
 								pre[s].boundary*shard, "")
 							send.SetLabelf(actLabel, dsuffix, s, mb, r)
 							send.MicroBatch = int32(mb)
 							b.g.AddDep(last[r], send)
-							arrive[s+1][mb][r] = send
+							next[r] = send
 						}
 					}
 				}
 			}
 
 			if cfg.ForwardOnly {
-				bwdDone[d] = make([][]*task.Task, pp)
 				for s := 0; s < pp; s++ {
-					bwdDone[d][s] = fwdLast[s][m-1]
+					copy(doneAt(d, s), chunk(fwdLast, s, m-1))
 				}
 				continue
 			}
 
 			// Backward: GPipe flush, reverse micro-batch order, sharded
 			// gradient sends back down the rails.
-			gradArrive := make([][][]*task.Task, pp)
-			for s := 0; s < pp; s++ {
-				gradArrive[s] = make([][]*task.Task, m)
-			}
-			bwdDone[d] = make([][]*task.Task, pp)
 			for s := pp - 1; s >= 0; s-- {
-				var prevMicro []*task.Task
+				last := doneAt(d, s)
 				for k := 0; k < m; k++ {
 					mb := m - 1 - k
-					for r := 0; r < tp; r++ {
-						deps[r] = [3]*task.Task{fwdLast[s][m-1][r]}
-						if gradArrive[s][mb] != nil {
-							deps[r][1] = gradArrive[s][mb][r]
+					for r := range deps {
+						deps[r] = [3]*task.Task{chunk(fwdLast, s, m-1)[r]}
+						if s+1 < pp {
+							deps[r][1] = chunk(gradArrive, s, mb)[r]
 						}
-						if prevMicro != nil {
-							deps[r][2] = prevMicro[r]
+						if k > 0 {
+							deps[r][2] = last[r]
 						}
 					}
-					last := emitChunk(d, s, mb, deps, false, dsuffix)
-					prevMicro = last
+					emitChunk(d, s, mb, deps, false, dsuffix, last)
 					if s > 0 {
-						gradArrive[s-1][mb] = make([]*task.Task, tp)
-						for r := 0; r < tp; r++ {
+						back := chunk(gradArrive, s-1, mb)
+						for r := range back {
 							send := b.g.AddComm(b.gpus[gpuAt(d, s, r)],
 								b.gpus[gpuAt(d, s-1, r)],
 								pre[s-1].boundary*shard, "")
 							send.SetLabelf(gradLabel, dsuffix, s, mb, r)
 							send.MicroBatch = int32(mb)
 							b.g.AddDep(last[r], send)
-							gradArrive[s-1][mb][r] = send
+							back[r] = send
 						}
 					}
 				}
-				bwdDone[d][s] = prevMicro
 			}
 		}
 
 		end := b.g.AddBarrier("iter-done" + suffix)
 		if cfg.ForwardOnly {
-			for d := 0; d < dp; d++ {
-				for s := 0; s < pp; s++ {
-					for r := 0; r < tp; r++ {
-						b.g.AddDep(bwdDone[d][s][r], end)
-					}
-				}
+			for _, t := range done {
+				b.g.AddDep(t, end)
 			}
 			res.IterationEnds = append(res.IterationEnds, end)
 			gate = end
@@ -486,18 +534,12 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 			p := &pre[s]
 			for r := 0; r < tp; r++ {
 				for d := range gates {
-					gates[d] = bwdDone[d][s][r]
+					gates[d] = doneAt(d, s)[r]
 				}
 				copy(optGates, gates)
-				var dpRing []network.NodeID
-				if dp > 1 {
-					if spans {
-						dpRing = b.ringNodes()
-					} else {
-						dpRing = make([]network.NodeID, dp)
-						for d := range dpRing {
-							dpRing[d] = b.gpus[gpuAt(d, s, r)]
-						}
+				if dp > 1 && !spans {
+					for d := range dpRing {
+						dpRing[d] = b.gpus[gpuAt(d, s, r)]
 					}
 				}
 				switch {

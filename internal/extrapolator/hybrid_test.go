@@ -156,8 +156,8 @@ func TestHybridGradTrafficMatchesShards(t *testing.T) {
 	var hpBytes float64
 	for id := 0; id < res.Graph.Len(); id++ {
 		tk := res.Graph.Task(id)
-		if tk.Kind == task.Comm && len(tk.Label()) >= 12 &&
-			tk.Label()[:12] == "hp-allreduce" {
+		if tk.Kind == task.Comm &&
+			strings.HasPrefix(tk.Label(), "3d-allreduce") {
 			hpBytes += tk.Bytes
 		}
 	}
@@ -229,7 +229,7 @@ func TestHybridDPTPHonoursCollective(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r < 2; r++ {
-			label := fmt.Sprintf("hp-allreduce-r%d-it0", r)
+			label := fmt.Sprintf("3d-allreduce-s0-r%d-it0", r)
 			if e := log.Get(label); e == nil || e.Algo != coll+"-allreduce" {
 				t.Errorf("collective %s: %s logged %+v", coll, label, e)
 			}

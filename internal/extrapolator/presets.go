@@ -22,12 +22,14 @@ const (
 // preset is how one named strategy runs: what sets it apart from the plain
 // DP×TP×PP grid that Hybrid3D's generator emits.
 type preset struct {
-	// pipeline presets run Config.MicroBatches micro-batches, open every
-	// unfused chunk with an entry barrier and the host's per-micro-batch
-	// scheduling delay (Effects.CPUSchedPerMicroBatch), need the global
-	// batch to divide over the replicas, and report their stages. The
-	// data-parallel presets run one micro-batch of a possibly fractional
-	// per-replica batch, each chunk chained straight onto its one gate.
+	// pipeline presets run Config.MicroBatches micro-batches, stage each
+	// micro-batch's input to the first stage's rank 0, open every unfused
+	// chunk with an entry barrier and the host's per-micro-batch scheduling
+	// delay (Effects.CPUSchedPerMicroBatch), need the global batch to divide
+	// over the replicas, and report their stages. The other presets run one
+	// micro-batch of a possibly fractional per-replica batch, staged to
+	// every rank of the first stage, each chunk chained straight onto its
+	// one gate.
 	pipeline bool
 	sync     gradSync
 	// gil charges standard DataParallel's single-process dispatch: a chained
@@ -35,9 +37,6 @@ type preset struct {
 	// ops, and Effects.DPComputeInflation stretches forward and backward
 	// compute.
 	gil bool
-	// tensor presets are emitted by dpTP, the per-layer tensor-parallel
-	// loop, instead of the grid.
-	tensor bool
 	// minReplicas is the fewest dp replicas the preset accepts (0 = 1).
 	minReplicas int
 	// replicas and tpRanks report dp and tp in Result.Meta.
@@ -53,8 +52,8 @@ var presets = map[string]preset{
 	"pp":       {pipeline: true},
 	"dp+pp":    {pipeline: true, minReplicas: 2, replicas: true},
 	"dp+tp+pp": {pipeline: true, replicas: true, tpRanks: true},
-	"tp":       {tensor: true},
-	"dp+tp":    {tensor: true, minReplicas: 2},
+	"tp":       {tpRanks: true},
+	"dp+tp":    {minReplicas: 2, replicas: true, tpRanks: true},
 }
 
 // Build extrapolates the trace under the named strategy ("single", "dp",
@@ -72,9 +71,6 @@ func Build(strategy string, cfg Config, dp, tp, pp int) (*Result, error) {
 	if dp*tp*pp != cfg.NumGPUs {
 		return nil, fmt.Errorf("extrapolator: %s grid %d×%d×%d ≠ %d GPUs",
 			strategy, dp, tp, pp, cfg.NumGPUs)
-	}
-	if ps.tensor {
-		return dpTP(cfg, dp)
 	}
 	return grid(cfg, strategy, ps, dp, tp, pp)
 }

@@ -62,11 +62,14 @@ trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/triosim -model resnet50 -platform P2 -parallelism ddp \
   -trace-batch 32 -metrics-out "$tmpdir/report.json" >/dev/null
 go run ./cmd/triosimvet -report "$tmpdir/report.json"
-# The pipeline and tensor presets of the DP×TP×PP grid generator, end to end.
-for par in pp tp; do
-  go run ./cmd/triosim -model resnet18 -platform P2 -parallelism "$par" \
-    -trace-batch 32 -chunks 2 -metrics-out "$tmpdir/report-$par.json" >/dev/null
-  go run ./cmd/triosimvet -report "$tmpdir/report-$par.json"
+# The pipeline and tensor presets of the DP×TP×PP grid generator, end to
+# end, and tensor parallelism fused.
+for leg in pp tp dp+tp "tp -fuse-compute"; do
+  read -r -a args <<<"$leg"
+  out="$tmpdir/report-${leg// /}.json"
+  go run ./cmd/triosim -model resnet18 -platform P2 -parallelism "${args[@]}" \
+    -trace-batch 32 -chunks 2 -metrics-out "$out" >/dev/null
+  go run ./cmd/triosimvet -report "$out"
 done
 
 echo "==> trace tools smoke (tracegen writes a trace; traceinfo profiles that file)"

@@ -340,8 +340,8 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 	// syncOpts names a gradient-sync collective. Labels are unique within a
 	// graph, since the collective log is keyed by them: the pipeline
 	// presets, and any grid with more than one (stage, rank) shard, name
-	// the shard; a data-parallel preset's one shard is named by the
-	// iteration alone.
+	// the shard; any other grid has one shard, named by the iteration
+	// alone.
 	namedShards := ps.pipeline || tp*pp > 1
 	syncOpts := func(kind string, s, r int, suffix string) collective.Options {
 		label := kind + suffix
@@ -353,7 +353,7 @@ func grid(cfg Config, name string, ps preset, dp, tp, pp int) (*Result, error) {
 	}
 	// A dp ring that spans the run's GPUs rings in the topology's ring
 	// order, with its per-replica gates permuted to match; any other rings
-	// the shard's replicas in replica order.
+	// the shard's replicas in replica order, refilled per shard.
 	spans := dp == cfg.NumGPUs
 	inRing := func(gates []*task.Task) []*task.Task {
 		if spans {
